@@ -15,15 +15,55 @@ import (
 	"repro/internal/report"
 )
 
-// setupCorpus builds the seed's corpus in a child process, so the
-// simulation's memory never counts toward this process's peak RSS, and
-// returns the child's own timing of the build.
+// corpusBuilds is how many times set-up builds the corpus; setup_s is
+// the median build.
+const corpusBuilds = 3
+
+// setupCorpus builds the seed's corpus corpusBuilds times, each in a
+// child process of its own, so the simulation's memory never counts
+// toward this process's peak RSS and every build starts cold as fsreport
+// would. It keeps the last build, checks that every build stored the same
+// streams (and the seed's pins, when it has them), and returns the
+// median of the children's own timings.
 func setupCorpus(r *run, dir string) (time.Duration, error) {
+	var builds []float64
+	var first map[string]string
+	for i := 0; i < corpusBuilds; i++ {
+		if err := os.RemoveAll(dir); err != nil {
+			return 0, err
+		}
+		d, err := buildCorpusChild(r.seed, dir)
+		if err != nil {
+			return 0, err
+		}
+		builds = append(builds, seconds(d))
+		_, streams, err := readExpect(dir)
+		if err != nil {
+			return 0, err
+		}
+		if first == nil {
+			first = streams
+			r.checkStreamPins(r.pins, streams)
+			continue
+		}
+		same := len(streams) == len(first)
+		for m, sum := range streams {
+			same = same && sum == first[m]
+		}
+		r.check(same, "corpus build %d stored other streams than build 1", i+1)
+	}
+	r.params["setup_builds_s"] = builds
+	return time.Duration(median(builds) * float64(time.Second)), nil
+}
+
+// buildCorpusChild runs one corpus build in a child process and returns
+// the child's own timing of it.
+func buildCorpusChild(seed uint64, dir string) (time.Duration, error) {
 	exe, err := os.Executable()
 	if err != nil {
 		return 0, err
 	}
-	cmd := exec.Command(exe, "-build-corpus", dir, "-seed", strconv.FormatUint(r.seed, 10))
+	cmd := exec.Command(exe, "-build-corpus", dir, "-seed", strconv.FormatUint(seed, 10))
 	cmd.Stderr = os.Stderr
 	out, err := cmd.Output()
 	if err != nil {
@@ -57,45 +97,43 @@ func runAnalyze(r *run) error {
 	if err != nil {
 		return err
 	}
-	want, err := readExpect(dir)
+	want, _, err := readExpect(dir)
 	if err != nil {
 		return err
 	}
 	st := &analyzeState{want: want}
 	if r.traced {
 		return tracedRun(r, func(tc *tracing) (time.Duration, error) {
-			total, _, err := analyzeOnce(r, dir, st, tc)
-			return total, err
+			return analyzeOnce(r, dir, st, tc)
 		})
 	}
-	var ops, rates, rss []float64
+	var ops, rss []float64
 	start := time.Now()
 	for len(ops) == 0 || time.Since(start).Seconds() < r.seconds {
 		freshHeap()
-		total, rate, err := analyzeOnce(r, dir, st, nil)
+		total, err := analyzeOnce(r, dir, st, nil)
 		if err != nil {
 			return err
 		}
 		ops = append(ops, millis(total))
-		rates = append(rates, rate)
 		rss = append(rss, peakRSSMB())
 	}
 	r.setOps(ops)
 	r.set("setup_s", seconds(build))
-	r.set("throughput_per_s", median(rates))
+	r.set("throughput_per_s", machineMinutes/(r.values["op_p50_ms"]/1e3))
 	r.set("peak_rss_mb", median(rss))
 	return nil
 }
 
 // analyzeOnce is one load → compute → render pass. It returns the pass's
-// wall time and its rate in traced machine-minutes per second.
-func analyzeOnce(r *run, dir string, st *analyzeState, tc *tracing) (time.Duration, float64, error) {
+// wall time.
+func analyzeOnce(r *run, dir string, st *analyzeState, tc *tracing) (time.Duration, error) {
 	root := tc.span("analyze")
 	t0 := time.Now()
 	sp := root.Child("core.LoadCorpus")
 	c, err := core.LoadCorpusTrace(dir, tc.registry(), tc.tracer())
 	if err != nil {
-		return 0, 0, err
+		return 0, err
 	}
 	sp.Finish()
 
@@ -132,5 +170,5 @@ func analyzeOnce(r *run, dir string, st *analyzeState, tc *tracing) (time.Durati
 		variants := r.checkSection5Stability(res, c.Snaps, 4)
 		fmt.Fprintf(os.Stderr, "perfbench: Section 5 self-test: 5 renders, %d distinct exemplar lines, all other lines identical\n", variants)
 	}
-	return total, machineMinutes / total.Seconds(), nil
+	return total, nil
 }

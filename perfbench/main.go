@@ -30,6 +30,7 @@ import (
 	"runtime"
 	"runtime/debug"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 )
@@ -145,6 +146,21 @@ type run struct {
 	problems          []string
 	values            map[string]float64
 	params            map[string]any
+
+	pins *seedPins // the seed's expected outputs, nil when not pinned
+}
+
+func newRun(cwd, workload string, seed uint64, secs float64, traced bool) *run {
+	return &run{
+		workload: workload,
+		seed:     seed,
+		seconds:  secs,
+		traced:   traced,
+		work:     filepath.Join(cwd, ".bench_work", fmt.Sprintf("%s-%d-%d", workload, seed, os.Getpid())),
+		out:      filepath.Join(cwd, ".bench_out"),
+		values:   map[string]float64{},
+		params:   map[string]any{},
+	}
 }
 
 // check counts one checked operation and records why it failed.
@@ -177,8 +193,20 @@ func main() {
 		secs     = flag.Float64("seconds", 20, "measured seconds per run")
 		traceOn  = flag.Int("trace", 0, "1 = traced run reporting per-layer metrics")
 		buildDir = flag.String("build-corpus", "", "internal: build the seed's corpus into this directory and exit")
+		pinSeeds = flag.String("pin-seeds", "", "print the pin file for these seeds (e.g. 1-32) and exit")
 	)
 	flag.Parse()
+
+	if *pinSeeds != "" {
+		seedList, err := parseSeeds(*pinSeeds)
+		if err == nil {
+			err = writePins(seedList)
+		}
+		if err != nil {
+			fatal(err)
+		}
+		return
+	}
 
 	if *buildDir != "" {
 		if err := buildCorpus(*buildDir, *seed); err != nil {
@@ -192,16 +220,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	r := &run{
-		workload: *workload,
-		seed:     *seed,
-		seconds:  *secs,
-		traced:   *traceOn == 1,
-		work:     filepath.Join(cwd, ".bench_work", fmt.Sprintf("%s-%d-%d", *workload, *seed, os.Getpid())),
-		out:      filepath.Join(cwd, ".bench_out"),
-		values:   map[string]float64{},
-		params:   map[string]any{},
-	}
+	r := newRun(cwd, *workload, *seed, *secs, *traceOn == 1)
 	var body func(*run) error
 	switch *workload {
 	case "reproduce":
@@ -222,6 +241,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "perfbench: -seconds must be positive")
 		os.Exit(2)
 	}
+	if r.pins, err = pinsFor(r.seed); err != nil {
+		fatal(err)
+	}
+	r.params["pinned"] = r.pins != nil
 	if err := os.MkdirAll(r.work, 0o755); err != nil {
 		fatal(err)
 	}
@@ -294,6 +317,28 @@ func (r *run) stamp() map[string]any {
 		s[k] = v
 	}
 	return s
+}
+
+// parseSeeds reads a seed list such as "1-32" or "1,5,9-11".
+func parseSeeds(spec string) ([]uint64, error) {
+	var out []uint64
+	for _, part := range strings.Split(spec, ",") {
+		lo, hi, isRange := strings.Cut(part, "-")
+		a, err := strconv.ParseUint(lo, 10, 64)
+		if err != nil {
+			return nil, fmt.Errorf("seed list %q: %w", spec, err)
+		}
+		b := a
+		if isRange {
+			if b, err = strconv.ParseUint(hi, 10, 64); err != nil {
+				return nil, fmt.Errorf("seed list %q: %w", spec, err)
+			}
+		}
+		for s := a; s <= b; s++ {
+			out = append(out, s)
+		}
+	}
+	return out, nil
 }
 
 func b2i(b bool) int {

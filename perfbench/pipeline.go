@@ -23,11 +23,14 @@ import (
 // corpus layout.
 const (
 	fleetMachines = 45
-	simMinutes    = 10
+	simMinutes    = 5
 
 	// machineMinutes is the traced machine time one pipeline produces and
 	// one analysis pass reads: the unit of the throughput metric, as the
-	// paper costs its apparatus per machine-day.
+	// paper costs its apparatus per machine-day. On reproduce and analyze
+	// throughput_per_s is machineMinutes over op_p50_ms, no new
+	// information: it is reported because every workload must report
+	// every end-to-end metric.
 	machineMinutes = fleetMachines * simMinutes
 )
 
@@ -51,12 +54,13 @@ func (r *run) stampStudy() {
 }
 
 // expectFile lists, per machine, the SHA-256 of the record stream the
-// simulation collected; a loaded segment must carry the same digest.
+// simulation collected, which a loaded segment must carry, and the
+// machine's stored-stream digest (collect.Store.StreamSum).
 const expectFile = "expect.sha256"
 
 // buildCorpus is the set-up of analyze and serve: simulate the seed's
 // fleet and save its corpus. It prints how long that took, then records
-// each machine's logical stream digest (untimed) for the loader's check.
+// each machine's digests (untimed) for the parent's checks.
 func buildCorpus(dir string, seed uint64) error {
 	start := time.Now()
 	st := core.NewStudy(studyConfig(seed))
@@ -72,13 +76,17 @@ func buildCorpus(dir string, seed uint64) error {
 	if err := syncDir(dir); err != nil {
 		return err
 	}
-	sums, err := rowDigests(st)
+	rows, err := rowDigests(st)
+	if err != nil {
+		return err
+	}
+	streams, err := streamSums(st)
 	if err != nil {
 		return err
 	}
 	var b strings.Builder
 	for _, m := range st.Store.Machines() {
-		fmt.Fprintf(&b, "%s %s\n", sums[m], m)
+		fmt.Fprintf(&b, "%s %s %s\n", rows[m], streams[m], m)
 	}
 	return os.WriteFile(filepath.Join(dir, expectFile), []byte(b.String()), 0o644)
 }
@@ -107,14 +115,14 @@ func syncPath(path string) error {
 }
 
 // streamSums are the digests of each machine's stored (compressed) stream.
-func streamSums(st *core.Study) (map[string][sha256.Size]byte, error) {
-	out := map[string][sha256.Size]byte{}
+func streamSums(st *core.Study) (map[string]string, error) {
+	out := map[string]string{}
 	for _, m := range st.Store.Machines() {
 		sum, err := st.Store.StreamSum(m)
 		if err != nil {
 			return nil, err
 		}
-		out[m] = sum
+		out[m] = hexSum(sum)
 	}
 	return out, nil
 }
@@ -133,20 +141,22 @@ func rowDigests(st *core.Study) (map[string]string, error) {
 	return out, nil
 }
 
-func readExpect(dir string) (map[string]string, error) {
+// readExpect reads expectFile: per machine, the row-stream digest and the
+// stored-stream digest.
+func readExpect(dir string) (rows, streams map[string]string, err error) {
 	data, err := os.ReadFile(filepath.Join(dir, expectFile))
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	out := map[string]string{}
+	rows, streams = map[string]string{}, map[string]string{}
 	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
-		sum, name, ok := strings.Cut(line, " ")
-		if !ok {
-			return nil, fmt.Errorf("%s: malformed line %q", expectFile, line)
+		f := strings.Fields(line)
+		if len(f) != 3 {
+			return nil, nil, fmt.Errorf("%s: malformed line %q", expectFile, line)
 		}
-		out[name] = sum
+		rows[f[2]], streams[f[2]] = f[0], f[1]
 	}
-	return out, nil
+	return rows, streams, nil
 }
 
 // checkSegments compares every loaded segment's logical stream digest
@@ -210,9 +220,10 @@ func maskedDigest(text string) (string, int) {
 	return hex.EncodeToString(sum[:]), masked
 }
 
-// reportChecker pins the first render's masked digest and compares
-// every later render with it line by line, so a difference outside the
-// masked line is reported where it is.
+// reportChecker keeps the run's first render and compares every later
+// render with it line by line, so a difference outside the masked line is
+// reported where it is. When the seed is pinned, every render's masked
+// digest must also equal the pinned one.
 type reportChecker struct {
 	first  []string
 	digest string
@@ -221,6 +232,10 @@ type reportChecker struct {
 func (r *run) checkReport(c *reportChecker, text string) {
 	digest, masked := maskedDigest(text)
 	r.check(masked <= 1, "report has %d lines matching the unstable-exemplar pattern, want at most 1", masked)
+	if r.pins != nil {
+		want := r.pins.Reports[r.workload]
+		r.check(digest == want, "report masked digest %.12s, pinned %.12s", digest, want)
+	}
 	r.check(strings.Contains(text, "Section 5. File system content") && strings.Contains(text, "Cache policy sweep"),
 		"report is missing sections")
 	lines := strings.Split(text, "\n")

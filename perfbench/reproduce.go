@@ -1,7 +1,6 @@
 package main
 
 import (
-	"crypto/sha256"
 	"os"
 	"path/filepath"
 	"time"
@@ -14,7 +13,7 @@ import (
 // reproduceState is what the reproduce iterations of one run share: the
 // pinned per-machine stream digests and report.
 type reproduceState struct {
-	sums   map[string][sha256.Size]byte
+	sums   map[string]string
 	segs   map[string]string
 	report reportChecker
 }
@@ -22,7 +21,6 @@ type reproduceState struct {
 // reproduceTimes is one pipeline's wall-clock breakdown.
 type reproduceTimes struct {
 	newStudy, total time.Duration
-	rate            float64 // simulated machine-minutes per second of the pipeline
 }
 
 // runReproduce repeats the full fsreport pipeline from the seed until the
@@ -38,7 +36,7 @@ func runReproduce(r *run) error {
 			return t.total, err
 		})
 	}
-	var setup, ops, rates, rss []float64
+	var setup, ops, rss []float64
 	start := time.Now()
 	for len(ops) == 0 || time.Since(start).Seconds() < r.seconds {
 		freshHeap()
@@ -48,22 +46,26 @@ func runReproduce(r *run) error {
 		}
 		setup = append(setup, seconds(t.newStudy))
 		ops = append(ops, millis(t.total))
-		rates = append(rates, t.rate)
 		rss = append(rss, peakRSSMB())
 	}
 	r.setOps(ops)
 	r.set("setup_s", median(setup))
-	r.set("throughput_per_s", median(rates))
+	r.set("throughput_per_s", machineMinutes/(r.values["op_p50_ms"]/1e3))
 	r.set("peak_rss_mb", median(rss))
 	return nil
 }
 
 // reproduceOnce runs seed → NewStudy → Run → Save → DataSet → compute →
-// render, then checks the outputs outside the timed section. With tc set
-// the study runs fully instrumented and each stage is recorded as a span.
+// render, then checks the outputs outside the timed section. The saved
+// corpus stays in the run's scratch until the next pipeline replaces it.
+// With tc set the study runs fully instrumented and each stage is
+// recorded as a span.
 func reproduceOnce(r *run, st *reproduceState, tc *tracing) (reproduceTimes, error) {
 	var t reproduceTimes
 	dir := filepath.Join(r.work, "corpus")
+	if err := os.RemoveAll(dir); err != nil {
+		return t, err
+	}
 	cfg := studyConfig(r.seed)
 	cfg.Obs, cfg.Trace = tc.registry(), tc.tracer()
 
@@ -111,11 +113,11 @@ func reproduceOnce(r *run, st *reproduceState, tc *tracing) (reproduceTimes, err
 	root.Finish()
 	t.total = time.Since(t0)
 	records := study.TotalEvents()
-	t.rate = machineMinutes / t.total.Seconds()
 
 	// Output checks, untimed: stream digests and saved segments repeat
-	// across pipelines of one seed, and on the first pipeline every
-	// segment's logical digest equals the digest of the collected rows.
+	// across pipelines of one seed and equal the seed's pins, and on the
+	// first pipeline every segment's logical digest equals the digest of
+	// the collected rows.
 	sums, err := streamSums(study)
 	if err != nil {
 		return t, err
@@ -135,6 +137,7 @@ func reproduceOnce(r *run, st *reproduceState, tc *tracing) (reproduceTimes, err
 	for m, sum := range sums {
 		r.check(sum == st.sums[m], "machine %s stream digest changed between pipelines of one seed", m)
 	}
+	r.checkStreamPins(r.pins, sums)
 	r.checkSegments(segs, st.segs)
 	r.check(records > 0, "pipeline collected no records")
 	r.checkReport(&st.report, rd.text())
@@ -143,5 +146,5 @@ func reproduceOnce(r *run, st *reproduceState, tc *tracing) (reproduceTimes, err
 	}
 	r.params["records"] = records
 	r.params["snapshot_bytes"] = dirBytes(dir, ".snap.json")
-	return t, os.RemoveAll(dir)
+	return t, nil
 }

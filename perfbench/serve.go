@@ -22,35 +22,51 @@ import (
 	"repro/internal/query"
 )
 
-// Serving parameters. The offered rate is fixed, so latency compares
-// across commits at equal load; the closed loop finds the capacity.
+// Serving parameters. No query log of this service exists, so each is
+// tied to something stated rather than measured traffic:
+//
+//   - The offered rate is fixed, so latency compares across commits at
+//     equal load: a tenth of the closed-loop capacity measured on a 2-vCPU
+//     reference host at the commit that introduced this workload, a light
+//     load at which a request seldom queues behind another. Every run
+//     stamps its own capacity and the offered share of it.
+//   - The request split is query.RunLoad's (fsqueryd -load): 70% scans,
+//     15% report artifacts, 15% machine listings, and its six artifacts.
+//   - Hot scans have Zipf popularity with exponent 1, the skew the repo's
+//     workload model gives application launches (internal/workload).
+//   - One request in ten is a scan from the catalogue's cold tail, and the
+//     other scans come from its warmed head. This split is a choice, not
+//     a measurement: it keeps op_p50_ms a cache hit and puts op_tail_ms
+//     (p99) inside the cold pushdown scans.
+//   - The result cache has fsqueryd's default bound (64 MiB).
 const (
-	offeredRPS      = 200
-	servePhases     = 5   // open/closed rounds per session
-	openShare       = 0.5 // share of the run spent in the open loop
-	hotScans        = 64  // head of the scan catalogue, drawn with Zipf popularity
-	zipfExponent    = 1.0
-	serveCacheBytes = 16 << 20
-	tailScopes      = 2 // the tail draws the first two catalogue scopes
+	referenceCapacityRPS = 13500 // closed loop, 2-vCPU reference host, seed 1
+	offeredShare         = 0.1
+	offeredRPS           = offeredShare * referenceCapacityRPS
+	servePhases          = 5   // open/closed rounds per session
+	openShare            = 0.5 // share of the run spent in the open loop
+	hotScans             = 64  // head of the scan catalogue, warmed in set-up
+	zipfExponent         = 1.0
+	serveCacheBytes      = 64 << 20
 )
 
-// requestCycle is the request mix, in slots per cycle of 20: 70% scans
-// (60% from the catalogue's head, 10% from its tail), 20% report
-// artifacts, 10% machine listings. Each cycle is shuffled.
+// requestCycle is the request mix, in slots per cycle of 20, shuffled
+// each cycle: 14 scans (12 from the head, 2 from the tail), 3 report
+// artifacts, 3 machine listings.
 var requestCycle = []string{
 	"cold", "cold",
 	"hot", "hot", "hot", "hot", "hot", "hot", "hot", "hot", "hot", "hot", "hot", "hot",
-	"report", "report", "report", "report",
-	"machines", "machines",
+	"report", "report", "report",
+	"machines", "machines", "machines",
 }
 
 // Catalogue dimensions: kinds × time window × machine scope × projection
-// × limit. Whole-fleet scopes occur only in the head, which set-up warms:
-// a cold 45-machine scan costs up to a hundred times a hit, so a few of
-// them in the tail would decide the latency tail on their own. Report
-// artifacts exclude section5, whose exemplar line is not stable between
-// renders, and cachesweep, a one-second trace replay that is the analyze
-// workload's business.
+// × limit, each dealt from its own deck. The head draws its scopes from
+// all three; the tail only from the first two (one or two machines). That
+// is a choice made for steadiness: a cold whole-fleet scan costs up to a
+// hundred times a hit, so the few a run would draw would decide the tail
+// alone. It turns the tail's third of whole-fleet scans, 1 scan in 21
+// (2 of 14 scans × 1/3), into one- or two-machine scans.
 var (
 	catalogueKinds = []string{"", "Read", "Write", "Read,Write", "Create,Close", "LazyWrite",
 		"ReadAhead", "QueryDirectory", "PagingRead,PagingWrite", "SetInformation,SetEndOfFile"}
@@ -58,10 +74,8 @@ var (
 	catalogueScopes  = []string{"one", "two", "all"}
 	catalogueCols    = []string{"kind,start", "kind,start,end", "start,length,offset", "kind,fileid,proc,status", "start,returned,filesize"}
 	catalogueLimits  = []int{10, 50, 200}
-	serveArtifacts   = []string{"table1", "table2", "table3", "figure1", "figure2", "figure3", "figure4",
-		"figure5", "figure6", "figure7", "figure8", "figure9", "figure10", "figure11", "figure12",
-		"figure13", "figure14", "section6", "section7", "section8", "section9", "section10",
-		"process", "type", "followups"}
+	tailScopes       = 2 // the tail draws the first two catalogue scopes
+	serveArtifacts   = []string{"table1", "table2", "figure2", "figure5", "section8", "process"}
 )
 
 // windows are the scan time windows: every span of whole simulated
@@ -338,6 +352,21 @@ type serveResult struct {
 	open, closed []outcome
 	closedWall   time.Duration
 	startup      time.Duration // open the corpus, build the service, warm
+
+	// Per round: the open loop's p99 latency and the closed loop's rate.
+	// A stall of the host delays every open-loop request due during it;
+	// at the offered rate, 25 ms of stall delays 1% of a round's requests,
+	// so one stall can move a run's p99. The median over rounds moves only
+	// when most rounds stall.
+	roundP99, roundRate []float64
+}
+
+func latencies(outs []outcome) []float64 {
+	out := make([]float64, len(outs))
+	for i, o := range outs {
+		out[i] = millis(o.latency)
+	}
+	return out
 }
 
 // capacity is the closed loop's completed requests per second.
@@ -401,20 +430,28 @@ func serveSession(r *run, dir string, tc *tracing, openDur, closedDur time.Durat
 		}
 	}
 
-	// Start serving from a collected heap, so when garbage collection
-	// runs during the loops depends on the requests, not on set-up. The
-	// loops alternate in servePhases rounds, so each samples the whole run
-	// and a slow stretch of the host falls on both alike.
-	runtime.GC()
+	// The loops alternate in servePhases rounds, so each samples the whole
+	// run and a slow stretch of the host falls on both alike. Each open
+	// round starts from a collected heap: the closed loop allocates about
+	// eight times as fast, so otherwise whether a collection (100-200 ms
+	// of marking on a 2-vCPU host) falls inside an open round would depend
+	// on the closed loop before it, and the round's p99 would flip between
+	// about 2 ms and 7 ms on that alone.
 	paths := make([]string, int(openDur.Seconds()*offeredRPS/servePhases))
 	for range servePhases {
 		for i := range paths {
 			paths[i] = m.next()
 		}
-		res.open = append(res.open, s.openLoop(paths, v)...)
+		runtime.GC()
+		open := s.openLoop(paths, v)
+		res.open = append(res.open, open...)
+		res.roundP99 = append(res.roundP99, quantile(latencies(open), 0.99))
 		t1 := time.Now()
-		res.closed = append(res.closed, s.closedLoop(m, closedDur/servePhases, v)...)
-		res.closedWall += time.Since(t1)
+		closed := s.closedLoop(m, closedDur/servePhases, v)
+		wall := time.Since(t1)
+		res.closed = append(res.closed, closed...)
+		res.closedWall += wall
+		res.roundRate = append(res.roundRate, float64(len(closed))/wall.Seconds())
 	}
 	if err := s.stop(); err != nil {
 		return res, err
@@ -436,7 +473,9 @@ func serveSession(r *run, dir string, tc *tracing, openDur, closedDur time.Durat
 func runServe(r *run) error {
 	r.stampStudy()
 	r.params["offered_rps"] = offeredRPS
+	r.params["reference_capacity_rps"] = referenceCapacityRPS
 	r.params["hot_scans"] = hotScans
+	r.params["zipf_exponent"] = zipfExponent
 	scopes := 1 + fleetMachines + fleetMachines*fleetMachines
 	r.params["catalogue_size"] = len(catalogueKinds) * len(catalogueWindows) * scopes * len(catalogueCols) * len(catalogueLimits)
 	r.params["request_cycle"] = requestCycle
@@ -456,15 +495,16 @@ func runServe(r *run) error {
 	if err != nil {
 		return err
 	}
-	var lat []float64
-	for _, o := range res.open {
-		lat = append(lat, millis(o.latency))
-	}
+	lat := latencies(res.open)
 	r.params["open_p95_ms"] = quantile(lat, 0.95)
+	r.params["open_p99_ms"] = quantile(lat, 0.99)
+	r.params["round_p99_ms"] = res.roundP99
+	r.params["round_capacity_rps"] = res.roundRate
+	r.params["offered_share_of_capacity"] = offeredRPS / median(res.roundRate)
 	r.set("setup_s", seconds(build+res.startup))
 	r.set("op_p50_ms", median(lat))
-	r.set("op_tail_ms", quantile(lat, 0.99))
-	r.set("throughput_per_s", res.capacity())
+	r.set("op_tail_ms", median(res.roundP99))
+	r.set("throughput_per_s", median(res.roundRate))
 	r.set("peak_rss_mb", peakRSSMB())
 	return nil
 }

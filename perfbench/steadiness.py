@@ -6,9 +6,11 @@
 
 `spread` runs every workload once per seed with tracing off and prints, per
 end-to-end metric, the median and the distance between the first and third
-quartile as a share of the median (statistics.quantiles(values, n=4)),
-against a third of the metric's bound. `exact` makes two traced runs per
-seed and requires the exact counts to repeat. Run from the repository root.
+quartile as a share of the median (statistics.quantiles(values, n=4)):
+"ok" below a third of the metric's bound, "within bound" up to the bound,
+"WIDE" above it, which fails the check. setup_s is checked like the rest.
+`exact` makes two traced runs per seed and requires the exact counts to
+repeat. Run from the repository root.
 """
 import argparse
 import json
@@ -60,10 +62,10 @@ def spread(bench, workloads, seed_list):
             vals = values[m["name"]]
             q1, med, q3 = statistics.quantiles(vals, n=4)
             share = (q3 - q1) / med
-            target = m["bound"] / 3
-            flag = "ok" if share < target or m["name"] == "setup_s" else "WIDE"
-            ok &= flag == "ok"
-            print(f"  {w:9s} {m['name']:18s} median {med:12.4f} {m['unit']:4s} spread {share:6.3f} (< {target:.3f}) {flag}")
+            bound = m["bound"]
+            flag = "ok" if share < bound / 3 else "within bound" if share <= bound else "WIDE"
+            ok &= share <= bound
+            print(f"  {w:9s} {m['name']:18s} median {med:12.4f} {m['unit']:4s} spread {share:6.3f} (bound {bound}) {flag}")
     return ok
 
 
