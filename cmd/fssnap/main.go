@@ -1,11 +1,13 @@
 // Command fssnap works with file-system snapshots: it summarises a saved
 // snapshot file and diffs two snapshots the way §5 analyses day-over-day
-// content change (profile-tree and WWW-cache shares).
+// content change (profile-tree and WWW-cache shares). It reads the binary
+// *.snap files a saved corpus holds, and the JSON *.snap.json files of
+// corpora saved before that format.
 //
 // Usage:
 //
-//	fssnap info  traces/personal-01-000.snap.json
-//	fssnap diff  day0.snap.json day1.snap.json
+//	fssnap info  traces/personal-01-000.snap
+//	fssnap diff  day0.snap day1.snap
 package main
 
 import (

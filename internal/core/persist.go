@@ -28,11 +28,12 @@ type manifestEntry struct {
 	ProcNames map[uint32]string `json:"proc_names,omitempty"`
 }
 
-// Save writes the collected corpus, snapshots (*.snap.json) and the
-// machine manifest into dir. The corpus layout follows Cfg.Columnar: row
-// streams (*.trz) by default, colstore segments (*.fsc) when set —
-// restored machines reuse the segment carried by their checkpoint
-// instead of re-encoding. The study must have Run.
+// Save writes the collected corpus, snapshots (*.snap, the binary
+// snapshot format) and the machine manifest into dir. The corpus layout
+// follows Cfg.Columnar: row streams (*.trz) by default, colstore
+// segments (*.fsc) when set — restored machines reuse the segment
+// carried by their checkpoint instead of re-encoding. The study must
+// have Run.
 func (s *Study) Save(dir string) error {
 	if !s.ran {
 		return fmt.Errorf("core: Save before Run")
@@ -69,7 +70,7 @@ func (s *Study) Save(dir string) error {
 		return err
 	}
 	for i, snap := range s.Snapshots {
-		name := fmt.Sprintf("%s-%03d.snap.json", safe(snap.Machine), i)
+		name := fmt.Sprintf("%s-%03d.snap", safe(snap.Machine), i)
 		f, err := os.Create(filepath.Join(dir, name))
 		if err != nil {
 			return err
@@ -202,8 +203,10 @@ func LoadCorpusTrace(dir string, reg *obs.Registry, tr *trace.Tracer) (*Corpus, 
 	if err != nil {
 		return nil, err
 	}
+	// Snapshots in file-name order; corpora saved before the binary
+	// format hold legacy *.snap.json files, which Read still decodes.
 	for _, e := range entries {
-		if !strings.HasSuffix(e.Name(), ".snap.json") {
+		if !strings.HasSuffix(e.Name(), ".snap") && !strings.HasSuffix(e.Name(), ".snap.json") {
 			continue
 		}
 		f, err := os.Open(filepath.Join(dir, e.Name()))

@@ -1,10 +1,18 @@
 package core
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"os"
+	"path/filepath"
+	"reflect"
+	"sort"
 	"testing"
 
 	"repro/internal/ntos/machine"
 	"repro/internal/sim"
+	"repro/internal/snapshot"
 )
 
 func TestSaveLoadRoundTrip(t *testing.T) {
@@ -41,8 +49,50 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if totalOrig != totalLoaded {
 		t.Errorf("records: saved %d, loaded %d", totalOrig, totalLoaded)
 	}
-	if len(snaps) != len(s.Snapshots) {
-		t.Errorf("snapshots: saved %d, loaded %d", len(s.Snapshots), len(snaps))
+	// Snapshots come back deep-equal, in file-name order.
+	byFile := map[string]*snapshot.Snapshot{}
+	var files []string
+	for i, sn := range s.Snapshots {
+		name := fmt.Sprintf("%s-%03d.snap", safe(sn.Machine), i)
+		byFile[name] = sn
+		files = append(files, name)
+	}
+	sort.Strings(files)
+	if len(files) == 0 {
+		t.Fatal("study took no snapshots")
+	}
+	if len(snaps) != len(files) {
+		t.Fatalf("snapshots: saved %d, loaded %d", len(files), len(snaps))
+	}
+	for i, name := range files {
+		if !reflect.DeepEqual(snaps[i], byFile[name]) {
+			t.Errorf("snapshot %d (%s) differs after Save/Load", i, name)
+		}
+	}
+	// A corpus saved before the binary format holds *.snap.json files;
+	// it loads to the same snapshots in the same order.
+	for _, name := range files {
+		path := filepath.Join(dir, name)
+		f, err := os.Create(path + ".json")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := json.NewEncoder(f).Encode(byFile[name]); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Remove(path); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, legacy, err := Load(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(legacy, snaps) {
+		t.Error("legacy *.snap.json corpus loads different snapshots than the *.snap save")
 	}
 	// Category survives for at least one machine.
 	foundCat := false
@@ -52,6 +102,37 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		}
 	}
 	_ = foundCat // fleet of 2 may be all walk-up after scaling; identity is what matters
+}
+
+// TestSnapshotCodecsEquivalent decodes a generated study's snapshots
+// through the binary codec and through the legacy JSON one: both must
+// give back exactly the snapshots the walk produced.
+func TestSnapshotCodecsEquivalent(t *testing.T) {
+	s := NewStudy(Config{Seed: 9, Machines: 3, Duration: sim.Minute, SnapshotAtStart: true})
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(s.Snapshots) == 0 {
+		t.Fatal("study took no snapshots")
+	}
+	for i, sn := range s.Snapshots {
+		var bin, js bytes.Buffer
+		if err := sn.Write(&bin); err != nil {
+			t.Fatal(err)
+		}
+		if err := json.NewEncoder(&js).Encode(sn); err != nil {
+			t.Fatal(err)
+		}
+		for codec, buf := range map[string]*bytes.Buffer{"binary": &bin, "json": &js} {
+			got, err := snapshot.Read(buf)
+			if err != nil {
+				t.Fatalf("snapshot %d, %s: %v", i, codec, err)
+			}
+			if !reflect.DeepEqual(got, sn) {
+				t.Errorf("snapshot %d (%s %s, %d records): %s decode differs", i, sn.Machine, sn.Volume, len(sn.Records), codec)
+			}
+		}
+	}
 }
 
 func TestSaveBeforeRunFails(t *testing.T) {

@@ -15,6 +15,7 @@ package fsys
 import (
 	"fmt"
 	"path"
+	"slices"
 	"sort"
 	"strings"
 
@@ -88,6 +89,25 @@ func (n *Node) ChildNames() []string {
 	}
 	sort.Strings(names)
 	return names
+}
+
+// DirEntry is one child of a directory under its lookup key, the
+// lower-cased name ChildNames sorts by.
+type DirEntry struct {
+	Key  string
+	Node *Node
+}
+
+// AppendChildren appends the directory's children to dst in ChildNames
+// order and returns the extended slice, so a tree walk can list each
+// directory once into one reused buffer.
+func (n *Node) AppendChildren(dst []DirEntry) []DirEntry {
+	start := len(dst)
+	for key, c := range n.children {
+		dst = append(dst, DirEntry{key, c})
+	}
+	slices.SortFunc(dst[start:], func(a, b DirEntry) int { return strings.Compare(a.Key, b.Key) })
+	return dst
 }
 
 // Child returns the named child, or nil.

@@ -192,6 +192,25 @@ func TestPathAndExt(t *testing.T) {
 	}
 }
 
+func TestAppendChildrenMatchesChildNames(t *testing.T) {
+	fs := newNTFS()
+	for _, name := range []string{`\c`, `\A`, `\b`} {
+		fs.CreateFile(name, 1, types.AttrNormal, 0)
+	}
+	fs.MkdirAll(`\Dir`, 0)
+	prefix := []DirEntry{{Key: "kept"}}
+	got := fs.Root.AppendChildren(prefix)
+	names := fs.Root.ChildNames()
+	if len(got) != 1+len(names) || got[0].Key != "kept" {
+		t.Fatalf("AppendChildren = %v, want the prefix then %d children", got, len(names))
+	}
+	for i, name := range names {
+		if e := got[1+i]; e.Key != name || e.Node != fs.Root.Child(name) {
+			t.Errorf("child %d = %q, want %q", i, e.Key, name)
+		}
+	}
+}
+
 func TestChildNamesSorted(t *testing.T) {
 	fs := newNTFS()
 	for _, name := range []string{`\c`, `\a`, `\b`} {

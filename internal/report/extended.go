@@ -50,14 +50,19 @@ func (r *Results) Section5(snaps []*snapshot.Snapshot) string {
 	fmt.Fprintf(&b, "  exe/dll/font share of the top-1%% sizes: %.0f%% (paper: dominant)\n",
 		100*analysis.ImageShareOfTail(biggest, len(biggest.Files())/100+1))
 
-	// Change attribution between the first and last snapshot of the same
-	// machine+volume.
+	// Change attribution between the first and last snapshot of the first
+	// machine+volume, in snapshot order, that has at least two.
 	byVol := map[string][]*snapshot.Snapshot{}
+	var order []string
 	for _, s := range snaps {
 		k := s.Machine + "|" + s.Volume
+		if byVol[k] == nil {
+			order = append(order, k)
+		}
 		byVol[k] = append(byVol[k], s)
 	}
-	for k, vs := range byVol {
+	for _, k := range order {
+		vs := byVol[k]
 		if len(vs) < 2 {
 			continue
 		}

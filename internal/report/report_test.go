@@ -1,6 +1,7 @@
 package report
 
 import (
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -9,6 +10,7 @@ import (
 	"repro/internal/ntos/machine"
 	"repro/internal/ntos/types"
 	"repro/internal/sim"
+	"repro/internal/snapshot"
 	"repro/internal/tracefmt"
 )
 
@@ -183,6 +185,33 @@ func TestEmptyResultsDoNotPanic(t *testing.T) {
 		r.Section6Lifetimes, r.Section8, r.Section9, r.Section10,
 	} {
 		_ = f() // must not panic on an empty corpus
+	}
+}
+
+// TestSection5ExemplarDeterministic checks that the change-attribution
+// line names the first machine|volume, in snapshot order, that has at
+// least two snapshots, on every render.
+func TestSection5ExemplarDeterministic(t *testing.T) {
+	snap := func(machine, vol string, day int, files int) *snapshot.Snapshot {
+		s := &snapshot.Snapshot{Machine: machine, Volume: vol, TakenAt: sim.Time(day) * sim.Time(sim.Day),
+			Records: []snapshot.WalkRecord{{IsDir: true, NumFiles: files}}}
+		for i := 0; i < files; i++ {
+			s.Records = append(s.Records, snapshot.WalkRecord{Name: fmt.Sprintf("f%d.txt", i), Depth: 1, Size: 10})
+		}
+		return s
+	}
+	snaps := []*snapshot.Snapshot{
+		snap("solo", `C:`, 0, 1),
+		snap("m2", `D:`, 0, 1), snap("m1", `C:`, 0, 1),
+		snap("m1", `C:`, 1, 3), snap("m2", `D:`, 1, 2),
+	}
+	r := synth(t)
+	want := "  m2|D:: +1 ~0 -0 files"
+	for i := 0; i < 20; i++ {
+		out := r.Section5(snaps)
+		if !strings.Contains(out, want) || strings.Contains(out, "m1|C:") {
+			t.Fatalf("render %d: want the m2|D: exemplar only, got:\n%s", i, out)
+		}
 	}
 }
 

@@ -8,9 +8,6 @@
 package snapshot
 
 import (
-	"encoding/json"
-	"fmt"
-	"io"
 	"sort"
 	"strings"
 
@@ -73,10 +70,16 @@ type Snapshot struct {
 // Take walks fs producing a snapshot. The walk is deterministic
 // (children in sorted order).
 func Take(machine, vol string, fs *fsys.FS, now sim.Time) *Snapshot {
-	snap := &Snapshot{Machine: machine, Volume: vol, TakenAt: now}
+	snap := &Snapshot{
+		Machine: machine, Volume: vol, TakenAt: now,
+		Records: make([]WalkRecord, 0, fs.FileCount+fs.DirCount),
+	}
+	// kids holds the sorted children of every directory on the current
+	// path, each level appended above its parent's and cut off on return.
+	var kids []fsys.DirEntry
 	var rec func(n *fsys.Node, depth int)
 	rec = func(n *fsys.Node, depth int) {
-		w := WalkRecord{
+		snap.Records = append(snap.Records, WalkRecord{
 			Name:         shortName(n.Name),
 			Depth:        depth,
 			IsDir:        n.IsDir(),
@@ -84,22 +87,25 @@ func Take(machine, vol string, fs *fsys.FS, now sim.Time) *Snapshot {
 			Created:      n.Created,
 			LastModified: n.LastModified,
 			LastAccessed: n.LastAccessed,
+		})
+		if !n.IsDir() {
+			return
 		}
-		if n.IsDir() {
-			for _, name := range n.ChildNames() {
-				if n.Child(name).IsDir() {
-					w.NumSubdirs++
-				} else {
-					w.NumFiles++
-				}
+		w := &snap.Records[len(snap.Records)-1] // valid until rec appends
+		start := len(kids)
+		kids = n.AppendChildren(kids)
+		end := len(kids)
+		for _, k := range kids[start:end] {
+			if k.Node.IsDir() {
+				w.NumSubdirs++
+			} else {
+				w.NumFiles++
 			}
 		}
-		snap.Records = append(snap.Records, w)
-		if n.IsDir() {
-			for _, name := range n.ChildNames() {
-				rec(n.Child(name), depth+1)
-			}
+		for i := start; i < end; i++ {
+			rec(kids[i].Node, depth+1)
 		}
+		kids = kids[:start]
 	}
 	rec(fs.Root, 0)
 	return snap
@@ -241,19 +247,4 @@ func (d Diff) FractionUnder(prefix string) float64 {
 		return 0
 	}
 	return float64(under) / float64(total)
-}
-
-// Write serialises the snapshot as JSON.
-func (s *Snapshot) Write(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	return enc.Encode(s)
-}
-
-// Read deserialises a snapshot.
-func Read(r io.Reader) (*Snapshot, error) {
-	var s Snapshot
-	if err := json.NewDecoder(r).Decode(&s); err != nil {
-		return nil, fmt.Errorf("snapshot: decode: %w", err)
-	}
-	return &s, nil
 }

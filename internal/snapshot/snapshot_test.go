@@ -2,16 +2,25 @@ package snapshot
 
 import (
 	"bytes"
+	"encoding/binary"
+	"encoding/json"
+	"errors"
+	"hash/crc32"
+	"io"
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
+	"repro/internal/fsgen"
 	"repro/internal/ntos/fsys"
+	"repro/internal/ntos/machine"
 	"repro/internal/ntos/types"
 	"repro/internal/ntos/volume"
 	"repro/internal/sim"
 )
 
-func buildFS(t *testing.T) *fsys.FS {
+func buildFS(t testing.TB) *fsys.FS {
 	t.Helper()
 	fs := fsys.New(volume.FlavorNTFS, 1<<30)
 	fs.MkdirAll(`\winnt\profiles\alice\Temporary Internet Files`, 10)
@@ -151,15 +160,70 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	if err := snap.Write(&buf); err != nil {
 		t.Fatal(err)
 	}
+	if !bytes.HasPrefix(buf.Bytes(), []byte(magic)) {
+		t.Fatalf("Write did not produce the %s format", magic)
+	}
 	got, err := Read(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Machine != snap.Machine || len(got.Records) != len(snap.Records) {
-		t.Errorf("round trip: %d vs %d records", len(got.Records), len(snap.Records))
+	if !reflect.DeepEqual(got, snap) {
+		t.Errorf("round trip differs:\n got %+v\nwant %+v", got, snap)
 	}
-	if got.Records[3] != snap.Records[3] {
-		t.Error("record corrupted in round trip")
+}
+
+// legacyJSON encodes a snapshot the way Write did before the binary
+// format: one JSON object and a newline.
+func legacyJSON(t testing.TB, s *Snapshot) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := json.NewEncoder(&buf).Encode(s); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+func TestReadLegacyJSON(t *testing.T) {
+	snap := Take("m1", `C:`, buildFS(t), 100)
+	got, err := Read(bytes.NewReader(legacyJSON(t, snap)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, snap) {
+		t.Errorf("legacy JSON decode differs:\n got %+v\nwant %+v", got, snap)
+	}
+}
+
+// TestTakeMatchesChildNamesWalk checks the one-listing walk against the
+// plain ChildNames/Child recursion on a generated volume: same records,
+// same order, and Records allocated at its exact size.
+func TestTakeMatchesChildNamesWalk(t *testing.T) {
+	fs := fsys.New(volume.FlavorNTFS, 4<<30)
+	fsgen.PopulateLocal(fs, sim.NewRNG(3), fsgen.Config{User: "alice", Category: machine.Personal, Now: sim.Time(30 * sim.Day)})
+	var want []WalkRecord
+	var rec func(n *fsys.Node, depth int)
+	rec = func(n *fsys.Node, depth int) {
+		w := WalkRecord{Name: shortName(n.Name), Depth: depth, IsDir: n.IsDir(), Size: n.Size,
+			Created: n.Created, LastModified: n.LastModified, LastAccessed: n.LastAccessed}
+		for _, name := range n.ChildNames() {
+			if n.Child(name).IsDir() {
+				w.NumSubdirs++
+			} else {
+				w.NumFiles++
+			}
+		}
+		want = append(want, w)
+		for _, name := range n.ChildNames() {
+			rec(n.Child(name), depth+1)
+		}
+	}
+	rec(fs.Root, 0)
+	got := Take("m", `C:`, fs, 0)
+	if !reflect.DeepEqual(got.Records, want) {
+		t.Fatalf("Take differs from the ChildNames walk (%d vs %d records)", len(got.Records), len(want))
+	}
+	if cap(got.Records) != len(got.Records) {
+		t.Errorf("Records cap %d, len %d: not sized from the volume's counts", cap(got.Records), len(got.Records))
 	}
 }
 
@@ -167,4 +231,118 @@ func TestReadRejectsGarbage(t *testing.T) {
 	if _, err := Read(strings.NewReader("not json")); err == nil {
 		t.Error("garbage accepted")
 	}
+}
+
+// TestReadRejectsBadDepth is the regression for a negative depth, which
+// Read used to accept and Entries then panicked on (slice bounds out of
+// range) — reachable from a served corpus through Section 5's Compare.
+func TestReadRejectsBadDepth(t *testing.T) {
+	legacy := `{"machine":"m","volume":"C:","taken_at":0,"records":[{"n":"","d":0,"dir":true,"nf":1},{"n":"x","d":-1}]}`
+	if _, err := Read(strings.NewReader(legacy)); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("JSON depth -1: err = %v, want ErrCorrupt", err)
+	}
+	bad := &Snapshot{Machine: "m", Records: []WalkRecord{{IsDir: true, NumFiles: 1}, {Name: "x", Depth: -1}}}
+	if err := bad.Write(io.Discard); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("Write depth -1: err = %v, want ErrCorrupt", err)
+	}
+	// A binary depth of 2^63 does not fit an int.
+	b := binary.AppendUvarint(binaryHeader(1, 1), 1<<63)
+	b = append(b, 0, 0, 0, 0, 0, 1, 'x')
+	if _, err := Read(bytes.NewReader(withCRC(b))); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("binary depth 2^63: err = %v, want ErrCorrupt", err)
+	}
+}
+
+// The binary format has no place for fan-out on a file; a legacy JSON
+// file record carrying it is rejected rather than silently dropped.
+func TestReadRejectsFileFanOut(t *testing.T) {
+	fanout := `{"machine":"m","volume":"C:","taken_at":0,"records":[{"n":"x","d":0,"nf":2}]}`
+	if _, err := Read(strings.NewReader(fanout)); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("JSON file with fan-out: err = %v, want ErrCorrupt", err)
+	}
+}
+
+// binaryHeader and withCRC build hand-made FSSNAP01 inputs: machine "m",
+// volume "C:", taken at 0.
+func binaryHeader(records, nameBytes uint64) []byte {
+	b := append([]byte(nil), magic...)
+	b = appendString(b, "m")
+	b = appendString(b, "C:")
+	b = binary.AppendVarint(b, 0)
+	b = binary.AppendUvarint(b, records)
+	return binary.AppendUvarint(b, nameBytes)
+}
+
+func withCRC(b []byte) []byte {
+	return binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b))
+}
+
+func TestReadRejectsCorruptBinary(t *testing.T) {
+	var buf bytes.Buffer
+	if err := Take("m1", `C:`, buildFS(t), 100).Write(&buf); err != nil {
+		t.Fatal(err)
+	}
+	good := buf.Bytes()
+	body := good[:len(good)-4]
+	flipped := append([]byte(nil), good...)
+	flipped[len(flipped)/2] ^= 0x40
+	file := []byte{0, 0, 0, 0, 0, 0, 1, 'x'} // depth 0, a file, zero size and times, name "x"
+	for name, in := range map[string][]byte{
+		"truncated":          good[:len(good)-1],
+		"bit flip":           flipped,
+		"trailing byte":      append(append([]byte(nil), good...), 0),
+		"trailing in body":   withCRC(append(append([]byte(nil), body...), 0)),
+		"other version":      withCRC(append([]byte("FSSNAP02"), body[len(magic):]...)),
+		"count beyond input": withCRC(append(binaryHeader(1<<40, 1), file...)),
+		"name bytes short":   withCRC(append(binaryHeader(1, 0), file...)),
+		"name bytes long":    withCRC(append(binaryHeader(1, 2), file...)),
+		"unknown flag":       withCRC(append(binaryHeader(1, 1), 0, 2, 0, 0, 0, 0, 1, 'x')),
+	} {
+		if _, err := Read(bytes.NewReader(in)); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: err = %v, want ErrCorrupt", name, err)
+		}
+	}
+	if _, err := Read(bytes.NewReader(withCRC(append(binaryHeader(1, 1), file...)))); err != nil {
+		t.Errorf("hand-made valid snapshot rejected: %v", err)
+	}
+}
+
+// FuzzSnapshotRead feeds Read arbitrary bytes, seeded with one real
+// snapshot in each codec. Every input must be rejected or decode to a
+// snapshot whose binary re-encoding decodes deep-equal, and no input may
+// make Read allocate far beyond its own size.
+func FuzzSnapshotRead(f *testing.F) {
+	snap := Take("m1", `C:`, buildFS(f), 100)
+	var bin bytes.Buffer
+	if err := snap.Write(&bin); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(bin.Bytes())
+	f.Add(legacyJSON(f, snap))
+	f.Fuzz(func(t *testing.T, in []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		got, err := Read(bytes.NewReader(in))
+		runtime.ReadMemStats(&after)
+		// A record is 80 bytes in memory and at least 7 encoded (3 as
+		// JSON); allow that expansion, slice growth and a fixed margin.
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 64*uint64(len(in))+1<<20 {
+			t.Fatalf("Read of %d bytes allocated %d bytes", len(in), grew)
+		}
+		if err != nil {
+			return
+		}
+		var re bytes.Buffer
+		if err := got.Write(&re); err != nil {
+			t.Fatalf("decoded snapshot does not re-encode: %v", err)
+		}
+		again, err := Read(&re)
+		if err != nil {
+			t.Fatalf("re-encoded snapshot does not decode: %v", err)
+		}
+		if !reflect.DeepEqual(again, got) {
+			t.Fatalf("re-encoding changed the snapshot:\n got %+v\nwant %+v", again, got)
+		}
+		got.Entries() // must not panic on any accepted input
+	})
 }

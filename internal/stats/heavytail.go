@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/dist"
@@ -20,7 +21,8 @@ func Hill(xs []float64, k int) float64 {
 		return 0
 	}
 	sorted := append([]float64(nil), xs...)
-	sort.Sort(sort.Reverse(sort.Float64Slice(sorted)))
+	slices.Sort(sorted)
+	slices.Reverse(sorted)
 	// sorted[0] >= sorted[1] >= ... ; use the k largest with the (k+1)-th
 	// as the threshold.
 	threshold := sorted[k]
