@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/analysis"
 	"repro/internal/collect"
@@ -227,38 +226,21 @@ func columnarSegmentsScanOptimized(b *testing.B) (map[string][]byte, int64) {
 	return colSegsScanBytes, colSegsScanTotal
 }
 
-// BenchmarkColumnarCompute measures the vectorized compute path: open
+// BenchmarkColumnarCompute measures the segment-to-figures path: open
 // segments once, then per iteration batch-scan the numeric columns into
-// fresh columnar traces and fold every figure's kernel straight off the
-// column vectors — no row materialization anywhere. The segments use
-// the scan-optimized (NoCompress) layout; corpus_KB reports what that
-// trade costs on disk. The row pipeline the path replaces (DEFLATE
-// decode into sorted records + record-slice kernels) is timed once per
-// worker count and attached as row_pipeline_ms, so speedup_vs_row
-// tracks the acceptance bound in BENCH_analysis. The decode ledger
-// rides along: the numeric kernel scans never inflate the name column
-// (only the per-machine name-map scan touches it), and steady-state
-// scans run from the warm scratch pool.
+// fresh traces and fold every figure's kernel straight off the column
+// vectors — no row materialization anywhere. The segments use the
+// scan-optimized (NoCompress) layout; corpus_KB reports what that trade
+// costs on disk. The decode ledger rides along: the numeric kernel
+// scans never inflate the name column (only the per-machine name-map
+// scan touches it), and steady-state scans run from the warm scratch
+// pool.
 func BenchmarkColumnarCompute(b *testing.B) {
 	raw, total := columnarSegmentsScanOptimized(b)
 	s := fleetCorpus(b)
 	base, err := s.DataSetWorkers(8)
 	if err != nil {
 		b.Fatal(err)
-	}
-
-	// Row-pipeline baseline: corpus decode plus compute, at the same
-	// worker count, timed once (the benchmark loop below must not pay
-	// for it).
-	rowMS := map[int]float64{}
-	for _, workers := range []int{1, 4, 8} {
-		start := time.Now()
-		ds, err := s.DataSetWorkers(workers)
-		if err != nil {
-			b.Fatal(err)
-		}
-		report.ComputeWorkers(ds, workers)
-		rowMS[workers] = float64(time.Since(start).Microseconds()) / 1e3
 	}
 
 	for _, workers := range []int{1, 4, 8} {
@@ -279,7 +261,7 @@ func BenchmarkColumnarCompute(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				ds := &analysis.DataSet{}
 				for j, mt := range base.Machines {
-					fresh, err := analysis.NewMachineTraceColumnar(mt.Name, mt.Category, segs[j])
+					fresh, err := analysis.NewMachineTraceColumnar(mt.Name, mt.Category, segs[j], nil)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -294,10 +276,6 @@ func BenchmarkColumnarCompute(b *testing.B) {
 			colMS := float64(b.Elapsed().Microseconds()) / 1e3 / iters
 			b.ReportMetric(float64(instances), "instances")
 			b.ReportMetric(colMS, "columnar_ms")
-			b.ReportMetric(rowMS[workers], "row_pipeline_ms")
-			if colMS > 0 {
-				b.ReportMetric(rowMS[workers]/colMS, "speedup_vs_row")
-			}
 			b.ReportMetric(float64(m.TotalBytesDecoded())/iters/1024, "decoded_KB")
 			// The name family is touched only by the per-machine name-map
 			// scan (EvNameMap-predicated); the numeric kernel scans never

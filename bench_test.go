@@ -523,7 +523,7 @@ func BenchmarkReplay(b *testing.B) {
 	ds, _ := corpus(b)
 	var records int
 	for _, mt := range ds.Machines {
-		records += len(mt.Records)
+		records += mt.Len()
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -629,7 +629,7 @@ func BenchmarkDataSetDecode(b *testing.B) {
 				}
 				if i == 0 {
 					for _, mt := range ds.Machines {
-						records += len(mt.Records)
+						records += mt.Len()
 					}
 					b.ReportMetric(float64(len(ds.Machines)), "machines")
 				}
@@ -642,8 +642,9 @@ func BenchmarkDataSetDecode(b *testing.B) {
 // BenchmarkComputeResults measures the full per-machine measure fan-out
 // (instance tables, lifetimes, controls, cache, reuse, FastIO shares)
 // plus the serial merge, at increasing worker counts. Each iteration
-// wraps the decoded records in fresh MachineTraces: derived state is
-// built once per trace, so reusing traces would measure only the merge.
+// rebuilds fresh MachineTraces from the decoded rows, untimed: derived
+// state is built once per trace, so reusing traces would measure only
+// the merge.
 func BenchmarkComputeResults(b *testing.B) {
 	s := fleetCorpus(b)
 	base, err := s.DataSetWorkers(8)
@@ -657,7 +658,7 @@ func BenchmarkComputeResults(b *testing.B) {
 				b.StopTimer()
 				ds := &analysis.DataSet{}
 				for _, mt := range base.Machines {
-					fresh := analysis.NewMachineTraceOwned(mt.Name, mt.Category, mt.Records)
+					fresh := analysis.NewMachineTrace(mt.Name, mt.Category, mt.Rows())
 					fresh.ProcNames = mt.ProcNames
 					ds.Machines = append(ds.Machines, fresh)
 				}

@@ -198,7 +198,7 @@ func TestCachePagingRecordsExcluded(t *testing.T) {
 	if len(ins) != 1 {
 		t.Fatalf("paging FO leaked into instances: %d", len(ins))
 	}
-	if !IsCachePaging(&mt.Records[3]) && !IsCachePaging(&mt.Records[4]) {
+	if !IsCachePaging(&mt.Rows()[3]) && !IsCachePaging(&mt.Rows()[4]) {
 		t.Error("IsCachePaging missed the paging record")
 	}
 }

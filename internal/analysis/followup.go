@@ -28,32 +28,19 @@ type PagingBurst struct {
 
 // PagingBursts analyses the paging I/O arrival process of one machine.
 func PagingBursts(mt *MachineTrace) PagingBurst {
-	var times []sim.Time
+	t := mt.tab
 	var lazy, ra int
 	sel := mt.Index().Select( // the Kind.IsPaging set
 		tracefmt.EvPagingRead, tracefmt.EvPagingWrite,
 		tracefmt.EvReadAhead, tracefmt.EvLazyWrite)
-	times = make([]sim.Time, 0, len(sel))
-	if t := mt.tab; t != nil {
-		for _, i := range sel {
-			times = append(times, t.Starts[i])
-			switch t.Kinds[i] {
-			case tracefmt.EvLazyWrite:
-				lazy++
-			case tracefmt.EvReadAhead:
-				ra++
-			}
-		}
-	} else {
-		for _, i := range sel {
-			r := &mt.Records[i]
-			times = append(times, r.Start)
-			switch r.Kind {
-			case tracefmt.EvLazyWrite:
-				lazy++
-			case tracefmt.EvReadAhead:
-				ra++
-			}
+	times := make([]sim.Time, 0, len(sel))
+	for _, i := range sel {
+		times = append(times, t.Starts[i])
+		switch t.Kinds[i] {
+		case tracefmt.EvLazyWrite:
+			lazy++
+		case tracefmt.EvReadAhead:
+			ra++
 		}
 	}
 	pb := PagingBurst{Requests: len(times)}
@@ -81,21 +68,18 @@ func PagingBursts(mt *MachineTrace) PagingBurst {
 // follow-up. Only disk-bound reads are compared (cache hits cost the same
 // either way).
 func CompressedReads(mt *MachineTrace) (compressed, plain []float64) {
-	if mt.tab != nil {
-		return compressedReadsColumnar(mt)
-	}
+	t := mt.tab
 	for _, i := range mt.Index().OfKind(tracefmt.EvRead) {
-		r := &mt.Records[i]
-		if r.Status.IsError() {
+		if t.Statuses[i].IsError() {
 			continue
 		}
-		if r.Annot&tracefmt.AnnotFromCache != 0 {
+		if t.Annots[i]&tracefmt.AnnotFromCache != 0 {
 			continue
 		}
-		if r.Attributes.Has(types.AttrCompressed) {
-			compressed = append(compressed, r.Latency().Microseconds())
+		if t.Attributes[i].Has(types.AttrCompressed) {
+			compressed = append(compressed, t.Ends[i].Sub(t.Starts[i]).Microseconds())
 		} else {
-			plain = append(plain, r.Latency().Microseconds())
+			plain = append(plain, t.Ends[i].Sub(t.Starts[i]).Microseconds())
 		}
 	}
 	return compressed, plain
@@ -115,20 +99,16 @@ type DirOpStats struct {
 
 // DirectoryThroughput analyses directory-control operations.
 func DirectoryThroughput(mt *MachineTrace) DirOpStats {
+	t := mt.tab
 	var lats, entries []float64
 	var times []sim.Time
-	if mt.tab != nil {
-		lats, entries, times = dirSamplesColumnar(mt)
-	} else {
-		for _, i := range mt.Index().OfKind(tracefmt.EvQueryDirectory) {
-			r := &mt.Records[i]
-			if r.Status.IsError() {
-				continue
-			}
-			lats = append(lats, r.Latency().Microseconds())
-			entries = append(entries, float64(r.Returned))
-			times = append(times, r.Start)
+	for _, i := range mt.Index().OfKind(tracefmt.EvQueryDirectory) {
+		if t.Statuses[i].IsError() {
+			continue
 		}
+		lats = append(lats, t.Ends[i].Sub(t.Starts[i]).Microseconds())
+		entries = append(entries, float64(t.Returns[i]))
+		times = append(times, t.Starts[i])
 	}
 	ds := DirOpStats{Queries: len(lats)}
 	if len(lats) == 0 {

@@ -17,10 +17,10 @@ import (
 // rescanning the full stream per figure.
 
 // MachineIndex is one machine's inverted index: for each of the 54 event
-// kinds, the positions of its records in mt.Records, ascending. Because
-// Records is sorted by start time, position order is time order.
+// kinds, the positions of its records in the trace's column table,
+// ascending. Because the table is sorted by start time, position order
+// is time order.
 type MachineIndex struct {
-	mt    *MachineTrace
 	kinds [tracefmt.NumEventKinds][]int32
 	// openTimes are the start timestamps of every open attempt
 	// (EvCreate/EvCreateFailed), ascending — the Figure 8–10 sample
@@ -29,27 +29,17 @@ type MachineIndex struct {
 	openTimes []sim.Time
 }
 
-// Index returns the machine's inverted index, building it on first use.
-// Columnar-backed traces index straight off the kind and start vectors —
-// two narrow columns, no row materialization.
+// Index returns the machine's inverted index, building it on first use
+// straight off the kind and start vectors — two narrow columns.
 func (mt *MachineTrace) Index() *MachineIndex {
 	mt.idxOnce.Do(func() {
-		ix := &MachineIndex{mt: mt}
-		var kindAt func(i int) tracefmt.EventKind
-		var startAt func(i int) sim.Time
-		n := mt.Len()
-		if mt.tab != nil {
-			kindAt = func(i int) tracefmt.EventKind { return mt.tab.Kinds[i] }
-			startAt = func(i int) sim.Time { return mt.tab.Starts[i] }
-		} else {
-			kindAt = func(i int) tracefmt.EventKind { return mt.Records[i].Kind }
-			startAt = func(i int) sim.Time { return mt.Records[i].Start }
-		}
+		ix := &MachineIndex{}
+		kinds, starts := mt.tab.Kinds, mt.tab.Starts
 		// Size the per-kind lists in one counting pass so the big kinds
 		// (reads, writes) allocate exactly once.
 		var counts [tracefmt.NumEventKinds]int32
-		for i := 0; i < n; i++ {
-			if k := kindAt(i); int(k) < tracefmt.NumEventKinds {
+		for _, k := range kinds {
+			if int(k) < tracefmt.NumEventKinds {
 				counts[k]++
 			}
 		}
@@ -58,14 +48,13 @@ func (mt *MachineTrace) Index() *MachineIndex {
 				ix.kinds[k] = make([]int32, 0, c)
 			}
 		}
-		for i := 0; i < n; i++ {
-			k := kindAt(i)
+		for i, k := range kinds {
 			if int(k) >= tracefmt.NumEventKinds {
 				continue
 			}
 			ix.kinds[k] = append(ix.kinds[k], int32(i))
 			if k == tracefmt.EvCreate || k == tracefmt.EvCreateFailed {
-				ix.openTimes = append(ix.openTimes, startAt(i))
+				ix.openTimes = append(ix.openTimes, starts[i])
 			}
 		}
 		mt.idx = ix
@@ -123,10 +112,6 @@ func (ix *MachineIndex) Select(kinds ...tracefmt.EventKind) []int32 {
 // OpenTimes returns the start timestamps of every open attempt,
 // ascending. The slice is shared — callers must not mutate it.
 func (ix *MachineIndex) OpenTimes() []sim.Time { return ix.openTimes }
-
-// Records gives index consumers the underlying sorted stream back,
-// materializing rows on columnar-backed traces.
-func (ix *MachineIndex) Records() []tracefmt.Record { return ix.mt.Rows() }
 
 // Index is the corpus-level query surface: every machine's inverted
 // index, built in parallel on first use and cached on the DataSet.

@@ -45,9 +45,9 @@ func TestIndexSelectMatchesFullScan(t *testing.T) {
 	}
 	for _, kinds := range sets {
 		want := []int32{}
-		for i := range mt.Records {
+		for i := range mt.Rows() {
 			for _, k := range kinds {
-				if mt.Records[i].Kind == k {
+				if mt.Rows()[i].Kind == k {
 					want = append(want, int32(i))
 					break
 				}
@@ -67,8 +67,8 @@ func TestIndexOpenTimesAscending(t *testing.T) {
 	mt, _ := mixedTrace(t)
 	ts := mt.Index().OpenTimes()
 	wantN := 0
-	for i := range mt.Records {
-		if IsOpenAttempt(&mt.Records[i]) {
+	for i := range mt.Rows() {
+		if IsOpenAttempt(&mt.Rows()[i]) {
 			wantN++
 		}
 	}
@@ -93,11 +93,12 @@ func TestNewMachineTraceDoesNotMutateCaller(t *testing.T) {
 	copy(before, recs)
 
 	mt := NewMachineTrace("m", machine.Personal, recs)
+	rows := mt.Rows()
 	if !reflect.DeepEqual(recs, before) {
-		t.Fatal("NewMachineTrace mutated the caller's slice")
+		t.Fatal("NewMachineTrace or Rows mutated the caller's slice")
 	}
-	for i := 1; i < len(mt.Records); i++ {
-		if mt.Records[i].Start < mt.Records[i-1].Start {
+	for i := 1; i < len(rows); i++ {
+		if rows[i].Start < rows[i-1].Start {
 			t.Fatalf("trace records not sorted at %d", i)
 		}
 	}
@@ -126,7 +127,7 @@ func TestUnsortedMultiVolumeRecordsYieldIdenticalInstances(t *testing.T) {
 	shuffled := append(append([]tracefmt.Record{}, vol2...), vol1...)
 	mt2 := NewMachineTrace("test", machine.Personal, shuffled)
 
-	if !reflect.DeepEqual(mt.Records, mt2.Records) {
+	if !reflect.DeepEqual(mt.Rows(), mt2.Rows()) {
 		t.Fatal("sorted record views differ")
 	}
 	a, b := mt.Instances(), mt2.Instances()

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"repro/internal/colstore"
 	"repro/internal/ntos/machine"
 	"repro/internal/ntos/types"
 	"repro/internal/sim"
@@ -148,9 +149,7 @@ func BuildInstances(mt *MachineTrace) []*Instance {
 	if BuildInstancesHook != nil {
 		BuildInstancesHook(mt.Name)
 	}
-	if mt.tab != nil {
-		return buildInstancesColumnar(mt)
-	}
+	t := mt.tab
 	var out []*Instance
 	open := map[types.FileObjectID]*Instance{}
 
@@ -160,48 +159,49 @@ func BuildInstances(mt *MachineTrace) []*Instance {
 		out = append(out, in)
 	}
 
-	for i := range mt.Records {
-		r := &mt.Records[i]
-		if r.FileID == 0 || r.FileID >= tracefmt.PagingObjectIDBase {
+	for i := 0; i < t.N; i++ {
+		id := t.FileIDs[i]
+		if id == 0 || id >= tracefmt.PagingObjectIDBase {
 			continue
 		}
-		switch r.Kind {
+		k := t.Kinds[i]
+		switch k {
 		case tracefmt.EvNameMap:
 			continue
 		case tracefmt.EvCreate, tracefmt.EvCreateFailed:
 			in := &Instance{
 				Machine:     mt.Name,
 				Category:    mt.Category,
-				Remote:      r.Annot&tracefmt.AnnotRemote != 0,
-				FileID:      r.FileID,
-				Path:        mt.PathOf(r.FileID),
-				Process:     r.Proc,
-				OpenTime:    r.Start,
-				Disposition: r.Disposition,
-				Options:     r.Options,
-				Attributes:  r.Attributes,
-				FOFlags:     r.FOFl,
-				SizeAtOpen:  r.FileSize,
-				SizeAtClose: r.FileSize,
+				Remote:      t.Annots[i]&tracefmt.AnnotRemote != 0,
+				FileID:      id,
+				Path:        mt.PathOf(id),
+				Process:     t.Procs[i],
+				OpenTime:    t.Starts[i],
+				Disposition: t.Dispositions[i],
+				Options:     t.Options[i],
+				Attributes:  t.Attributes[i],
+				FOFlags:     t.FOFls[i],
+				SizeAtOpen:  t.FileSizes[i],
+				SizeAtClose: t.FileSizes[i],
 			}
 			in.Ext = ExtOf(in.Path)
-			if r.Kind == tracefmt.EvCreateFailed {
+			if k == tracefmt.EvCreateFailed {
 				in.Failed = true
-				in.FailStatus = r.Status
-				in.CleanupTime = r.End
-				in.CloseTime = r.End
+				in.FailStatus = t.Statuses[i]
+				in.CleanupTime = t.Ends[i]
+				in.CloseTime = t.Ends[i]
 				finalize(in)
 				continue
 			}
-			open[r.FileID] = in
+			open[id] = in
 		default:
-			in := open[r.FileID]
+			in := open[id]
 			if in == nil {
 				continue
 			}
-			in.absorb(r)
-			if r.Kind == tracefmt.EvClose {
-				delete(open, r.FileID)
+			in.absorb(t, i)
+			if k == tracefmt.EvClose {
+				delete(open, id)
 				finalize(in)
 			}
 		}
@@ -215,47 +215,47 @@ func BuildInstances(mt *MachineTrace) []*Instance {
 	return out
 }
 
-// absorb folds one record into the instance summary.
-func (in *Instance) absorb(r *tracefmt.Record) {
-	switch r.Kind {
+// absorb folds row i of the table into the instance summary.
+func (in *Instance) absorb(t *colstore.Batch, i int) {
+	switch k := t.Kinds[i]; k {
 	case tracefmt.EvPagingRead:
 		// VM-manager paging against an application FileObject: executable
 		// image and mapped-section loading. §3.3 kept these precisely so
 		// executable accesses are accounted as file reads (cache-manager
 		// paging duplicates never reach here — they ride ids above
 		// PagingObjectIDBase and are filtered by the builder).
-		if r.Status.IsError() {
+		if t.Statuses[i].IsError() {
 			return
 		}
-		in.noteRead(r.Offset, int64(r.Length))
+		in.noteRead(t.Offsets[i], int64(t.Lengths[i]))
 		in.IrpReads++
 	case tracefmt.EvRead, tracefmt.EvFastRead, tracefmt.EvFastMdlRead:
-		if r.Annot&tracefmt.AnnotFastRefused != 0 || r.Status.IsError() {
+		if t.Annots[i]&tracefmt.AnnotFastRefused != 0 || t.Statuses[i].IsError() {
 			return
 		}
-		off := r.BytePos - int64(r.Returned)
-		in.noteRead(off, int64(r.Returned))
-		if r.Kind == tracefmt.EvRead {
+		off := t.BytePositions[i] - int64(t.Returns[i])
+		in.noteRead(off, int64(t.Returns[i]))
+		if k == tracefmt.EvRead {
 			in.IrpReads++
 		} else {
 			in.FastReads++
 		}
-		if r.Annot&tracefmt.AnnotFromCache != 0 {
+		if t.Annots[i]&tracefmt.AnnotFromCache != 0 {
 			in.CacheHitReads++
 		}
-		in.SizeAtClose = r.FileSize
+		in.SizeAtClose = t.FileSizes[i]
 	case tracefmt.EvWrite, tracefmt.EvFastWrite, tracefmt.EvFastMdlWrite:
-		if r.Annot&tracefmt.AnnotFastRefused != 0 || r.Status.IsError() {
+		if t.Annots[i]&tracefmt.AnnotFastRefused != 0 || t.Statuses[i].IsError() {
 			return
 		}
-		off := r.BytePos - int64(r.Returned)
-		in.noteWrite(off, int64(r.Returned))
-		if r.Kind == tracefmt.EvWrite {
+		off := t.BytePositions[i] - int64(t.Returns[i])
+		in.noteWrite(off, int64(t.Returns[i]))
+		if k == tracefmt.EvWrite {
 			in.IrpWrites++
 		} else {
 			in.FastWrites++
 		}
-		in.SizeAtClose = r.FileSize
+		in.SizeAtClose = t.FileSizes[i]
 	case tracefmt.EvUserFsRequest, tracefmt.EvFileSystemControl, tracefmt.EvDeviceControl,
 		tracefmt.EvFastDeviceControl, tracefmt.EvMountVolume, tracefmt.EvVerifyVolume:
 		in.ControlOps++
@@ -267,23 +267,23 @@ func (in *Instance) absorb(r *tracefmt.Record) {
 		in.QueryOps++
 	case tracefmt.EvSetDisposition:
 		in.SetOps++
-		if !r.Status.IsError() {
+		if !t.Statuses[i].IsError() {
 			in.DeleteRequested = true
 		}
 	case tracefmt.EvSetEndOfFile, tracefmt.EvSetAllocation, tracefmt.EvSetBasic,
 		tracefmt.EvSetRename, tracefmt.EvSetInformation, tracefmt.EvSetEa,
 		tracefmt.EvSetSecurity, tracefmt.EvSetVolumeInformation:
 		in.SetOps++
-		in.SizeAtClose = r.FileSize
+		in.SizeAtClose = t.FileSizes[i]
 	case tracefmt.EvLock, tracefmt.EvUnlockSingle, tracefmt.EvUnlockAll, tracefmt.EvLockControl,
 		tracefmt.EvFastLock, tracefmt.EvFastUnlockSingle, tracefmt.EvFastUnlockAll:
 		in.LockOps++
 	case tracefmt.EvFlushBuffers:
 		in.FlushOps++
 	case tracefmt.EvCleanup:
-		in.CleanupTime = r.End
+		in.CleanupTime = t.Ends[i]
 	case tracefmt.EvClose:
-		in.CloseTime = r.End
+		in.CloseTime = t.Ends[i]
 	}
 }
 

@@ -108,9 +108,7 @@ type birth struct {
 // deleted (delete disposition honoured at cleanup), or dropped through
 // the temporary attribute.
 func Lifetimes(mt *MachineTrace) LifetimeStats {
-	if mt.tab != nil {
-		return lifetimesColumnar(mt)
-	}
+	t := mt.tab
 	var ls LifetimeStats
 	births := map[string]*birth{}
 	// live maps file-object id → path for sessions created-new, so the
@@ -132,19 +130,19 @@ func Lifetimes(mt *MachineTrace) LifetimeStats {
 		tracefmt.EvCreate, tracefmt.EvWrite, tracefmt.EvFastWrite,
 		tracefmt.EvSetDisposition, tracefmt.EvCleanup, tracefmt.EvClose)
 	for _, i := range sel {
-		r := &mt.Records[i]
-		switch r.Kind {
+		switch t.Kinds[i] {
 		case tracefmt.EvCreate:
-			path := mt.PathOf(r.FileID)
-			res := types.CreateResult(r.Returned)
-			sess := &liveSession{path: path, proc: r.Proc,
-				tempAttr: r.Options.Has(types.OptDeleteOnClose) || r.Attributes.Has(types.AttrTemporary)}
-			live[r.FileID] = sess
+			id := t.FileIDs[i]
+			path := mt.PathOf(id)
+			res := types.CreateResult(t.Returns[i])
+			sess := &liveSession{path: path, proc: t.Procs[i],
+				tempAttr: t.Options[i].Has(types.OptDeleteOnClose) || t.Attributes[i].Has(types.AttrTemporary)}
+			live[id] = sess
 			switch res {
 			case types.FileCreated:
 				sess.born = true
 				ls.Births++
-				births[path] = &birth{at: r.End, proc: r.Proc}
+				births[path] = &birth{at: t.Ends[i], proc: t.Procs[i]}
 			case types.FileOverwritten, types.FileSuperseded:
 				if b := births[path]; b != nil {
 					// Death by overwrite. The pre-truncation size rides in
@@ -152,10 +150,10 @@ func Lifetimes(mt *MachineTrace) LifetimeStats {
 					ls.Samples = append(ls.Samples, LifetimeSample{
 						Path:            path,
 						Method:          DeleteByOverwrite,
-						Lifetime:        r.Start.Sub(b.at),
-						CloseToDeath:    closeGap(b, r.Start),
-						SizeAtDeath:     r.Offset,
-						SameProcess:     r.Proc == b.proc,
+						Lifetime:        t.Starts[i].Sub(b.at),
+						CloseToDeath:    closeGap(b, t.Starts[i]),
+						SizeAtDeath:     t.Offsets[i],
+						SameProcess:     t.Procs[i] == b.proc,
 						ReopenedBetween: b.reopens > 0,
 					})
 					delete(births, path)
@@ -163,22 +161,22 @@ func Lifetimes(mt *MachineTrace) LifetimeStats {
 				// The overwrite itself is a fresh birth (new content).
 				sess.born = true
 				ls.Births++
-				births[path] = &birth{at: r.End, proc: r.Proc}
+				births[path] = &birth{at: t.Ends[i], proc: t.Procs[i]}
 			case types.FileOpened:
 				if b := births[path]; b != nil {
 					b.reopens++
 				}
 			}
 		case tracefmt.EvWrite, tracefmt.EvFastWrite:
-			if sess := live[r.FileID]; sess != nil {
-				sess.lastSize = r.FileSize
+			if sess := live[t.FileIDs[i]]; sess != nil {
+				sess.lastSize = t.FileSizes[i]
 			}
 		case tracefmt.EvSetDisposition:
-			if sess := live[r.FileID]; sess != nil && !r.Status.IsError() {
+			if sess := live[t.FileIDs[i]]; sess != nil && !t.Statuses[i].IsError() {
 				sess.deleteReq = true
 			}
 		case tracefmt.EvCleanup:
-			sess := live[r.FileID]
+			sess := live[t.FileIDs[i]]
 			if sess == nil {
 				break
 			}
@@ -193,22 +191,22 @@ func Lifetimes(mt *MachineTrace) LifetimeStats {
 					ls.Samples = append(ls.Samples, LifetimeSample{
 						Path:            sess.path,
 						Method:          method,
-						Lifetime:        r.Start.Sub(b.at),
-						CloseToDeath:    closeGap(b, r.Start),
+						Lifetime:        t.Starts[i].Sub(b.at),
+						CloseToDeath:    closeGap(b, t.Starts[i]),
 						SizeAtDeath:     sess.lastSize,
-						SameProcess:     r.Proc == b.proc,
+						SameProcess:     t.Procs[i] == b.proc,
 						ReopenedBetween: b.reopens > 0,
 					})
 					delete(births, sess.path)
 				}
 			case sess.born:
 				if b != nil {
-					b.closeAt = r.End
+					b.closeAt = t.Ends[i]
 					b.size = sess.lastSize
 				}
 			}
 		case tracefmt.EvClose:
-			delete(live, r.FileID)
+			delete(live, t.FileIDs[i])
 		}
 	}
 	ls.SurvivorCount = len(births)

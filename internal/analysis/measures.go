@@ -260,18 +260,15 @@ var requestPathKinds = []tracefmt.EventKind{
 }
 
 func RequestClasses(mt *MachineTrace) RequestClassSeries {
-	if mt.tab != nil {
-		return requestClassesColumnar(mt)
-	}
+	t := mt.tab
 	var s RequestClassSeries
 	for _, i := range mt.Index().Select(requestPathKinds...) {
-		r := &mt.Records[i]
-		if r.Annot&tracefmt.AnnotFastRefused != 0 || r.Status.IsError() {
+		if t.Annots[i]&tracefmt.AnnotFastRefused != 0 || t.Statuses[i].IsError() {
 			continue
 		}
-		lat := r.Latency().Microseconds()
-		size := float64(r.Length)
-		switch r.Kind {
+		lat := t.Ends[i].Sub(t.Starts[i]).Microseconds()
+		size := float64(t.Lengths[i])
+		switch t.Kinds[i] {
 		case tracefmt.EvFastRead, tracefmt.EvFastMdlRead:
 			s.FastReadLatUS = append(s.FastReadLatUS, lat)
 			s.FastReadSize = append(s.FastReadSize, size)
@@ -293,19 +290,16 @@ func RequestClasses(mt *MachineTrace) RequestClassSeries {
 // reads only — FastIO vs non-paging IRP — for ablation comparisons where
 // VM/cache paging traffic would blur the picture.
 func AppReadLatencies(mt *MachineTrace) (fast, irp []float64) {
-	if mt.tab != nil {
-		return appReadLatenciesColumnar(mt)
-	}
+	t := mt.tab
 	for _, i := range mt.Index().Select(tracefmt.EvFastRead, tracefmt.EvRead) {
-		r := &mt.Records[i]
-		if r.Annot&tracefmt.AnnotFastRefused != 0 || r.Status.IsError() {
+		if t.Annots[i]&tracefmt.AnnotFastRefused != 0 || t.Statuses[i].IsError() {
 			continue
 		}
-		switch r.Kind {
+		switch t.Kinds[i] {
 		case tracefmt.EvFastRead:
-			fast = append(fast, r.Latency().Microseconds())
+			fast = append(fast, t.Ends[i].Sub(t.Starts[i]).Microseconds())
 		case tracefmt.EvRead:
-			irp = append(irp, r.Latency().Microseconds())
+			irp = append(irp, t.Ends[i].Sub(t.Starts[i]).Microseconds())
 		}
 	}
 	return fast, irp
@@ -318,21 +312,18 @@ func AppReadLatencies(mt *MachineTrace) (fast, irp []float64) {
 // activity differences (heavy-tailed by construction) would otherwise
 // dominate the comparison.
 func CacheHitReadLatencies(mt *MachineTrace) []float64 {
-	if mt.tab != nil {
-		return cacheHitReadLatenciesColumnar(mt)
-	}
+	t := mt.tab
 	var out []float64
 	for _, i := range mt.Index().Select(tracefmt.EvFastRead, tracefmt.EvRead) {
-		r := &mt.Records[i]
-		if r.Annot&tracefmt.AnnotFastRefused != 0 || r.Status.IsError() {
+		if t.Annots[i]&tracefmt.AnnotFastRefused != 0 || t.Statuses[i].IsError() {
 			continue
 		}
-		if r.Annot&tracefmt.AnnotFromCache == 0 {
+		if t.Annots[i]&tracefmt.AnnotFromCache == 0 {
 			continue
 		}
-		switch r.Kind {
+		switch t.Kinds[i] {
 		case tracefmt.EvFastRead, tracefmt.EvRead:
-			out = append(out, r.Latency().Microseconds())
+			out = append(out, t.Ends[i].Sub(t.Starts[i]).Microseconds())
 		}
 	}
 	return out
@@ -341,16 +332,13 @@ func CacheHitReadLatencies(mt *MachineTrace) []float64 {
 // FastIOShares returns the §10 headline shares: the fraction of read and
 // write requests arriving over the FastIO path.
 func FastIOShares(mt *MachineTrace) (readShare, writeShare float64) {
-	if mt.tab != nil {
-		return fastIOSharesColumnar(mt)
-	}
+	t := mt.tab
 	var fr, ir, fw, iw int
 	for _, i := range mt.Index().Select(requestPathKinds...) {
-		r := &mt.Records[i]
-		if r.Annot&tracefmt.AnnotFastRefused != 0 {
+		if t.Annots[i]&tracefmt.AnnotFastRefused != 0 {
 			continue
 		}
-		switch r.Kind {
+		switch t.Kinds[i] {
 		case tracefmt.EvFastRead, tracefmt.EvFastMdlRead:
 			fr++
 		case tracefmt.EvRead, tracefmt.EvPagingRead, tracefmt.EvReadAhead:
@@ -430,27 +418,23 @@ func Controls(mt *MachineTrace, ins []*Instance) ControlStats {
 			c.ControlOnly++
 		}
 	}
-	if mt.tab != nil {
-		controlsRecordsColumnar(mt, &c)
-		return c
-	}
+	t := mt.tab
 	sel := mt.Index().Select(
 		tracefmt.EvRead, tracefmt.EvFastRead,
 		tracefmt.EvUserFsRequest, tracefmt.EvFastDeviceControl,
 		tracefmt.EvSetEndOfFile)
 	for _, i := range sel {
-		r := &mt.Records[i]
-		switch r.Kind {
+		switch t.Kinds[i] {
 		case tracefmt.EvRead, tracefmt.EvFastRead:
-			if r.Annot&tracefmt.AnnotFastRefused != 0 {
+			if t.Annots[i]&tracefmt.AnnotFastRefused != 0 {
 				continue
 			}
 			c.Reads++
-			if r.Status.IsError() {
+			if t.Statuses[i].IsError() {
 				c.ReadErrors++
 			}
 		case tracefmt.EvUserFsRequest, tracefmt.EvFastDeviceControl:
-			if r.FsControl == types.FsctlIsVolumeMounted {
+			if t.FsControls[i] == types.FsctlIsVolumeMounted {
 				c.VolumeMountedOps++
 			}
 		case tracefmt.EvSetEndOfFile:
@@ -502,13 +486,32 @@ func (cm CacheMeasures) SinglePrefetchFraction() float64 {
 // Cache computes CacheMeasures. Read-ahead operations are attributed to
 // the open session covering them on the same path.
 func Cache(mt *MachineTrace, ins []*Instance) CacheMeasures {
+	t := mt.tab
 	var cm CacheMeasures
 	// Index read-ahead events by path.
-	var ras map[string][]sim.Time
-	if mt.tab != nil {
-		ras = cacheRecordsColumnar(mt, &cm)
-	} else {
-		ras = cacheRecordsRow(mt, &cm)
+	ras := map[string][]sim.Time{}
+	sel := mt.Index().Select(
+		tracefmt.EvRead, tracefmt.EvFastRead, tracefmt.EvReadAhead,
+		tracefmt.EvLazyWrite, tracefmt.EvFlushBuffers)
+	for _, i := range sel {
+		switch t.Kinds[i] {
+		case tracefmt.EvRead, tracefmt.EvFastRead:
+			if t.Annots[i]&tracefmt.AnnotFastRefused != 0 || t.Statuses[i].IsError() {
+				continue
+			}
+			cm.Reads++
+			if t.Annots[i]&tracefmt.AnnotFromCache != 0 {
+				cm.ReadsFromCache++
+			}
+		case tracefmt.EvReadAhead:
+			cm.ReadAheadOps++
+			p := mt.PathOf(t.FileIDs[i])
+			ras[p] = append(ras[p], t.Starts[i])
+		case tracefmt.EvLazyWrite:
+			cm.LazyWriteOps++
+		case tracefmt.EvFlushBuffers:
+			cm.FlushOps++
+		}
 	}
 	for _, in := range ins {
 		if in.Failed || !in.IsDataSession() {
@@ -542,37 +545,6 @@ func Cache(mt *MachineTrace, ins []*Instance) CacheMeasures {
 		}
 	}
 	return cm
-}
-
-// cacheRecordsRow is Cache's record pass over materialized rows,
-// returning read-ahead times by path.
-func cacheRecordsRow(mt *MachineTrace, cm *CacheMeasures) map[string][]sim.Time {
-	ras := map[string][]sim.Time{}
-	sel := mt.Index().Select(
-		tracefmt.EvRead, tracefmt.EvFastRead, tracefmt.EvReadAhead,
-		tracefmt.EvLazyWrite, tracefmt.EvFlushBuffers)
-	for _, i := range sel {
-		r := &mt.Records[i]
-		switch r.Kind {
-		case tracefmt.EvRead, tracefmt.EvFastRead:
-			if r.Annot&tracefmt.AnnotFastRefused != 0 || r.Status.IsError() {
-				continue
-			}
-			cm.Reads++
-			if r.Annot&tracefmt.AnnotFromCache != 0 {
-				cm.ReadsFromCache++
-			}
-		case tracefmt.EvReadAhead:
-			cm.ReadAheadOps++
-			p := mt.PathOf(r.FileID)
-			ras[p] = append(ras[p], r.Start)
-		case tracefmt.EvLazyWrite:
-			cm.LazyWriteOps++
-		case tracefmt.EvFlushBuffers:
-			cm.FlushOps++
-		}
-	}
-	return ras
 }
 
 // --- §8.1: reuse and the two-stage close ----------------------------------
@@ -693,27 +665,23 @@ func UserActivity(ds *DataSet, interval sim.Duration, thresholdBytes float64) Ac
 	perMachine := make([]map[int64]float64, len(ds.Machines))
 	var maxIdx int64
 	for mi, mt := range ds.Machines {
+		t := mt.tab
 		bins := map[int64]float64{}
-		if mt.tab != nil {
-			activityBinsColumnar(mt, interval, bins, &maxIdx)
-			perMachine[mi] = bins
-			continue
-		}
 		for _, i := range mt.Index().Select(activityKinds...) {
-			r := &mt.Records[i]
-			if IsCachePaging(r) {
-				continue
+			k := t.Kinds[i]
+			if k.IsPaging() && t.FileIDs[i] >= tracefmt.PagingObjectIDBase {
+				continue // cache-manager paging (IsCachePaging)
 			}
 			var bytes float64
 			switch {
-			case IsDataTransfer(r):
-				bytes = float64(r.Returned)
-			case r.Kind == tracefmt.EvPagingRead:
-				bytes = float64(r.Length)
+			case isDataTransfer(k, t.Annots[i], t.Statuses[i]):
+				bytes = float64(t.Returns[i])
+			case k == tracefmt.EvPagingRead:
+				bytes = float64(t.Lengths[i])
 			default:
 				continue
 			}
-			idx := int64(r.Start) / int64(interval)
+			idx := int64(t.Starts[i]) / int64(interval)
 			bins[idx] += bytes
 			if idx > maxIdx {
 				maxIdx = idx

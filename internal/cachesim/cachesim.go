@@ -39,19 +39,18 @@ type key struct {
 // not demand.
 func ExtractReads(mt *analysis.MachineTrace) []Access {
 	var out []Access
-	recs := mt.Rows()
+	t := mt.Table()
 	for _, i := range mt.Index().Select(tracefmt.EvRead, tracefmt.EvFastRead) {
-		r := &recs[i]
-		if r.Annot&tracefmt.AnnotFastRefused != 0 || r.Status.IsError() || r.Returned <= 0 {
+		if t.Annots[i]&tracefmt.AnnotFastRefused != 0 || t.Statuses[i].IsError() || t.Returns[i] <= 0 {
 			continue
 		}
-		path := mt.PathOf(r.FileID)
+		path := mt.PathOf(t.FileIDs[i])
 		if path == "" {
 			continue
 		}
-		off := r.BytePos - int64(r.Returned)
-		first := off / PageSize
-		last := (r.BytePos - 1) / PageSize
+		pos := t.BytePositions[i]
+		first := (pos - int64(t.Returns[i])) / PageSize
+		last := (pos - 1) / PageSize
 		for p := first; p <= last; p++ {
 			out = append(out, Access{Path: path, Page: p})
 		}

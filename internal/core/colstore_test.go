@@ -165,12 +165,12 @@ func TestColstoreLoadPrefersSegments(t *testing.T) {
 	}
 	for i, mt := range bothDS.Machines {
 		rmt := rowDS.Machines[i]
-		rows := mt.Rows()
-		if mt.Name != rmt.Name || len(rows) != len(rmt.Records) {
-			t.Fatalf("machine %d: %s/%d records vs %s/%d", i, mt.Name, len(rows), rmt.Name, len(rmt.Records))
+		rows, rrows := mt.Rows(), rmt.Rows()
+		if mt.Name != rmt.Name || len(rows) != len(rrows) {
+			t.Fatalf("machine %d: %s/%d records vs %s/%d", i, mt.Name, len(rows), rmt.Name, len(rrows))
 		}
 		for j := range rows {
-			if rows[j] != rmt.Records[j] {
+			if rows[j] != rrows[j] {
 				t.Fatalf("%s: record %d differs between layouts", mt.Name, j)
 			}
 		}
@@ -261,11 +261,11 @@ func renderEverything(r *report.Results) string {
 	return b.String()
 }
 
-// TestColumnarComputeByteIdentical is the kernel-equivalence proof: one
+// TestColumnarComputeByteIdentical is the layout-equivalence proof: one
 // corpus saved in both layouts, recomputed at every compute worker
-// count, must render every table, figure and section byte-identically.
-// The row layout drives the record-slice kernels; the columnar layout
-// drives the vectorized twins over batch-scanned column vectors without
+// count, must render every table, figure and section byte-identically
+// through the one kernel set. The row layout reaches it by transposing
+// decoded records, the columnar layout by scanning segments without
 // ever materializing rows. Each (layout, workers) pass reloads the
 // directory so no lazily derived state carries over between passes.
 func TestColumnarComputeByteIdentical(t *testing.T) {

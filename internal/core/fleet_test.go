@@ -122,7 +122,7 @@ func TestStudyCheckpointResume(t *testing.T) {
 		t.Fatalf("resumed corpus has %d machines, want 4", len(ds.Machines))
 	}
 	for _, mt := range ds.Machines {
-		if len(mt.Records) == 0 {
+		if mt.Len() == 0 {
 			t.Errorf("machine %s: empty records after resume", mt.Name)
 		}
 		if len(mt.ProcNames) == 0 {

@@ -183,7 +183,7 @@ func LoadCorpusTrace(dir string, reg *obs.Registry, tr *trace.Tracer) (*Corpus, 
 		var mt *analysis.MachineTrace
 		if seg := segs[name]; seg != nil {
 			sp := tr.StartTrace("load", name, trace.HashID("load", name), nil)
-			mt, err = analysis.NewMachineTraceColumnarSpan(name, cats[name], seg, sp)
+			mt, err = analysis.NewMachineTraceColumnar(name, cats[name], seg, sp)
 			sp.Finish()
 			if err != nil {
 				return nil, err
@@ -193,7 +193,7 @@ func LoadCorpusTrace(dir string, reg *obs.Registry, tr *trace.Tracer) (*Corpus, 
 			if err != nil {
 				return nil, err
 			}
-			mt = analysis.NewMachineTraceOwned(name, cats[name], recs)
+			mt = analysis.NewMachineTrace(name, cats[name], recs)
 		}
 		mt.ProcNames = procs[name]
 		ds.Machines = append(ds.Machines, mt)

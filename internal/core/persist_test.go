@@ -35,10 +35,10 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	orig, _ := s.DataSet()
 	totalOrig, totalLoaded := 0, 0
 	for _, mt := range orig.Machines {
-		totalOrig += len(mt.Records)
+		totalOrig += mt.Len()
 	}
 	for _, mt := range ds.Machines {
-		totalLoaded += len(mt.Records)
+		totalLoaded += mt.Len()
 		if mt.Category == machine.WalkUp && mt.Name == "" {
 			t.Error("machine lost its identity")
 		}

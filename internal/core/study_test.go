@@ -1,6 +1,8 @@
 package core
 
 import (
+	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/analysis"
@@ -259,13 +261,14 @@ func TestDataSetWorkersDeterministic(t *testing.T) {
 			if mt.Name != want.Name {
 				t.Fatalf("workers=%d machine %d = %q, want %q", workers, i, mt.Name, want.Name)
 			}
-			if len(mt.Records) != len(want.Records) {
-				t.Fatalf("workers=%d %s: %d records, want %d", workers, mt.Name, len(mt.Records), len(want.Records))
+			if !reflect.DeepEqual(mt.Table(), want.Table()) {
+				t.Fatalf("workers=%d %s: column tables differ", workers, mt.Name)
 			}
-			for j := range mt.Records {
-				if mt.Records[j] != want.Records[j] {
-					t.Fatalf("workers=%d %s: record %d differs", workers, mt.Name, j)
-				}
+			if !reflect.DeepEqual(mt.Names(), want.Names()) {
+				t.Fatalf("workers=%d %s: name maps differ", workers, mt.Name)
+			}
+			if !slices.Equal(mt.Rows(), want.Rows()) {
+				t.Fatalf("workers=%d %s: rows differ", workers, mt.Name)
 			}
 		}
 	}

@@ -3,20 +3,27 @@ package query
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
 	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/collect"
+	"repro/internal/colstore"
 	"repro/internal/core"
+	"repro/internal/ntos/types"
 	"repro/internal/obs"
 	"repro/internal/sim"
+	"repro/internal/tracefmt"
 )
 
 // testStudy builds one small fleet study, shared by every test in the
@@ -178,7 +185,7 @@ func TestRowColumnarEquivalent(t *testing.T) {
 	}
 	for _, m := range rSvc.Corpus().Machines() {
 		if rSvc.Corpus().Columnar(m) {
-			t.Fatalf("%s: expected the row fallback in the .trz save", m)
+			t.Fatalf("%s: expected the row layout reported for the .trz save", m)
 		}
 	}
 	for _, p := range []string{scanPath, "/v1/scan?limit=10&kinds=3,5"} {
@@ -187,6 +194,72 @@ func TestRowColumnarEquivalent(t *testing.T) {
 		if !bytes.Equal(cBody, rBody) {
 			t.Fatalf("%s: row scan differs from columnar scan\ncol: %s\nrow: %s", p, cBody, rBody)
 		}
+	}
+}
+
+// TestCorruptNameColumnFailsClosed pins that a segment whose blocks
+// pass their CRC but whose name column does not decode is refused when
+// the corpus loads — by core.LoadCorpus and by OpenCorpus — rather than
+// panicking on first use of the name map.
+func TestCorruptNameColumnFailsClosed(t *testing.T) {
+	var recs []tracefmt.Record
+	for i := 0; i < 64; i++ {
+		r := tracefmt.Record{Kind: tracefmt.EvRead, Start: sim.Time(i), FileID: types.FileObjectID(1 + i%4)}
+		if i%8 == 0 {
+			r.Kind = tracefmt.EvNameMap
+			r.SetName(fmt.Sprintf(`C:\f%d.txt`, i))
+		}
+		recs = append(recs, r)
+	}
+	data, _, err := colstore.EncodeSegment(recs, colstore.Options{BlockRecords: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	corruptNameColumn(t, data)
+	seg, err := colstore.OpenSegment(data, nil)
+	if err != nil {
+		t.Fatalf("corrupted segment no longer opens: %v", err)
+	}
+	if _, err := seg.ScanColumns(colstore.Predicate{}, colstore.ScanAllNumeric); err != nil {
+		t.Fatalf("numeric columns no longer decode: %v", err)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "m"+collect.ColumnarExt), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := core.LoadCorpus(dir, nil); err == nil {
+		t.Error("core.LoadCorpus accepted a segment whose name column does not decode")
+	}
+	if _, err := OpenCorpus(dir, nil); err == nil {
+		t.Error("OpenCorpus accepted a segment whose name column does not decode")
+	}
+}
+
+// corruptNameColumn rewrites the encoding tag of every block's name
+// column to the integer varint encoding, which the name decoder
+// refuses, and re-seals each block's footer CRC so the damage passes
+// every integrity check short of decoding the names.
+func corruptNameColumn(t *testing.T, data []byte) {
+	t.Helper()
+	le := binary.LittleEndian
+	magic := len(colstore.Magic)
+	footLen := int(le.Uint32(data[len(data)-magic-4:]))
+	foot := data[len(data)-magic-4-footLen:]
+	const fixed, metaSize = 4 + 8 + 4 + 32, 44
+	blocks := int(le.Uint32(foot[12:]))
+	for b := 0; b < blocks; b++ {
+		meta := foot[fixed+b*metaSize:]
+		off, n := le.Uint64(meta), le.Uint32(meta[8:])
+		raw := data[off : off+uint64(n)]
+		col := raw[4:]
+		for c := 0; c < colstore.NumColumns; c++ {
+			plen := int(le.Uint32(col[1:]))
+			if colstore.Column(c) == colstore.ColName {
+				col[0] = col[0]&0x80 | 1 // keep the flate bit, claim uvarint
+			}
+			col = col[5+plen:]
+		}
+		le.PutUint32(meta[40:], crc32.ChecksumIEEE(raw))
 	}
 }
 

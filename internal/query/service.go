@@ -78,15 +78,15 @@ type Service struct {
 	res     *report.Results
 	resErr  error
 
-	requests  map[string]*obs.Counter   // per endpoint
-	latency   map[string]*obs.Histogram // per endpoint, wall microseconds
-	inflight  *obs.Gauge
-	rejected  *obs.Counter
-	timeouts  *obs.Counter
-	scanRows  *obs.Counter
-	draining  atomic.Bool
-	wg        sync.WaitGroup // live requests, for graceful drain
-	startedAt time.Time
+	requests     map[string]*obs.Counter   // per endpoint
+	latency      map[string]*obs.Histogram // per endpoint, wall microseconds
+	inflight     *obs.Gauge
+	rejected     *obs.Counter
+	timeouts     *obs.Counter
+	rowsReturned *obs.Counter
+	draining     atomic.Bool
+	wg           sync.WaitGroup // live requests, for graceful drain
+	startedAt    time.Time
 
 	tracer *trace.Tracer
 	seq    atomic.Uint64 // admitted-request sequence, mixed into trace IDs
@@ -126,7 +126,7 @@ func NewService(c *Corpus, cfg Config) *Service {
 		"query requests refused with 429 because the admission queue was full")
 	s.timeouts = reg.Counter("query_timeouts_total",
 		"query requests that hit their per-request deadline")
-	s.scanRows = reg.Counter("query_scan_rows_total",
+	s.rowsReturned = reg.Counter("query_scan_rows_total",
 		"rows returned by cold /v1/scan executions")
 	return s
 }
@@ -407,7 +407,7 @@ func (s *Service) handleScan(ctx context.Context, w http.ResponseWriter, r *http
 		}
 		out.Returned += n
 	}
-	s.scanRows.Add(uint64(out.Returned))
+	s.rowsReturned.Add(uint64(out.Returned))
 	merge.AnnotateInt("rows", int64(out.Returned))
 	merge.Finish()
 

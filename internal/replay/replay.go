@@ -121,7 +121,7 @@ func (r *Result) DataSet(orig *analysis.DataSet) (*analysis.DataSet, error) {
 		if d := dims[name]; d != nil {
 			cat, procs = d.Category, d.ProcNames
 		}
-		mt := analysis.NewMachineTraceOwned(name, cat, recs)
+		mt := analysis.NewMachineTrace(name, cat, recs)
 		mt.ProcNames = procs
 		out.Machines = append(out.Machines, mt)
 	}

@@ -33,11 +33,11 @@ func TestBuildPlanCoversTrace(t *testing.T) {
 	ds := studyCorpus(t, 2, sim.Hour, false)
 	for _, mt := range ds.Machines {
 		p := BuildPlan(mt)
-		if got, want := p.Records(), len(mt.Records); got != want {
+		if got, want := p.Records(), mt.Len(); got != want {
 			t.Errorf("%s: plan covers %d records, trace has %d", mt.Name, got, want)
 		}
 		if len(p.Steps) == 0 {
-			t.Errorf("%s: empty plan from %d records", mt.Name, len(mt.Records))
+			t.Errorf("%s: empty plan from %d records", mt.Name, mt.Len())
 		}
 		if len(p.Mounts) == 0 {
 			t.Errorf("%s: no mounts discovered", mt.Name)
@@ -45,7 +45,7 @@ func TestBuildPlanCoversTrace(t *testing.T) {
 		// Reconstruction should account for the overwhelming majority of
 		// records: only unreplayable kinds and pre-trace sessions drop out.
 		lost := p.Skips.Orphaned + p.Skips.Unresolved + p.Skips.Unreplayable
-		if frac := float64(lost) / float64(len(mt.Records)); frac > 0.05 {
+		if frac := float64(lost) / float64(mt.Len()); frac > 0.05 {
 			t.Errorf("%s: %.1f%% of records lost in planning (orphaned=%d unresolved=%d unreplayable=%d)",
 				mt.Name, 100*frac, p.Skips.Orphaned, p.Skips.Unresolved, p.Skips.Unreplayable)
 		}

@@ -119,38 +119,28 @@ func ComputeWorkersTrace(ds *analysis.DataSet, workers int, perMachine *obs.Hist
 		mt := ds.Machines[i]
 		m := &slots[i]
 		start := time.Now()
-		if kt == nil && tr == nil {
-			m.ins = mt.Instances()
-			m.lt = analysis.Lifetimes(mt)
-			m.c = analysis.Controls(mt, m.ins)
-			m.cm = analysis.Cache(mt, m.ins)
-			m.ru = analysis.Reuse(m.ins)
-			m.rs, m.ws = analysis.FastIOShares(mt)
-		} else {
-			// kt may be nil with tracing on (and vice versa): extract the
-			// histograms into nil-safe locals so one kernel walk serves
-			// every combination.
-			var hIns, hLt, hC, hCm, hRu, hF *obs.Histogram
-			if kt != nil {
-				hIns, hLt, hC, hCm, hRu, hF = kt.Instances, kt.Lifetimes, kt.Controls, kt.Cache, kt.Reuse, kt.FastIO
-			}
-			root := tr.StartTrace("compute", mt.Name, trace.HashID("compute", mt.Name), nil)
-			kernel := func(name string, h *obs.Histogram, f func()) {
-				sp := root.Child(name)
-				t0 := time.Now()
-				f()
-				h.ObserveWall(time.Since(t0))
-				sp.Finish()
-			}
-			kernel("instances", hIns, func() { m.ins = mt.Instances() })
-			kernel("lifetimes", hLt, func() { m.lt = analysis.Lifetimes(mt) })
-			kernel("controls", hC, func() { m.c = analysis.Controls(mt, m.ins) })
-			kernel("cache", hCm, func() { m.cm = analysis.Cache(mt, m.ins) })
-			kernel("reuse", hRu, func() { m.ru = analysis.Reuse(m.ins) })
-			kernel("fastio", hF, func() { m.rs, m.ws = analysis.FastIOShares(mt) })
-			root.AnnotateInt("instances", int64(len(m.ins)))
-			root.Finish()
+		// Nil histograms and nil spans are no-ops, so this one kernel
+		// walk serves every combination of timing and tracing.
+		var hIns, hLt, hC, hCm, hRu, hF *obs.Histogram
+		if kt != nil {
+			hIns, hLt, hC, hCm, hRu, hF = kt.Instances, kt.Lifetimes, kt.Controls, kt.Cache, kt.Reuse, kt.FastIO
 		}
+		root := tr.StartTrace("compute", mt.Name, trace.HashID("compute", mt.Name), nil)
+		kernel := func(name string, h *obs.Histogram, f func()) {
+			sp := root.Child(name)
+			t0 := time.Now()
+			f()
+			h.ObserveWall(time.Since(t0))
+			sp.Finish()
+		}
+		kernel("instances", hIns, func() { m.ins = mt.Instances() })
+		kernel("lifetimes", hLt, func() { m.lt = analysis.Lifetimes(mt) })
+		kernel("controls", hC, func() { m.c = analysis.Controls(mt, m.ins) })
+		kernel("cache", hCm, func() { m.cm = analysis.Cache(mt, m.ins) })
+		kernel("reuse", hRu, func() { m.ru = analysis.Reuse(m.ins) })
+		kernel("fastio", hF, func() { m.rs, m.ws = analysis.FastIOShares(mt) })
+		root.AnnotateInt("instances", int64(len(m.ins)))
+		root.Finish()
 		perMachine.ObserveWall(time.Since(start))
 	}
 	if workers <= 1 {
