@@ -1,9 +1,13 @@
 package colstore
 
 import (
+	"fmt"
+	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/obs"
+	"repro/internal/sim"
 	"repro/internal/tracefmt"
 )
 
@@ -178,5 +182,81 @@ func TestNameDecodeSkippedWithoutScanName(t *testing.T) {
 	}
 	if m.BytesDecoded(FamilyName) == 0 || m.ColumnsDecoded(FamilyName) == 0 {
 		t.Error("ScanName projection left the name-family ledger at zero")
+	}
+}
+
+// TestAppendRecordsRoundTrip pins the row ↔ column mapping a batch
+// owns: AppendRecords fills the numeric columns exactly as an unfiltered
+// scan of the same stream does, and Records rebuilds every record whole,
+// directly and after Permuted, with the sparse names kept ascending. The
+// fixture must set every Record field somewhere, so a field added to
+// Record fails here until both directions carry it.
+func TestAppendRecordsRoundTrip(t *testing.T) {
+	recs := genRecords(5000, 23)
+	for i := 0; i < len(recs); i += 11 {
+		// Names ride on any kind, not only on EvNameMap records.
+		recs[i].SetName(fmt.Sprintf(`C:\other\%d`, i))
+	}
+	rt := reflect.TypeOf(tracefmt.Record{})
+	for f := 0; f < rt.NumField(); f++ {
+		set := false
+		for i := range recs {
+			if !reflect.ValueOf(recs[i]).Field(f).IsZero() {
+				set = true
+				break
+			}
+		}
+		if !set {
+			t.Fatalf("fixture never sets Record.%s", rt.Field(f).Name)
+		}
+	}
+
+	b := &Batch{}
+	b.AppendRecords(recs[:1234])
+	b.AppendRecords(recs[1234:])
+
+	data, _, err := EncodeSegment(recs, Options{BlockRecords: 1024})
+	if err != nil {
+		t.Fatal(err)
+	}
+	seg, err := OpenSegment(data, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scanned, err := seg.ScanColumns(Predicate{}, ScanAllNumeric)
+	if err != nil {
+		t.Fatal(err)
+	}
+	numeric := *b
+	numeric.Majors, numeric.Minors, numeric.InfoClasses, numeric.NameRows, numeric.NameBlobs = nil, nil, nil, nil, nil
+	if !reflect.DeepEqual(&numeric, scanned) {
+		t.Fatal("AppendRecords columns differ from a ScanAllNumeric scan of the same stream")
+	}
+
+	if !slices.Equal(b.Records(), recs) {
+		t.Fatal("Records is not the inverse of AppendRecords")
+	}
+	if !slices.Equal(b.Permuted(nil).Records(), recs) {
+		t.Fatal("Permuted(nil) changed the records")
+	}
+	rng := sim.NewRNG(5)
+	perm := make([]int32, len(recs))
+	for i := range perm {
+		perm[i] = int32(i)
+	}
+	for i := len(perm) - 1; i > 0; i-- {
+		j := rng.Int63n(int64(i + 1))
+		perm[i], perm[j] = perm[j], perm[i]
+	}
+	want := make([]tracefmt.Record, len(recs))
+	for i, p := range perm {
+		want[i] = recs[p]
+	}
+	pb := b.Permuted(perm)
+	if !slices.Equal(pb.Records(), want) {
+		t.Fatal("Permuted(perm).Records() is not the permuted stream")
+	}
+	if !slices.IsSorted(pb.NameRows) {
+		t.Fatal("Permuted left the sparse name rows out of order")
 	}
 }

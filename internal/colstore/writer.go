@@ -9,6 +9,7 @@ import (
 	"hash"
 	"hash/crc32"
 	"io"
+	"sync"
 	"time"
 
 	"repro/internal/tracefmt"
@@ -64,7 +65,7 @@ type Writer struct {
 	n       int
 	sha     hash.Hash
 	shaBuf  []byte
-	scratch encScratch
+	scratch *encScratch // from encPool between the first block and Close
 	wrote   bool
 	closed  bool
 	err     error
@@ -100,26 +101,50 @@ func (w *Writer) fail(err error) error {
 
 // Append buffers records into the segment, flushing full blocks.
 func (w *Writer) Append(recs []tracefmt.Record) error {
+	rest, err := w.appendBlocks(recs)
+	if err != nil {
+		return err
+	}
+	w.pend = append(w.pend, rest...)
+	return nil
+}
+
+// appendBlocks digests recs and encodes every block they complete, the
+// whole ones straight from recs rather than through the pending
+// buffer. It returns the records past the last complete block, for the
+// caller to keep pending.
+func (w *Writer) appendBlocks(recs []tracefmt.Record) ([]tracefmt.Record, error) {
 	if w.err != nil {
-		return w.err
+		return nil, w.err
 	}
 	if w.closed {
-		return w.fail(fmt.Errorf("colstore: append after Close"))
+		return nil, w.fail(fmt.Errorf("colstore: append after Close"))
 	}
 	for i := range recs {
 		w.shaBuf = recs[i].Encode(w.shaBuf[:0])
 		w.sha.Write(w.shaBuf)
 	}
 	w.n += len(recs)
-	w.pend = append(w.pend, recs...)
 	limit := w.opts.blockRecords()
-	for len(w.pend) >= limit {
-		if err := w.flushBlock(w.pend[:limit]); err != nil {
-			return w.fail(err)
+	if len(w.pend) > 0 {
+		k := min(limit-len(w.pend), len(recs))
+		w.pend = append(w.pend, recs[:k]...)
+		recs = recs[k:]
+		if len(w.pend) < limit {
+			return nil, nil
 		}
-		w.pend = w.pend[:copy(w.pend, w.pend[limit:])]
+		if err := w.flushBlock(w.pend); err != nil {
+			return nil, w.fail(err)
+		}
+		w.pend = w.pend[:0]
 	}
-	return nil
+	for len(recs) >= limit {
+		if err := w.flushBlock(recs[:limit]); err != nil {
+			return nil, w.fail(err)
+		}
+		recs = recs[limit:]
+	}
+	return recs, nil
 }
 
 // writeAll writes b fully, tracking the segment offset.
@@ -146,7 +171,10 @@ func (w *Writer) flushBlock(recs []tracefmt.Record) error {
 		return err
 	}
 	start := time.Now()
-	payload, meta := encodeBlock(recs, &w.scratch, w.opts.NoCompress)
+	if w.scratch == nil {
+		w.scratch = encPool.Get().(*encScratch)
+	}
+	payload, meta := encodeBlock(recs, w.scratch, w.opts.NoCompress)
 	meta.offset = w.off
 	w.metas = append(w.metas, meta)
 	if err := w.writeAll(payload); err != nil {
@@ -173,6 +201,10 @@ func (w *Writer) Close() (Summary, error) {
 			return Summary{}, err
 		}
 		w.pend = nil
+	}
+	if w.scratch != nil {
+		encPool.Put(w.scratch)
+		w.scratch = nil
 	}
 	if err := w.header(); err != nil {
 		return Summary{}, w.fail(err)
@@ -206,8 +238,17 @@ func EncodeSegment(recs []tracefmt.Record, opts Options) ([]byte, Summary, error
 	var buf bytes.Buffer
 	buf.Grow(len(recs)*24 + 1024)
 	w := NewWriter(&buf, opts)
-	if err := w.Append(recs); err != nil {
+	// The whole stream is at hand, so even the final partial block is
+	// encoded from recs: the blocks Append and Close would cut, without
+	// staging any record in the pending buffer.
+	tail, err := w.appendBlocks(recs)
+	if err != nil {
 		return nil, Summary{}, err
+	}
+	if len(tail) > 0 {
+		if err := w.flushBlock(tail); err != nil {
+			return nil, Summary{}, w.fail(err)
+		}
 	}
 	sum, err := w.Close()
 	if err != nil {
@@ -225,7 +266,13 @@ type encScratch struct {
 	dict  map[uint64]uint32
 	flate *flate.Writer
 	fbuf  bytes.Buffer
+	out   []byte // the encoded block
 }
+
+// encPool recycles encode scratch across writers: a corpus is encoded
+// as one segment per machine, and without the pool each segment would
+// allocate its own block-sized buffers.
+var encPool = sync.Pool{New: func() any { return new(encScratch) }}
 
 // extract pulls every column of the block into its transform domain:
 // verbatim for unsigned columns, zigzag for signed ones, a block-local
@@ -438,11 +485,11 @@ func (sc *encScratch) deflate(p []byte) []byte {
 }
 
 // encodeBlock serialises one block: u32 record count, then per column a
-// tag byte, a u32 payload length and the payload.
+// tag byte, a u32 payload length and the payload. The result lives in
+// sc until the next encodeBlock on it.
 func encodeBlock(recs []tracefmt.Record, sc *encScratch, noCompress bool) ([]byte, blockMeta) {
 	sc.extract(recs)
-	out := make([]byte, 0, len(recs)*20+NumColumns*5+4)
-	out = binary.LittleEndian.AppendUint32(out, uint32(len(recs)))
+	out := binary.LittleEndian.AppendUint32(sc.out[:0], uint32(len(recs)))
 	for c := Column(0); c < numColumns; c++ {
 		var tag byte
 		var payload []byte
@@ -477,6 +524,7 @@ func encodeBlock(recs []tracefmt.Record, sc *encScratch, noCompress bool) ([]byt
 		}
 		meta.kindBits |= kindBit(recs[i].Kind)
 	}
+	sc.out = out
 	return out, meta
 }
 
