@@ -10,6 +10,7 @@ package repro
 
 import (
 	"fmt"
+	"os"
 	"sync"
 	"testing"
 
@@ -335,20 +336,76 @@ func BenchmarkSection10(b *testing.B) {
 	b.ReportMetric(100*ws/float64(len(r.WriteShares)), "fastio_write_pct(paper:96)")
 }
 
-// BenchmarkSection5Snapshots regenerates the §5 content-change measures.
-func BenchmarkSection5Snapshots(b *testing.B) {
-	for i := 0; i < b.N; i++ {
+// snapCorpus is a 45-machine columnar corpus with day-0 snapshots, the
+// shape fsreport -in reloads, saved once to a temporary directory for
+// the §5 and corpus-load benchmarks.
+var (
+	snapCorpusOnce  sync.Once
+	snapCorpusDir   string
+	snapCorpusStudy *core.Study
+	snapCorpusErr   error
+)
+
+func snapCorpus(b *testing.B) (string, *core.Study) {
+	b.Helper()
+	snapCorpusOnce.Do(func() {
 		s := core.NewStudy(core.Config{
-			Seed: 5, Machines: 1, Duration: 2 * sim.Hour,
-			SnapshotAtStart: true,
+			Seed: 5, Machines: 45, Duration: 5 * sim.Minute,
+			WithNetwork: true, SnapshotAtStart: true, Columnar: true, Workers: 8,
 		})
-		if err := s.Run(); err != nil {
+		if snapCorpusErr = s.Run(); snapCorpusErr != nil {
+			return
+		}
+		if snapCorpusDir, snapCorpusErr = os.MkdirTemp("", "bench-corpus-"); snapCorpusErr != nil {
+			return
+		}
+		snapCorpusErr = s.Save(snapCorpusDir)
+		snapCorpusStudy = s
+	})
+	if snapCorpusErr != nil {
+		b.Fatal(snapCorpusErr)
+	}
+	return snapCorpusDir, snapCorpusStudy
+}
+
+// TestMain removes the saved corpus snapCorpus leaves behind.
+func TestMain(m *testing.M) {
+	code := m.Run()
+	if snapCorpusDir != "" {
+		os.RemoveAll(snapCorpusDir)
+	}
+	os.Exit(code)
+}
+
+// BenchmarkSection5Snapshots renders §5 from the 45-machine day-0
+// snapshot set: a census line per machine, the type decomposition of the
+// largest volume and one day-over-day change attribution.
+func BenchmarkSection5Snapshots(b *testing.B) {
+	_, s := snapCorpus(b)
+	r := &report.Results{}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		section5Sink = r.Section5(s.Snapshots)
+	}
+	b.ReportMetric(float64(len(s.Snapshots)), "snapshots")
+}
+
+var section5Sink string
+
+// BenchmarkLoadCorpus reloads the saved 45-machine columnar corpus with
+// its snapshots, as fsreport -in and fsqueryd do before any analysis.
+func BenchmarkLoadCorpus(b *testing.B) {
+	dir, _ := snapCorpus(b)
+	var c *core.Corpus
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var err error
+		if c, err = core.LoadCorpus(dir, nil); err != nil {
 			b.Fatal(err)
 		}
-		if len(s.Snapshots) >= 2 {
-			_ = s.Snapshots[0]
-		}
 	}
+	b.ReportMetric(float64(len(c.DS.Machines)), "machines")
+	b.ReportMetric(float64(len(c.Snaps)), "snapshots")
 }
 
 // BenchmarkSection3Apparatus measures the §3.2 apparatus envelope:

@@ -38,11 +38,14 @@ type ContentCensus struct {
 	TimeInconsistent float64
 }
 
-// Census computes the §5 summary of one snapshot.
+// Census computes the §5 summary of one snapshot without sorting the
+// sample: the size percentiles are selected in place from the sizes
+// slice it owns and stats.Hill sorts only the values above its
+// threshold. Every field is the value stats.Summarize would give.
 func Census(s *snapshot.Snapshot) ContentCensus {
 	c := ContentCensus{Machine: s.Machine}
 	var sizes []float64
-	var dirFiles, dirSubs []float64
+	var dirFiles, dirSubs float64
 	inconsistent, timed := 0, 0
 	for _, r := range s.Records {
 		if r.Depth > c.MaxDepth {
@@ -50,13 +53,17 @@ func Census(s *snapshot.Snapshot) ContentCensus {
 		}
 		if r.IsDir {
 			c.Dirs++
-			dirFiles = append(dirFiles, float64(r.NumFiles))
-			dirSubs = append(dirSubs, float64(r.NumSubdirs))
+			dirFiles += float64(r.NumFiles)
+			dirSubs += float64(r.NumSubdirs)
 			continue
 		}
 		c.Files++
 		c.Bytes += r.Size
-		sizes = append(sizes, float64(r.Size))
+		size := float64(r.Size)
+		if len(sizes) == 0 || size > c.SizeMax {
+			c.SizeMax = size
+		}
+		sizes = append(sizes, size)
 		if r.LastModified != 0 && r.LastAccessed != 0 {
 			timed++
 			if r.LastModified > r.LastAccessed {
@@ -64,13 +71,15 @@ func Census(s *snapshot.Snapshot) ContentCensus {
 			}
 		}
 	}
-	ss := stats.Summarize(sizes)
-	c.SizeP50, c.SizeP90, c.SizeMax = ss.P50, ss.P90, ss.Max
 	if len(sizes) > 100 {
 		c.SizeTailAlpha = stats.Hill(sizes, len(sizes)/50+2)
 	}
-	c.MeanDirFiles = stats.Summarize(dirFiles).Mean
-	c.MeanDirSubs = stats.Summarize(dirSubs).Mean
+	c.SizeP50 = stats.SelectPercentile(sizes, 50)
+	c.SizeP90 = stats.SelectPercentile(sizes, 90)
+	if c.Dirs > 0 {
+		c.MeanDirFiles = dirFiles / float64(c.Dirs)
+		c.MeanDirSubs = dirSubs / float64(c.Dirs)
+	}
 	if timed > 0 {
 		c.TimeInconsistent = float64(inconsistent) / float64(timed)
 	}
@@ -163,7 +172,8 @@ type ChangeAttribution struct {
 // AttributeChanges computes the §5 change shares between two snapshots of
 // the same volume.
 func AttributeChanges(oldSnap, newSnap *snapshot.Snapshot) ChangeAttribution {
-	d := snapshot.Compare(oldSnap, newSnap)
+	newEntries := newSnap.Entries()
+	d := snapshot.CompareEntries(oldSnap.Entries(), newEntries)
 	ca := ChangeAttribution{
 		Added:   len(d.Added),
 		Changed: len(d.Changed),
@@ -171,7 +181,7 @@ func AttributeChanges(oldSnap, newSnap *snapshot.Snapshot) ChangeAttribution {
 	}
 	ca.ProfileShare = d.FractionUnder(`\winnt\profiles`)
 	// Locate the WWW cache (any profile's Temporary Internet Files).
-	for _, e := range newSnap.Entries() {
+	for _, e := range newEntries {
 		if e.Rec.IsDir && strings.EqualFold(e.Rec.Name, "Temporary Internet Files") {
 			ca.WebCacheShare = d.FractionUnder(e.Path)
 			break

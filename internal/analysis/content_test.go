@@ -1,6 +1,8 @@
 package analysis
 
 import (
+	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/fsgen"
@@ -10,6 +12,7 @@ import (
 	"repro/internal/ntos/volume"
 	"repro/internal/sim"
 	"repro/internal/snapshot"
+	"repro/internal/stats"
 )
 
 func genSnapshot(t *testing.T) *snapshot.Snapshot {
@@ -112,4 +115,95 @@ func itoa(i int) string {
 		i /= 10
 	}
 	return string(b[n:])
+}
+
+// sortCensus is Census as written before selection: stats.Summarize for
+// the sizes and directory means, and a full-sort Hill estimate.
+func sortCensus(s *snapshot.Snapshot) ContentCensus {
+	c := ContentCensus{Machine: s.Machine}
+	var sizes []float64
+	var dirFiles, dirSubs []float64
+	inconsistent, timed := 0, 0
+	for _, r := range s.Records {
+		if r.Depth > c.MaxDepth {
+			c.MaxDepth = r.Depth
+		}
+		if r.IsDir {
+			c.Dirs++
+			dirFiles = append(dirFiles, float64(r.NumFiles))
+			dirSubs = append(dirSubs, float64(r.NumSubdirs))
+			continue
+		}
+		c.Files++
+		c.Bytes += r.Size
+		sizes = append(sizes, float64(r.Size))
+		if r.LastModified != 0 && r.LastAccessed != 0 {
+			timed++
+			if r.LastModified > r.LastAccessed {
+				inconsistent++
+			}
+		}
+	}
+	ss := stats.Summarize(sizes)
+	c.SizeP50, c.SizeP90, c.SizeMax = ss.P50, ss.P90, ss.Max
+	if len(sizes) > 100 {
+		c.SizeTailAlpha = sortHill(sizes, len(sizes)/50+2)
+	}
+	c.MeanDirFiles = stats.Summarize(dirFiles).Mean
+	c.MeanDirSubs = stats.Summarize(dirSubs).Mean
+	if timed > 0 {
+		c.TimeInconsistent = float64(inconsistent) / float64(timed)
+	}
+	return c
+}
+
+// sortHill is stats.Hill as written before selection: a full sort of a
+// copy, reversed.
+func sortHill(xs []float64, k int) float64 {
+	if k < 2 || len(xs) <= k {
+		return 0
+	}
+	sorted := append([]float64(nil), xs...)
+	slices.Sort(sorted)
+	slices.Reverse(sorted)
+	threshold := sorted[k]
+	if threshold <= 0 {
+		return 0
+	}
+	sum := 0.0
+	for i := 0; i < k; i++ {
+		if sorted[i] <= 0 {
+			return 0
+		}
+		sum += math.Log(sorted[i] / threshold)
+	}
+	if sum == 0 {
+		return 0
+	}
+	return float64(k) / sum
+}
+
+// TestCensusMatchesSortCensus pins the selecting Census to the sorting
+// one on generated volumes of every machine category, NTFS and FAT, and
+// on small and empty snapshots.
+func TestCensusMatchesSortCensus(t *testing.T) {
+	var snaps []*snapshot.Snapshot
+	cats := []machine.Category{machine.WalkUp, machine.Pool, machine.Personal, machine.Administrative, machine.Scientific}
+	for i, cat := range cats {
+		for _, flavor := range []volume.Flavor{volume.FlavorNTFS, volume.FlavorFAT} {
+			fs := fsys.New(flavor, 8<<30)
+			fsgen.PopulateLocal(fs, sim.NewRNG(uint64(40+i)), fsgen.Config{
+				User: "u" + cat.String(), Category: cat, Now: sim.Time(30 * sim.Day),
+			})
+			snaps = append(snaps, snapshot.Take(cat.String(), `C:`, fs, sim.Time(30*sim.Day)))
+		}
+	}
+	small := *snaps[0]
+	small.Records = small.Records[:90]
+	snaps = append(snaps, &small, &snapshot.Snapshot{Machine: "empty"})
+	for _, s := range snaps {
+		if got, want := Census(s), sortCensus(s); got != want {
+			t.Errorf("%s (%d records): Census %+v, sort-based %+v", s.Machine, len(s.Records), got, want)
+		}
+	}
 }

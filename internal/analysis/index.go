@@ -2,8 +2,8 @@ package analysis
 
 import (
 	"runtime"
-	"sync"
 
+	"repro/internal/par"
 	"repro/internal/sim"
 	"repro/internal/tracefmt"
 )
@@ -127,32 +127,7 @@ type Index struct {
 func (ds *DataSet) Index() *Index {
 	ds.idxOnce.Do(func() {
 		ix := &Index{ByMachine: make(map[string]*MachineIndex, len(ds.Machines))}
-		workers := runtime.GOMAXPROCS(0)
-		if workers > len(ds.Machines) {
-			workers = len(ds.Machines)
-		}
-		if workers <= 1 {
-			for _, mt := range ds.Machines {
-				mt.Index()
-			}
-		} else {
-			var wg sync.WaitGroup
-			next := make(chan *MachineTrace)
-			for w := 0; w < workers; w++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for mt := range next {
-						mt.Index()
-					}
-				}()
-			}
-			for _, mt := range ds.Machines {
-				next <- mt
-			}
-			close(next)
-			wg.Wait()
-		}
+		par.For(runtime.GOMAXPROCS(0), len(ds.Machines), func(i int) { ds.Machines[i].Index() })
 		for _, mt := range ds.Machines {
 			ix.ByMachine[mt.Name] = mt.idx
 			ix.Machines = append(ix.Machines, mt.idx)

@@ -2,9 +2,12 @@ package core
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strings"
 
@@ -14,6 +17,7 @@ import (
 	"repro/internal/ntos/machine"
 	"repro/internal/obs"
 	"repro/internal/obs/trace"
+	"repro/internal/par"
 	"repro/internal/snapshot"
 )
 
@@ -135,6 +139,11 @@ func LoadCorpus(dir string, reg *obs.Registry) (*Corpus, error) {
 // LoadCorpusTrace is LoadCorpus with per-machine load tracing: each
 // columnar machine's scan/argsort/gather stages record as a span tree on
 // tr (nil tr loads identically and traces nothing).
+//
+// The load runs in two phases, each spread over GOMAXPROCS workers:
+// first every machine's trace, then every snapshot. Results land in
+// slot-indexed entries, so the machines, the snapshots and the error
+// returned come out in the order a serial load gives.
 func LoadCorpusTrace(dir string, reg *obs.Registry, tr *trace.Tracer) (*Corpus, error) {
 	segs, err := collect.LoadColumnarDir(dir, colstore.NewMetrics(reg))
 	if err != nil {
@@ -145,10 +154,15 @@ func LoadCorpusTrace(dir string, reg *obs.Registry, tr *trace.Tracer) (*Corpus, 
 		return nil, err
 	}
 	var man manifest
-	if data, err := os.ReadFile(filepath.Join(dir, "manifest.json")); err == nil {
+	switch data, err := os.ReadFile(filepath.Join(dir, "manifest.json")); {
+	case err == nil:
 		if err := json.Unmarshal(data, &man); err != nil {
 			return nil, fmt.Errorf("core: manifest: %w", err)
 		}
+	case !errors.Is(err, fs.ErrNotExist):
+		// Only a corpus saved without a manifest may lack one; any other
+		// failure would load every machine without its dimensions.
+		return nil, fmt.Errorf("core: manifest: %w", err)
 	}
 	cats := map[string]machine.Category{}
 	procs := map[string]map[uint32]string{}
@@ -178,47 +192,72 @@ func LoadCorpusTrace(dir string, reg *obs.Registry, tr *trace.Tracer) (*Corpus, 
 	}
 	sort.Strings(extra)
 	names = append(names, extra...)
-	ds := &analysis.DataSet{}
-	for _, name := range names {
-		var mt *analysis.MachineTrace
+	load := func(name string) (*analysis.MachineTrace, error) {
 		if seg := segs[name]; seg != nil {
 			sp := tr.StartTrace("load", name, trace.HashID("load", name), nil)
-			mt, err = analysis.NewMachineTraceColumnar(name, cats[name], seg, sp)
-			sp.Finish()
-			if err != nil {
-				return nil, err
-			}
-		} else {
-			recs, err := store.Records(name)
-			if err != nil {
-				return nil, err
-			}
-			mt = analysis.NewMachineTrace(name, cats[name], recs)
+			defer sp.Finish()
+			return analysis.NewMachineTraceColumnar(name, cats[name], seg, sp)
 		}
-		mt.ProcNames = procs[name]
-		ds.Machines = append(ds.Machines, mt)
+		recs, err := store.Records(name)
+		if err != nil {
+			return nil, err
+		}
+		return analysis.NewMachineTrace(name, cats[name], recs), nil
 	}
-	var snaps []*snapshot.Snapshot
+	workers := runtime.GOMAXPROCS(0)
+	mts := make([]*analysis.MachineTrace, len(names))
+	errs := make([]error, len(names))
+	par.For(workers, len(names), func(i int) {
+		if mts[i], errs[i] = load(names[i]); errs[i] == nil {
+			mts[i].ProcNames = procs[names[i]]
+		}
+	})
+	if err := firstError(errs); err != nil {
+		return nil, err
+	}
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err
 	}
 	// Snapshots in file-name order; corpora saved before the binary
 	// format hold legacy *.snap.json files, which Read still decodes.
+	var files []string
 	for _, e := range entries {
-		if !strings.HasSuffix(e.Name(), ".snap") && !strings.HasSuffix(e.Name(), ".snap.json") {
-			continue
+		if strings.HasSuffix(e.Name(), ".snap") || strings.HasSuffix(e.Name(), ".snap.json") {
+			files = append(files, e.Name())
 		}
-		f, err := os.Open(filepath.Join(dir, e.Name()))
-		if err != nil {
-			return nil, err
-		}
-		snap, err := snapshot.Read(f)
-		f.Close()
-		if err != nil {
-			return nil, fmt.Errorf("core: %s: %w", e.Name(), err)
-		}
-		snaps = append(snaps, snap)
 	}
-	return &Corpus{DS: ds, Snaps: snaps, Segments: segs, Store: store}, nil
+	snaps := make([]*snapshot.Snapshot, len(files))
+	errs = make([]error, len(files))
+	par.For(workers, len(files), func(i int) {
+		snaps[i], errs[i] = readSnapshot(dir, files[i])
+	})
+	if err := firstError(errs); err != nil {
+		return nil, err
+	}
+	return &Corpus{DS: &analysis.DataSet{Machines: mts}, Snaps: snaps, Segments: segs, Store: store}, nil
+}
+
+// readSnapshot decodes one snapshot file of a corpus directory.
+func readSnapshot(dir, name string) (*snapshot.Snapshot, error) {
+	f, err := os.Open(filepath.Join(dir, name))
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	snap, err := snapshot.Read(f)
+	if err != nil {
+		return nil, fmt.Errorf("core: %s: %w", name, err)
+	}
+	return snap, nil
+}
+
+// firstError returns the first non-nil error in slot order.
+func firstError(errs []error) error {
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }

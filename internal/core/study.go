@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"runtime"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/agent"
@@ -31,6 +30,7 @@ import (
 	"repro/internal/ntos/volume"
 	"repro/internal/obs"
 	"repro/internal/obs/trace"
+	"repro/internal/par"
 	"repro/internal/report"
 	"repro/internal/sim"
 	"repro/internal/snapshot"
@@ -285,35 +285,10 @@ func NewStudy(cfg Config) *Study {
 	}
 
 	// Build pass, parallel across the worker budget.
-	workers := cfg.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > len(build) {
-		workers = len(build)
-	}
-	if workers <= 1 {
-		for _, i := range build {
-			s.buildNode(i, rngs[i])
-		}
-	} else {
-		var wg sync.WaitGroup
-		next := make(chan int)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range next {
-					s.buildNode(i, rngs[i])
-				}
-			}()
-		}
-		for _, i := range build {
-			next <- i
-		}
-		close(next)
-		wg.Wait()
-	}
+	par.For(cfg.Workers, len(build), func(j int) {
+		i := build[j]
+		s.buildNode(i, rngs[i])
+	})
 	return s
 }
 
@@ -520,31 +495,7 @@ func (s *Study) DataSetWorkers(workers int) (*analysis.DataSet, error) {
 		mt.ProcNames = s.procNames(i)
 		slots[i].mt = mt
 	}
-	if workers <= 1 {
-		for i := range s.specs {
-			decode(i)
-		}
-	} else {
-		if workers > len(s.specs) {
-			workers = len(s.specs)
-		}
-		var wg sync.WaitGroup
-		next := make(chan int)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range next {
-					decode(i)
-				}
-			}()
-		}
-		for i := range s.specs {
-			next <- i
-		}
-		close(next)
-		wg.Wait()
-	}
+	par.For(workers, len(s.specs), decode)
 	ds := &analysis.DataSet{}
 	for i := range slots {
 		if slots[i].err != nil {

@@ -21,7 +21,6 @@ import (
 	"fmt"
 	"runtime"
 	"sort"
-	"sync"
 
 	"repro/internal/analysis"
 	"repro/internal/collect"
@@ -29,6 +28,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/obs/trace"
+	"repro/internal/par"
 )
 
 // cacheKey is a result identity: SHA-256 over corpus SHA ‖ canonical
@@ -101,17 +101,9 @@ func OpenCorpusTrace(dir string, reg *obs.Registry, tr *trace.Tracer) (*Corpus, 
 	m := colstore.NewMetrics(reg)
 	sealed := make([]*colstore.Segment, len(rowOnly))
 	errs := make([]error, len(rowOnly))
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	var wg sync.WaitGroup
-	for i, name := range rowOnly {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func() {
-			defer func() { <-sem; wg.Done() }()
-			sealed[i], errs[i] = sealRows(parts.Store, name, m)
-		}()
-	}
-	wg.Wait()
+	par.For(runtime.GOMAXPROCS(0), len(rowOnly), func(i int) {
+		sealed[i], errs[i] = sealRows(parts.Store, rowOnly[i], m)
+	})
 	for i, name := range rowOnly {
 		if errs[i] != nil {
 			return nil, errs[i]

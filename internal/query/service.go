@@ -15,6 +15,7 @@ import (
 	"repro/internal/colstore"
 	"repro/internal/obs"
 	"repro/internal/obs/trace"
+	"repro/internal/par"
 	"repro/internal/report"
 )
 
@@ -432,43 +433,26 @@ func (s *Service) handleScan(ctx context.Context, w http.ResponseWriter, r *http
 func (s *Service) runScan(ctx context.Context, q *scanQuery, sp *trace.Span) ([]machineScan, error) {
 	out := make([]machineScan, len(q.machines))
 	errs := make([]error, len(q.machines))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	workers := s.cfg.Workers
-	if workers > len(q.machines) {
-		workers = len(q.machines)
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(q.machines) {
-					return
-				}
-				if ctx.Err() != nil {
-					errs[i] = ctx.Err()
-					continue
-				}
-				name := q.machines[i]
-				msp := sp.Child("scan " + name)
-				batch, st, err := s.corpus.ScanMachine(name, q.pred, q.cols)
-				if err != nil {
-					msp.Annotate("error", err.Error())
-					msp.Finish()
-					errs[i] = err
-					continue
-				}
-				msp.AnnotateInt("blocks_scanned", int64(st.BlocksScanned))
-				msp.AnnotateInt("blocks_skipped", int64(st.BlocksSkipped))
-				msp.AnnotateInt("rows", int64(batch.N))
-				msp.Finish()
-				out[i] = renderScan(name, batch, q)
-			}
-		}()
-	}
-	wg.Wait()
+	par.For(s.cfg.Workers, len(q.machines), func(i int) {
+		if ctx.Err() != nil {
+			errs[i] = ctx.Err()
+			return
+		}
+		name := q.machines[i]
+		msp := sp.Child("scan " + name)
+		batch, st, err := s.corpus.ScanMachine(name, q.pred, q.cols)
+		if err != nil {
+			msp.Annotate("error", err.Error())
+			msp.Finish()
+			errs[i] = err
+			return
+		}
+		msp.AnnotateInt("blocks_scanned", int64(st.BlocksScanned))
+		msp.AnnotateInt("blocks_skipped", int64(st.BlocksSkipped))
+		msp.AnnotateInt("rows", int64(batch.N))
+		msp.Finish()
+		out[i] = renderScan(name, batch, q)
+	})
 	for _, err := range errs {
 		if err != nil {
 			return nil, err

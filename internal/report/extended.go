@@ -40,15 +40,17 @@ func (r *Results) Section5(snaps []*snapshot.Snapshot) string {
 		}
 	}
 	b.WriteString("  file-type decomposition by bytes (largest volume):\n")
+	files := 0
 	for i, t := range analysis.TypeCensus(biggest) {
+		files += t.Files
 		if i >= 8 {
-			break
+			continue
 		}
 		fmt.Fprintf(&b, "    %-24s %7d files %8d KB\n",
 			t.Category.Major+"/"+t.Category.Minor, t.Files, t.Bytes>>10)
 	}
 	fmt.Fprintf(&b, "  exe/dll/font share of the top-1%% sizes: %.0f%% (paper: dominant)\n",
-		100*analysis.ImageShareOfTail(biggest, len(biggest.Files())/100+1))
+		100*analysis.ImageShareOfTail(biggest, files/100+1))
 
 	// Change attribution between the first and last snapshot of the first
 	// machine+volume, in snapshot order, that has at least two.

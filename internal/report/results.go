@@ -10,13 +10,12 @@ import (
 	"runtime"
 	"sort"
 	"strings"
-	"sync"
-
 	"time"
 
 	"repro/internal/analysis"
 	"repro/internal/obs"
 	"repro/internal/obs/trace"
+	"repro/internal/par"
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
@@ -143,31 +142,7 @@ func ComputeWorkersTrace(ds *analysis.DataSet, workers int, perMachine *obs.Hist
 		root.Finish()
 		perMachine.ObserveWall(time.Since(start))
 	}
-	if workers <= 1 {
-		for i := range ds.Machines {
-			measure(i)
-		}
-	} else {
-		if workers > len(ds.Machines) {
-			workers = len(ds.Machines)
-		}
-		var wg sync.WaitGroup
-		next := make(chan int)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range next {
-					measure(i)
-				}
-			}()
-		}
-		for i := range ds.Machines {
-			next <- i
-		}
-		close(next)
-		wg.Wait()
-	}
+	par.For(workers, len(ds.Machines), measure)
 
 	r := &Results{DS: ds, PerMachine: map[string][]*analysis.Instance{}}
 	for mi, mt := range ds.Machines {

@@ -145,10 +145,11 @@ func (s *Snapshot) TotalBytes() int64 {
 }
 
 // paths reconstructs full paths from the pre-order/depth sequence —
-// the §3.1 "in such a way that the original tree can be recovered".
+// the §3.1 "in such a way that the original tree can be recovered". Each
+// path is its parent directory's path + `\` + name.
 func (s *Snapshot) paths() []string {
 	out := make([]string, len(s.Records))
-	stack := make([]string, 0, 16) // ancestor names at depths 1..k
+	stack := make([]string, 0, 16) // paths of the ancestors at depths 1..k
 	for i, r := range s.Records {
 		if r.Depth == 0 {
 			out[i] = `\`
@@ -158,10 +159,13 @@ func (s *Snapshot) paths() []string {
 		if r.Depth-1 < len(stack) {
 			stack = stack[:r.Depth-1]
 		}
-		parts := append(append([]string{}, stack...), r.Name)
-		out[i] = `\` + strings.Join(parts, `\`)
+		parent := ""
+		if len(stack) > 0 {
+			parent = stack[len(stack)-1]
+		}
+		out[i] = parent + `\` + r.Name
 		if r.IsDir {
-			stack = append(stack, r.Name)
+			stack = append(stack, out[i])
 		}
 	}
 	return out
@@ -194,25 +198,36 @@ type Diff struct {
 
 // Compare computes the Diff from old to new.
 func Compare(oldSnap, newSnap *Snapshot) Diff {
-	oldBy := map[string]WalkRecord{}
-	for _, e := range oldSnap.Entries() {
-		oldBy[strings.ToLower(e.Path)] = e.Rec
+	return CompareEntries(oldSnap.Entries(), newSnap.Entries())
+}
+
+// CompareEntries is Compare over the Entries of the two snapshots, for a
+// caller that reads the paths too and so resolves each snapshot once.
+// Paths match case-insensitively; each is lower-cased once.
+func CompareEntries(oldEntries, newEntries []Entry) Diff {
+	oldKeys := make([]string, len(oldEntries))
+	// at maps each old key to its last entry, as a later duplicate
+	// overwrites an earlier one.
+	at := make(map[string]int, len(oldEntries))
+	for i, e := range oldEntries {
+		oldKeys[i] = strings.ToLower(e.Path)
+		at[oldKeys[i]] = i
 	}
+	seen := make([]bool, len(oldEntries)) // indexed as at is
 	var d Diff
-	seen := map[string]bool{}
-	for _, e := range newSnap.Entries() {
-		key := strings.ToLower(e.Path)
-		seen[key] = true
-		oldRec, ok := oldBy[key]
-		switch {
-		case !ok:
+	for _, e := range newEntries {
+		i, ok := at[strings.ToLower(e.Path)]
+		if !ok {
 			d.Added = append(d.Added, e)
-		case !e.Rec.IsDir && (oldRec.Size != e.Rec.Size || oldRec.LastModified != e.Rec.LastModified):
+			continue
+		}
+		seen[i] = true
+		if old := oldEntries[i].Rec; !e.Rec.IsDir && (old.Size != e.Rec.Size || old.LastModified != e.Rec.LastModified) {
 			d.Changed = append(d.Changed, e)
 		}
 	}
-	for _, e := range oldSnap.Entries() {
-		if !seen[strings.ToLower(e.Path)] {
+	for i, e := range oldEntries {
+		if !seen[at[oldKeys[i]]] {
 			d.Removed = append(d.Removed, e)
 		}
 	}

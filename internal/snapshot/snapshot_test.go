@@ -7,8 +7,10 @@ import (
 	"errors"
 	"hash/crc32"
 	"io"
+	"math/rand"
 	"reflect"
 	"runtime"
+	"sort"
 	"strings"
 	"testing"
 
@@ -345,4 +347,121 @@ func FuzzSnapshotRead(f *testing.F) {
 		}
 		got.Entries() // must not panic on any accepted input
 	})
+}
+
+// joinedPaths is the path reconstruction Compare used before each path
+// was built from its parent's: every ancestor name joined afresh.
+func joinedPaths(s *Snapshot) []string {
+	out := make([]string, len(s.Records))
+	stack := make([]string, 0, 16)
+	for i, r := range s.Records {
+		if r.Depth == 0 {
+			out[i] = `\`
+			stack = stack[:0]
+			continue
+		}
+		if r.Depth-1 < len(stack) {
+			stack = stack[:r.Depth-1]
+		}
+		parts := append(append([]string{}, stack...), r.Name)
+		out[i] = `\` + strings.Join(parts, `\`)
+		if r.IsDir {
+			stack = append(stack, r.Name)
+		}
+	}
+	return out
+}
+
+// mapCompare is Compare as written before it resolved each snapshot once:
+// map-keyed, lower-casing old paths twice.
+func mapCompare(oldSnap, newSnap *Snapshot) Diff {
+	entries := func(s *Snapshot) []Entry {
+		var out []Entry
+		for i, p := range joinedPaths(s) {
+			out = append(out, Entry{Path: p, Rec: s.Records[i]})
+		}
+		return out
+	}
+	oldBy := map[string]WalkRecord{}
+	for _, e := range entries(oldSnap) {
+		oldBy[strings.ToLower(e.Path)] = e.Rec
+	}
+	var d Diff
+	seen := map[string]bool{}
+	for _, e := range entries(newSnap) {
+		key := strings.ToLower(e.Path)
+		seen[key] = true
+		oldRec, ok := oldBy[key]
+		switch {
+		case !ok:
+			d.Added = append(d.Added, e)
+		case !e.Rec.IsDir && (oldRec.Size != e.Rec.Size || oldRec.LastModified != e.Rec.LastModified):
+			d.Changed = append(d.Changed, e)
+		}
+	}
+	for _, e := range entries(oldSnap) {
+		if !seen[strings.ToLower(e.Path)] {
+			d.Removed = append(d.Removed, e)
+		}
+	}
+	sort.Slice(d.Added, func(i, j int) bool { return d.Added[i].Path < d.Added[j].Path })
+	sort.Slice(d.Removed, func(i, j int) bool { return d.Removed[i].Path < d.Removed[j].Path })
+	sort.Slice(d.Changed, func(i, j int) bool { return d.Changed[i].Path < d.Changed[j].Path })
+	return d
+}
+
+// randomWalk builds a record sequence that is mostly a well-formed
+// pre-order walk but also holds depth jumps, files with children, a
+// second root and names equal but for case, so paths collide when
+// lower-cased.
+func randomWalk(rng *rand.Rand, n int) *Snapshot {
+	names := []string{"a", "A", "b.txt", "B.TXT", "Profiles", "profiles", "x"}
+	s := &Snapshot{Machine: "m", Volume: `C:`}
+	depth := 0
+	for i := 0; i < n; i++ {
+		switch r := rng.Intn(20); {
+		case i == 0 || r == 0:
+			depth = 0
+		case r == 1:
+			depth += 2 + rng.Intn(3)
+		case r < 8:
+			depth++
+		default:
+			depth = rng.Intn(depth + 1)
+		}
+		s.Records = append(s.Records, WalkRecord{
+			Name:         names[rng.Intn(len(names))],
+			Depth:        depth,
+			IsDir:        rng.Intn(3) == 0,
+			Size:         int64(rng.Intn(4)),
+			LastModified: sim.Time(rng.Intn(3)),
+		})
+	}
+	return s
+}
+
+// TestCompareMatchesJoinedPaths pins the one-pass Compare to the old
+// map-keyed one, and parent-built paths to joined ones, on generated
+// walks including malformed ones, and on a real walk before and after
+// changes.
+func TestCompareMatchesJoinedPaths(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 300; trial++ {
+		a, b := randomWalk(rng, rng.Intn(200)), randomWalk(rng, rng.Intn(200))
+		if got, want := a.paths(), joinedPaths(a); !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: paths %q, joined %q", trial, got, want)
+		}
+		if got, want := Compare(a, b), mapCompare(a, b); !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: Compare %+v, old Compare %+v", trial, got, want)
+		}
+	}
+	fs := buildFS(t)
+	old := Take("m1", `C:`, fs, 100)
+	fs.CreateFile(`\docs\new.txt`, 50, types.AttrNormal, 200)
+	n, _ := fs.Lookup(`\docs\a.txt`)
+	fs.SetSize(n, 150, 210)
+	cur := Take("m1", `C:`, fs, 300)
+	if got, want := Compare(old, cur), mapCompare(old, cur); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Compare %+v, old Compare %+v", got, want)
+	}
 }

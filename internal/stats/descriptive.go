@@ -72,9 +72,7 @@ func (s Summary) Percentile(p float64) float64 {
 	if p >= 100 {
 		return s.sorted[len(s.sorted)-1]
 	}
-	pos := p / 100 * float64(len(s.sorted)-1)
-	lo := int(math.Floor(pos))
-	frac := pos - float64(lo)
+	lo, frac := percentileRank(len(s.sorted), p)
 	if lo+1 >= len(s.sorted) {
 		return s.sorted[lo]
 	}

@@ -20,21 +20,23 @@ func Hill(xs []float64, k int) float64 {
 	if k < 2 || len(xs) <= k {
 		return 0
 	}
-	sorted := append([]float64(nil), xs...)
-	slices.Sort(sorted)
-	slices.Reverse(sorted)
-	// sorted[0] >= sorted[1] >= ... ; use the k largest with the (k+1)-th
-	// as the threshold.
-	threshold := sorted[k]
+	// Only the k+1 largest values matter: select them on a copy and sort
+	// just those. top[k] ≥ … ≥ top[0], the (k+1)-th largest, which is
+	// the threshold; the sum runs from the largest down.
+	top := append([]float64(nil), xs...)
+	selectRank(top, len(top)-1-k)
+	top = top[len(top)-1-k:]
+	slices.Sort(top)
+	threshold := top[0]
 	if threshold <= 0 {
 		return 0
 	}
 	sum := 0.0
-	for i := 0; i < k; i++ {
-		if sorted[i] <= 0 {
+	for i := k; i > 0; i-- {
+		if top[i] <= 0 {
 			return 0
 		}
-		sum += math.Log(sorted[i] / threshold)
+		sum += math.Log(top[i] / threshold)
 	}
 	if sum == 0 {
 		return 0

@@ -19,7 +19,7 @@ TXT=BENCH_analysis.txt
 JSON=BENCH_analysis.json
 
 go test -run NONE \
-  -bench 'BenchmarkDataSetDecode|BenchmarkComputeResults|BenchmarkColumnarEncode|BenchmarkColumnarScan|BenchmarkColumnarCompute|BenchmarkQueryCold|BenchmarkQueryCacheHit' \
+  -bench 'BenchmarkDataSetDecode|BenchmarkComputeResults|BenchmarkColumnarEncode|BenchmarkColumnarScan|BenchmarkColumnarCompute|BenchmarkQueryCold|BenchmarkQueryCacheHit|BenchmarkLoadCorpus|BenchmarkSection5Snapshots' \
   -benchtime "$BENCHTIME" -count "$COUNT" . | tee "$TXT"
 
 # The obs and span hot paths are nanosecond-scale: at a small -benchtime
