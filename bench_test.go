@@ -11,6 +11,9 @@ package repro
 import (
 	"fmt"
 	"os"
+	"path/filepath"
+	"runtime"
+	"strconv"
 	"sync"
 	"testing"
 
@@ -336,9 +339,20 @@ func BenchmarkSection10(b *testing.B) {
 	b.ReportMetric(100*ws/float64(len(r.WriteShares)), "fastio_write_pct(paper:96)")
 }
 
-// snapCorpus is a 45-machine columnar corpus with day-0 snapshots, the
-// shape fsreport -in reloads, saved once to a temporary directory for
-// the §5 and corpus-load benchmarks.
+// ledgerStudy is the study of the benchmark (perfbench's studyConfig):
+// the paper's 45-machine mix with network shares, a day-0 snapshot and
+// the columnar layout, 5 simulated minutes, built on GOMAXPROCS workers.
+func ledgerStudy() core.Config {
+	return core.Config{
+		Seed: 5, Machines: 45, Duration: 5 * sim.Minute,
+		WithNetwork: true, SnapshotAtStart: true, Columnar: true,
+		Workers: runtime.GOMAXPROCS(0),
+	}
+}
+
+// snapCorpus is the ledger study after its run, the shape fsreport -in
+// reloads, saved once to a temporary directory for the §5, corpus-load
+// and save benchmarks.
 var (
 	snapCorpusOnce  sync.Once
 	snapCorpusDir   string
@@ -349,10 +363,7 @@ var (
 func snapCorpus(b *testing.B) (string, *core.Study) {
 	b.Helper()
 	snapCorpusOnce.Do(func() {
-		s := core.NewStudy(core.Config{
-			Seed: 5, Machines: 45, Duration: 5 * sim.Minute,
-			WithNetwork: true, SnapshotAtStart: true, Columnar: true, Workers: 8,
-		})
+		s := core.NewStudy(ledgerStudy())
 		if snapCorpusErr = s.Run(); snapCorpusErr != nil {
 			return
 		}
@@ -406,6 +417,45 @@ func BenchmarkLoadCorpus(b *testing.B) {
 	}
 	b.ReportMetric(float64(len(c.DS.Machines)), "machines")
 	b.ReportMetric(float64(len(c.Snaps)), "snapshots")
+}
+
+// BenchmarkStudyBuild measures core.NewStudy on the ledger study: the 45
+// machines' apparatus, most of it generating their local volumes and
+// shares (fsgen).
+func BenchmarkStudyBuild(b *testing.B) {
+	b.ReportAllocs()
+	var files int
+	for i := 0; i < b.N; i++ {
+		s := core.NewStudy(ledgerStudy())
+		if i == 0 {
+			for _, n := range s.Nodes {
+				files += n.M.SystemVolume().FS.FileCount + n.ShareFS.FS.FileCount
+			}
+		}
+	}
+	b.ReportMetric(float64(files), "files")
+}
+
+// BenchmarkStudySave measures Study.Save of the ledger study after its run
+// (outside the timer) into a fresh directory each iteration: encoding
+// every machine's segment and writing it, and writing every snapshot.
+func BenchmarkStudySave(b *testing.B) {
+	_, s := snapCorpus(b)
+	root := b.TempDir()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		dir := filepath.Join(root, strconv.Itoa(i))
+		if err := s.Save(dir); err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		if err := os.RemoveAll(dir); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+	}
+	b.ReportMetric(float64(len(s.Snapshots)), "snapshots")
 }
 
 // BenchmarkSection3Apparatus measures the §3.2 apparatus envelope:

@@ -5,6 +5,8 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/colstore"
@@ -440,5 +442,38 @@ func TestLoadDirLegacyNoManifest(t *testing.T) {
 	}
 	if got := loaded.Machines(); len(got) != 1 || got[0] != "node_a" {
 		t.Errorf("legacy load machines = %v, want [node_a]", got)
+	}
+}
+
+// TestSaveColumnarDirFirstError puts a directory where two segments are
+// to be written: at any GOMAXPROCS the error names the first machine in
+// stem order, where a serial save stops, and no stem manifest is written.
+func TestSaveColumnarDirFirstError(t *testing.T) {
+	s := NewStore()
+	for i, name := range []string{"m0", "m1", "m2", "m3", "m4"} {
+		if err := s.Append(name, mkRecs(10+i, uint64(i+1))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Finalize(); err != nil {
+		t.Fatal(err)
+	}
+	for _, procs := range []int{1, 4} {
+		func() {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			dir := t.TempDir()
+			for _, blocked := range []string{"m4", "m1"} {
+				if err := os.Mkdir(filepath.Join(dir, blocked+ColumnarExt), 0o755); err != nil {
+					t.Fatal(err)
+				}
+			}
+			_, err := s.SaveColumnarDir(dir, colstore.Options{}, nil)
+			if err == nil || !strings.Contains(err.Error(), "m1"+ColumnarExt) {
+				t.Errorf("GOMAXPROCS=%d: error %v, want one naming m1%s", procs, err, ColumnarExt)
+			}
+			if _, err := os.Stat(filepath.Join(dir, StemManifestName)); !errors.Is(err, os.ErrNotExist) {
+				t.Errorf("GOMAXPROCS=%d: failed save wrote %s (%v)", procs, StemManifestName, err)
+			}
+		}()
 	}
 }

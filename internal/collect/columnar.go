@@ -4,9 +4,11 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 
 	"repro/internal/colstore"
+	"repro/internal/par"
 )
 
 // ColumnarExt is the file suffix of a columnar segment on disk. A saved
@@ -22,41 +24,55 @@ const ColumnarExt = ".fsc"
 // per-machine summaries; each summary's SHA-256 equals the digest of the
 // machine's logical record stream, so callers can prove row/columnar
 // equivalence without re-reading files.
+//
+// Machines are encoded and written on GOMAXPROCS workers, each into its
+// own slot, so the files, the summaries and the error returned (the first
+// in stem order) are those of a serial save.
 func (s *Store) SaveColumnarDir(dir string, opts colstore.Options, prebuilt map[string][]byte) (map[string]colstore.Summary, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	sums := make(map[string]colstore.Summary)
 	stems := s.fileStems()
-	for _, mf := range stems {
-		var data []byte
-		var sum colstore.Summary
-		if pre := prebuilt[mf.machine]; pre != nil {
-			seg, err := colstore.OpenSegment(pre, nil)
-			if err != nil {
-				return nil, fmt.Errorf("collect: prebuilt segment %q: %w", mf.machine, err)
-			}
-			data = pre
-			sum = colstore.Summary{Records: seg.Records(), Blocks: seg.Blocks(), Bytes: seg.Bytes(), SHA: seg.SHA256()}
-		} else {
-			recs, err := s.Records(mf.machine)
-			if err != nil {
-				return nil, err
-			}
-			if data, sum, err = colstore.EncodeSegment(recs, opts); err != nil {
-				return nil, fmt.Errorf("collect: encode %q columnar: %w", mf.machine, err)
-			}
+	slots := make([]colstore.Summary, len(stems))
+	errs := make([]error, len(stems))
+	par.For(runtime.GOMAXPROCS(0), len(stems), func(i int) {
+		slots[i], errs[i] = s.saveSegment(dir, stems[i], opts, prebuilt[stems[i].machine])
+	})
+	sums := make(map[string]colstore.Summary, len(stems))
+	for i, mf := range stems {
+		if errs[i] != nil {
+			return nil, errs[i]
 		}
-		path := filepath.Join(dir, mf.stem+ColumnarExt)
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			return nil, err
-		}
-		sums[mf.machine] = sum
+		sums[mf.machine] = slots[i]
 	}
 	if err := writeStemManifest(dir, stems); err != nil {
 		return nil, err
 	}
 	return sums, nil
+}
+
+// saveSegment writes one machine's segment: pre when the caller has it
+// already encoded, otherwise an encoding of the machine's stream.
+func (s *Store) saveSegment(dir string, mf machineFile, opts colstore.Options, pre []byte) (colstore.Summary, error) {
+	var data []byte
+	var sum colstore.Summary
+	if pre != nil {
+		seg, err := colstore.OpenSegment(pre, nil)
+		if err != nil {
+			return sum, fmt.Errorf("collect: prebuilt segment %q: %w", mf.machine, err)
+		}
+		data = pre
+		sum = colstore.Summary{Records: seg.Records(), Blocks: seg.Blocks(), Bytes: seg.Bytes(), SHA: seg.SHA256()}
+	} else {
+		recs, err := s.Records(mf.machine)
+		if err != nil {
+			return sum, err
+		}
+		if data, sum, err = colstore.EncodeSegment(recs, opts); err != nil {
+			return sum, fmt.Errorf("collect: encode %q columnar: %w", mf.machine, err)
+		}
+	}
+	return sum, os.WriteFile(filepath.Join(dir, mf.stem+ColumnarExt), data, 0o644)
 }
 
 // LoadColumnarDir opens every *.fsc segment in dir, keyed by true

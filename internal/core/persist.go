@@ -38,6 +38,11 @@ type manifestEntry struct {
 // segments (*.fsc) when set — restored machines reuse the segment
 // carried by their checkpoint instead of re-encoding. The study must
 // have Run.
+//
+// Segments and snapshots are encoded and written on GOMAXPROCS workers,
+// as LoadCorpusTrace reads them; each lands in its own slot, so the
+// directory and the error returned (the first in slot order) are those
+// of a serial save.
 func (s *Study) Save(dir string) error {
 	if !s.ran {
 		return fmt.Errorf("core: Save before Run")
@@ -73,21 +78,25 @@ func (s *Study) Save(dir string) error {
 	if err := os.WriteFile(filepath.Join(dir, "manifest.json"), data, 0o644); err != nil {
 		return err
 	}
-	for i, snap := range s.Snapshots {
-		name := fmt.Sprintf("%s-%03d.snap", safe(snap.Machine), i)
-		f, err := os.Create(filepath.Join(dir, name))
-		if err != nil {
-			return err
-		}
-		if err := snap.Write(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
+	errs := make([]error, len(s.Snapshots))
+	par.For(runtime.GOMAXPROCS(0), len(s.Snapshots), func(i int) {
+		snap := s.Snapshots[i]
+		errs[i] = writeSnapshot(filepath.Join(dir, fmt.Sprintf("%s-%03d.snap", safe(snap.Machine), i)), snap)
+	})
+	return firstError(errs)
+}
+
+// writeSnapshot encodes one snapshot into a new file at path.
+func writeSnapshot(path string, snap *snapshot.Snapshot) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
 	}
-	return nil
+	if err := snap.Write(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 func safe(s string) string { return collect.SafeName(s) }

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/ntos/machine"
@@ -145,5 +146,82 @@ func TestSaveBeforeRunFails(t *testing.T) {
 func TestLoadMissingDirFails(t *testing.T) {
 	if _, _, err := Load("/nonexistent-dir-xyz"); err == nil {
 		t.Error("Load of missing dir succeeded")
+	}
+}
+
+// readCorpusDir maps every file name in dir to its bytes.
+func readCorpusDir(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := map[string][]byte{}
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[e.Name()] = data
+	}
+	return files
+}
+
+// TestSaveProcsInvariant pins the parallel save to the serial one: under
+// GOMAXPROCS 1 and 4 one study writes the same file names with the same
+// bytes.
+func TestSaveProcsInvariant(t *testing.T) {
+	s := loadStudy(t)
+	var saved []map[string][]byte
+	for _, procs := range []int{1, 4} {
+		dir := t.TempDir()
+		withProcs(procs, func() {
+			if err := s.Save(dir); err != nil {
+				t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
+			}
+		})
+		saved = append(saved, readCorpusDir(t, dir))
+	}
+	serial, parallel := saved[0], saved[1]
+	// Segments, snapshots, the stem manifest and manifest.json.
+	if want := len(s.Store.Machines()) + len(s.Snapshots) + 2; len(serial) != want || len(s.Snapshots) < 2 {
+		t.Fatalf("serial save wrote %d files for %d machines and %d snapshots", len(serial), len(s.Store.Machines()), len(s.Snapshots))
+	}
+	if len(parallel) != len(serial) {
+		t.Errorf("GOMAXPROCS 4 wrote %d files, GOMAXPROCS 1 %d", len(parallel), len(serial))
+	}
+	for name, data := range serial {
+		if p, ok := parallel[name]; !ok || !bytes.Equal(p, data) {
+			t.Errorf("%s differs between GOMAXPROCS 1 and 4", name)
+		}
+	}
+}
+
+// TestSaveFirstBlockedSnapshot puts a directory where two snapshots are
+// to be written: at any GOMAXPROCS the error names the first in slot
+// order, where a serial save stops.
+func TestSaveFirstBlockedSnapshot(t *testing.T) {
+	s := loadStudy(t)
+	if len(s.Snapshots) < 4 {
+		t.Fatalf("study took %d snapshots", len(s.Snapshots))
+	}
+	name := func(i int) string { return fmt.Sprintf("%s-%03d.snap", safe(s.Snapshots[i].Machine), i) }
+	first, second := name(1), name(len(s.Snapshots)-1)
+	for _, procs := range []int{1, 4} {
+		dir := t.TempDir()
+		for _, blocked := range []string{second, first} {
+			if err := os.Mkdir(filepath.Join(dir, blocked), 0o755); err != nil {
+				t.Fatal(err)
+			}
+		}
+		withProcs(procs, func() {
+			err := s.Save(dir)
+			if err == nil {
+				t.Fatalf("GOMAXPROCS=%d: Save over blocked snapshot paths succeeded", procs)
+			}
+			if !strings.Contains(err.Error(), first) {
+				t.Errorf("GOMAXPROCS=%d: error %q does not name the first blocked snapshot %s", procs, err, first)
+			}
+		})
 	}
 }

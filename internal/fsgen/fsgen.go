@@ -77,9 +77,11 @@ var (
 
 // gen tracks generation state for one volume.
 type gen struct {
-	fs  *fsys.FS
-	rng *sim.RNG
-	now sim.Time
+	fs *fsys.FS
+	// root is the volume root as a dir, so that sub(root, "x") is \x.
+	root dir
+	rng  *sim.RNG
+	now  sim.Time
 	// ageSpan back-dates file times over the volume's life (§2: file
 	// systems aged 2 months to 3 years).
 	ageSpan sim.Duration
@@ -113,26 +115,35 @@ func (g *gen) stamp(n *fsys.Node, installerBackdate bool) {
 	n.LastAccessed = accessed
 }
 
-// file creates one file, returning its volume-relative path.
-func (g *gen) file(dir, name string, size int64, backdate bool) string {
-	return g.fileAttr(dir, name, size, backdate, types.AttrNormal)
+// dir is a directory the generator made: its volume-relative path, as the
+// Layout records it, and its node, under which files are created without
+// walking the path from the root again.
+type dir struct {
+	path string
+	node *fsys.Node
 }
 
-// fileAttr creates one file with explicit attributes.
-func (g *gen) fileAttr(dir, name string, size int64, backdate bool, attrs types.FileAttributes) string {
-	path := dir + `\` + name
-	n, st := g.fs.CreateFile(path, size, attrs, g.now)
+// file creates one file, returning its volume-relative path.
+func (g *gen) file(d dir, name string, size int64, backdate bool) string {
+	return g.fileAttr(d, name, size, backdate, types.AttrNormal)
+}
+
+// fileAttr creates one file with explicit attributes; it returns "" when
+// the name is taken or the volume is full.
+func (g *gen) fileAttr(d dir, name string, size int64, backdate bool, attrs types.FileAttributes) string {
+	n, st := g.fs.CreateIn(d.node, name, size, attrs, g.now)
 	if st.IsError() {
 		return ""
 	}
 	g.stamp(n, backdate)
-	return path
+	return d.path + `\` + name
 }
 
-// dir ensures a directory exists.
-func (g *gen) dir(path string) string {
-	g.fs.MkdirAll(path, g.now)
-	return path
+// sub ensures the directory at the relative path rel (one or more
+// components) exists under d, and returns it.
+func (g *gen) sub(d dir, rel string) dir {
+	n, _ := g.fs.MkdirAllIn(d.node, rel, g.now)
+	return dir{d.path + `\` + rel, n}
 }
 
 // sample draws a size.
@@ -164,15 +175,16 @@ func PopulateLocal(fs *fsys.FS, rng *sim.RNG, cfg Config) *Layout {
 	if cfg.User == "" {
 		cfg.User = "user"
 	}
-	g := &gen{fs: fs, rng: rng, now: cfg.Now, ageSpan: cfg.AgeSpan}
+	g := &gen{fs: fs, root: dir{node: fs.Root}, rng: rng, now: cfg.Now, ageSpan: cfg.AgeSpan}
 	lay := &Layout{User: cfg.User}
 
 	g.systemTree(lay)
 	g.profileTree(lay, cfg.User)
 	g.applicationPackages(lay)
-	lay.TempDir = g.dir(`\temp`)
+	temp := g.sub(g.root, "temp")
+	lay.TempDir = temp.path
 	for i := 0; i < 3+rng.Intn(8); i++ {
-		g.file(lay.TempDir, fmt.Sprintf("~tmp%04x.tmp", rng.Intn(65536)), g.size(sizeTiny), false)
+		g.file(temp, fmt.Sprintf("~tmp%04x.tmp", rng.Intn(65536)), g.size(sizeTiny), false)
 	}
 
 	switch cfg.Category {
@@ -198,29 +210,31 @@ func PopulateLocal(fs *fsys.FS, rng *sim.RNG, cfg Config) *Layout {
 
 // systemTree builds \winnt with system32, fonts and support files.
 func (g *gen) systemTree(lay *Layout) {
-	lay.SystemDir = g.dir(`\winnt\system32`)
-	g.dir(`\winnt\help`)
-	g.dir(`\winnt\inf`)
-	g.dir(`\winnt\media`)
-	fonts := g.dir(`\winnt\fonts`)
+	winnt := g.sub(g.root, "winnt")
+	system := g.sub(winnt, "system32")
+	lay.SystemDir = system.path
+	help := g.sub(winnt, "help")
+	inf := g.sub(winnt, "inf")
+	media := g.sub(winnt, "media")
+	fonts := g.sub(winnt, "fonts")
 
 	// system32: the dll/exe census the size distribution hangs off.
 	nDll := 1300 + g.rng.Intn(700)
 	for i := 0; i < nDll; i++ {
-		p := g.file(lay.SystemDir, fmt.Sprintf("sys%04d.dll", i), g.size(sizeDll), false)
+		p := g.file(system, fmt.Sprintf("sys%04d.dll", i), g.size(sizeDll), false)
 		if p != "" {
 			lay.Libraries = append(lay.Libraries, p)
 		}
 	}
 	nExe := 250 + g.rng.Intn(150)
 	for i := 0; i < nExe; i++ {
-		p := g.file(lay.SystemDir, fmt.Sprintf("app%03d.exe", i), g.size(sizeExe), false)
+		p := g.file(system, fmt.Sprintf("app%03d.exe", i), g.size(sizeExe), false)
 		if p != "" {
 			lay.Executables = append(lay.Executables, p)
 		}
 	}
 	for i := 0; i < 300+g.rng.Intn(200); i++ {
-		g.file(lay.SystemDir, fmt.Sprintf("drv%03d.sys", i), g.size(sizeMedium), false)
+		g.file(system, fmt.Sprintf("drv%03d.sys", i), g.size(sizeMedium), false)
 	}
 	for i := 0; i < 120+g.rng.Intn(80); i++ {
 		p := g.file(fonts, fmt.Sprintf("font%03d.ttf", i), g.size(sizeFont), false)
@@ -229,28 +243,32 @@ func (g *gen) systemTree(lay *Layout) {
 		}
 	}
 	for i := 0; i < 150+g.rng.Intn(150); i++ {
-		g.file(`\winnt\help`, fmt.Sprintf("topic%03d.hlp", i), g.size(sizeMedium), false)
+		g.file(help, fmt.Sprintf("topic%03d.hlp", i), g.size(sizeMedium), false)
 	}
 	for i := 0; i < 100+g.rng.Intn(100); i++ {
-		g.file(`\winnt\inf`, fmt.Sprintf("setup%03d.inf", i), g.size(sizeTiny), false)
+		g.file(inf, fmt.Sprintf("setup%03d.inf", i), g.size(sizeTiny), false)
 	}
 	for i := 0; i < 30+g.rng.Intn(30); i++ {
-		g.file(`\winnt\media`, fmt.Sprintf("snd%02d.wav", i), g.size(sizeMedium), false)
+		g.file(media, fmt.Sprintf("snd%02d.wav", i), g.size(sizeMedium), false)
 	}
 	for i := 0; i < 40; i++ {
-		g.file(`\winnt`, fmt.Sprintf("cfg%02d.ini", i), g.size(sizeTiny), false)
+		g.file(winnt, fmt.Sprintf("cfg%02d.ini", i), g.size(sizeTiny), false)
 	}
 }
 
 // profileTree builds \winnt\profiles\<user> — where 87%–99% of local user
 // files live (§5).
 func (g *gen) profileTree(lay *Layout, user string) {
-	lay.Profile = g.dir(`\winnt\profiles\` + user)
-	desktop := g.dir(lay.Profile + `\Desktop`)
-	lay.DocsDir = g.dir(lay.Profile + `\Personal`)
-	appdata := g.dir(lay.Profile + `\Application Data`)
-	lay.MailDir = g.dir(appdata + `\mail`)
-	lay.WebCache = g.dir(lay.Profile + `\Temporary Internet Files`)
+	profile := g.sub(g.root, `winnt\profiles\`+user)
+	lay.Profile = profile.path
+	desktop := g.sub(profile, "Desktop")
+	docs := g.sub(profile, "Personal")
+	lay.DocsDir = docs.path
+	appdata := g.sub(profile, "Application Data")
+	mail := g.sub(appdata, "mail")
+	lay.MailDir = mail.path
+	web := g.sub(profile, "Temporary Internet Files")
+	lay.WebCache = web.path
 
 	for i := 0; i < 10+g.rng.Intn(20); i++ {
 		g.file(desktop, fmt.Sprintf("shortcut%02d.lnk", i), g.size(sizeTiny), false)
@@ -259,14 +277,14 @@ func (g *gen) profileTree(lay *Layout, user string) {
 	nDocs := 120 + g.rng.Intn(500)
 	for i := 0; i < nDocs; i++ {
 		ext := docTypes[g.rng.Intn(len(docTypes))]
-		p := g.file(lay.DocsDir, fmt.Sprintf("note%04d.%s", i, ext), g.size(sizeSmall), false)
+		p := g.file(docs, fmt.Sprintf("note%04d.%s", i, ext), g.size(sizeSmall), false)
 		if p != "" {
 			lay.Documents = append(lay.Documents, p)
 		}
 	}
 	nMail := 2 + g.rng.Intn(8)
 	for i := 0; i < nMail; i++ {
-		p := g.file(lay.MailDir, fmt.Sprintf("folder%02d.mbx", i), g.size(sizeMail), false)
+		p := g.file(mail, fmt.Sprintf("folder%02d.mbx", i), g.size(sizeMail), false)
 		if p != "" {
 			lay.MailFiles = append(lay.MailFiles, p)
 		}
@@ -277,6 +295,12 @@ func (g *gen) profileTree(lay *Layout, user string) {
 	targetFiles := 2000 + g.rng.Intn(7500)
 	targetBytes := int64(5<<20) + g.rng.Int63n(40<<20)
 	webTypes := []string{"gif", "jpg", "htm", "html", "js", "css"}
+	// The loop below cannot stop before i > 1000, so making the four
+	// subdirectories up front makes the ones first use would make.
+	var cache [4]dir
+	for k := range cache {
+		cache[k] = g.sub(web, fmt.Sprintf("cache%d", k))
+	}
 	var bytes int64
 	for i := 0; i < targetFiles; i++ {
 		sz := g.size(sizeWeb)
@@ -285,8 +309,7 @@ func (g *gen) profileTree(lay *Layout, user string) {
 		}
 		bytes += sz
 		ext := webTypes[g.rng.Intn(len(webTypes))]
-		sub := g.dir(lay.WebCache + fmt.Sprintf(`\cache%d`, i%4))
-		p := g.file(sub, fmt.Sprintf("ie%06d.%s", i, ext), sz, false)
+		p := g.file(cache[i%4], fmt.Sprintf("ie%06d.%s", i, ext), sz, false)
 		if p != "" {
 			lay.WebFiles = append(lay.WebFiles, p)
 		}
@@ -297,12 +320,12 @@ func (g *gen) profileTree(lay *Layout, user string) {
 func (g *gen) applicationPackages(lay *Layout) {
 	nApps := 12 + g.rng.Intn(9)
 	for a := 0; a < nApps; a++ {
-		root := g.dir(fmt.Sprintf(`\Program Files\app%02d`, a))
+		root := g.sub(g.root, fmt.Sprintf(`Program Files\app%02d`, a))
 		nFiles := 250 + g.rng.Intn(1400)
 		nDirs := 1 + nFiles/60
-		dirs := make([]string, nDirs)
+		dirs := make([]dir, nDirs)
 		for i := range dirs {
-			dirs[i] = g.dir(fmt.Sprintf(`%s\part%02d`, root, i))
+			dirs[i] = g.sub(root, fmt.Sprintf("part%02d", i))
 		}
 		for i := 0; i < nFiles; i++ {
 			d := dirs[g.rng.Intn(nDirs)]
@@ -331,11 +354,12 @@ func (g *gen) applicationPackages(lay *Layout) {
 
 // devTree builds a development tree of roughly n files.
 func (g *gen) devTree(lay *Layout, n int) {
-	lay.DevDir = g.dir(`\src`)
+	src := g.sub(g.root, "src")
+	lay.DevDir = src.path
 	nMods := 1 + n/120
 	for m := 0; m < nMods; m++ {
-		mod := g.dir(fmt.Sprintf(`\src\mod%02d`, m))
-		objDir := g.dir(mod + `\obj`)
+		mod := g.sub(src, fmt.Sprintf("mod%02d", m))
+		objDir := g.sub(mod, "obj")
 		per := n / nMods
 		// NTFS compression is commonly enabled on development trees; the
 		// paper's follow-up traces examined reads from compressed files.
@@ -369,11 +393,11 @@ func (g *gen) devTree(lay *Layout, n int) {
 // platformSDK models the Microsoft Platform SDK: 14,000 files in 1,300
 // directories (§5).
 func (g *gen) platformSDK(lay *Layout) {
-	root := g.dir(`\Program Files\PlatformSDK`)
+	root := g.sub(g.root, `Program Files\PlatformSDK`)
 	const nDirs, nFiles = 1300, 14000
-	dirs := make([]string, nDirs)
+	dirs := make([]dir, nDirs)
 	for i := range dirs {
-		dirs[i] = g.dir(fmt.Sprintf(`%s\d%02d\s%02d`, root, i/40, i%40))
+		dirs[i] = g.sub(root, fmt.Sprintf(`d%02d\s%02d`, i/40, i%40))
 	}
 	for i := 0; i < nFiles; i++ {
 		d := dirs[g.rng.Intn(nDirs)]
@@ -393,9 +417,10 @@ func (g *gen) platformSDK(lay *Layout) {
 // dataTree builds the scientific datasets (files "of an order of magnitude
 // larger (100-300 Mbytes)", §6.1) read through memory-mapped views.
 func (g *gen) dataTree(lay *Layout) {
-	lay.DataDir = g.dir(`\data`)
+	data := g.sub(g.root, "data")
+	lay.DataDir = data.path
 	for i := 0; i < 5+g.rng.Intn(12); i++ {
-		p := g.file(lay.DataDir, fmt.Sprintf("run%02d.hdf", i), g.size(sizeData), false)
+		p := g.file(data, fmt.Sprintf("run%02d.hdf", i), g.size(sizeData), false)
 		if p != "" {
 			lay.DataFiles = append(lay.DataFiles, p)
 		}
@@ -415,7 +440,7 @@ type ShareConfig struct {
 // PopulateShare fills fs with one user's network home directory. Shares
 // had "no uniformity in size or content" (§5).
 func PopulateShare(fs *fsys.FS, rng *sim.RNG, cfg ShareConfig) *Layout {
-	g := &gen{fs: fs, rng: rng, now: cfg.Now, ageSpan: sim.Duration(2 * 365 * float64(sim.Day))}
+	g := &gen{fs: fs, root: dir{node: fs.Root}, rng: rng, now: cfg.Now, ageSpan: sim.Duration(2 * 365 * float64(sim.Day))}
 	scale := cfg.Scale
 	if scale < 0 {
 		// Heavy-tailed share sizes.
@@ -423,10 +448,13 @@ func PopulateShare(fs *fsys.FS, rng *sim.RNG, cfg ShareConfig) *Layout {
 	}
 	nFiles := 150 + int(scale*26850)
 	lay := &Layout{User: cfg.User}
-	home := g.dir(`\` + cfg.User)
-	lay.DocsDir = home
-	archive := g.dir(home + `\archive`)
-	proj := g.dir(home + `\projects`)
+	home := g.sub(g.root, cfg.User)
+	lay.DocsDir = home.path
+	archive := g.sub(home, "archive")
+	proj := g.sub(home, "projects")
+	// Each project directory is made when its first file is drawn, so one
+	// that draws none does not exist.
+	var projDirs [20]dir
 	docTypes := []string{"doc", "xls", "txt", "ppt", "zip", "mdb", "csv"}
 	for i := 0; i < nFiles; i++ {
 		d := home
@@ -434,7 +462,10 @@ func PopulateShare(fs *fsys.FS, rng *sim.RNG, cfg ShareConfig) *Layout {
 		case 1:
 			d = archive
 		case 2:
-			d = g.dir(fmt.Sprintf(`%s\p%02d`, proj, i%20))
+			if projDirs[i%20].node == nil {
+				projDirs[i%20] = g.sub(proj, fmt.Sprintf("p%02d", i%20))
+			}
+			d = projDirs[i%20]
 		}
 		ext := docTypes[g.rng.Intn(len(docTypes))]
 		var size int64

@@ -1,6 +1,10 @@
 package fsgen
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
+	"fmt"
 	"sort"
 	"strings"
 	"testing"
@@ -9,6 +13,7 @@ import (
 	"repro/internal/ntos/machine"
 	"repro/internal/ntos/volume"
 	"repro/internal/sim"
+	"repro/internal/snapshot"
 )
 
 func genLocal(t *testing.T, seed uint64, cat machine.Category) (*fsys.FS, *Layout) {
@@ -224,5 +229,102 @@ func TestShareScaleBands(t *testing.T) {
 	lay := PopulateShare(random, sim.NewRNG(13), ShareConfig{User: "dave", Scale: -1})
 	if len(lay.Documents) == 0 {
 		t.Error("random share empty")
+	}
+}
+
+// generatorDigests pins the generator's output: per case, the SHA-256 of
+// the volume's snapshot (snapshot.Take, encoded by Write) followed by its
+// Layout as JSON. A change to the RNG draws, to the directories made or
+// to the Layout's path strings moves a digest. The 150-file shares at
+// seeds 2 and 3 leave a projects\pNN directory without files, which must
+// then not exist.
+var generatorDigests = map[string]string{
+	"walk-up/NTFS/1":        "2f4b63bcd06394c561b5ed887951c6f30d734761cbca82f4657506fc5916e53c",
+	"walk-up/NTFS/2":        "b3cc5c556ac7359769995437de72c55aa43d0f0b6554d1a228ac006bafc23982",
+	"walk-up/NTFS/3":        "e9f708951b88acee6547d9d7ca53e79017dba7b2bd35f81ac8cace7c1dcaccef",
+	"walk-up/FAT/1":         "9f8510ba324130997042a18beddefc36197431745af0b85dceee114008e9aa34",
+	"walk-up/FAT/2":         "c0fc803e4b9723d9b310e5126b3a9e4411294f5ea0b40d84b8c19e298c4214e9",
+	"walk-up/FAT/3":         "a43644abaa1bbdf5be46a934ca1a5e94b2159846b3be30f31abcc8feff42fe87",
+	"pool/NTFS/1":           "2922123a0ded92b500ebf674d752f0c25376a6118544fdcf2ed99dae25c54b7a",
+	"pool/NTFS/2":           "08271f74a792d31343ed85a84aa69ea6d412ff621d1371ff482d141d6ede38a7",
+	"pool/NTFS/3":           "db7ec8f8d07e42c2726a6245f64c7f2c763d94c12d5e7749848c64705023d2f4",
+	"pool/FAT/1":            "c3186a41bb5843301cde5a721734a00500c61162997ccc1112dca78448989a05",
+	"pool/FAT/2":            "5b6fb443e3b67e2a2cbc4ceedb869580e092aa228a7d46865aba29e3de65692b",
+	"pool/FAT/3":            "8139b66c10c3d75cf0d5e7b8a39ab4a3048cdc7d1acc4869a09223eee7517750",
+	"personal/NTFS/1":       "2f4b63bcd06394c561b5ed887951c6f30d734761cbca82f4657506fc5916e53c",
+	"personal/NTFS/2":       "b3cc5c556ac7359769995437de72c55aa43d0f0b6554d1a228ac006bafc23982",
+	"personal/NTFS/3":       "5804a821a18b7357494db77c71844c38dae0f56d32782872b01ccbc427fe7cc6",
+	"personal/FAT/1":        "9f8510ba324130997042a18beddefc36197431745af0b85dceee114008e9aa34",
+	"personal/FAT/2":        "c0fc803e4b9723d9b310e5126b3a9e4411294f5ea0b40d84b8c19e298c4214e9",
+	"personal/FAT/3":        "90452ffbb6ee68ae56aa28f22e4b4df7792f7bff95e3feb89983ff31fe68e666",
+	"administrative/NTFS/1": "2f4b63bcd06394c561b5ed887951c6f30d734761cbca82f4657506fc5916e53c",
+	"administrative/NTFS/2": "b3cc5c556ac7359769995437de72c55aa43d0f0b6554d1a228ac006bafc23982",
+	"administrative/NTFS/3": "5804a821a18b7357494db77c71844c38dae0f56d32782872b01ccbc427fe7cc6",
+	"administrative/FAT/1":  "9f8510ba324130997042a18beddefc36197431745af0b85dceee114008e9aa34",
+	"administrative/FAT/2":  "c0fc803e4b9723d9b310e5126b3a9e4411294f5ea0b40d84b8c19e298c4214e9",
+	"administrative/FAT/3":  "90452ffbb6ee68ae56aa28f22e4b4df7792f7bff95e3feb89983ff31fe68e666",
+	"scientific/NTFS/1":     "d1546b1ff3a3628a244f37c7a2961316fef4a6c57e5413f817aab660db47745c",
+	"scientific/NTFS/2":     "fa594feadf92262c5f772b997976a79dbfc66bafe91f1d91582128b118f7225a",
+	"scientific/NTFS/3":     "0d166c8fe911afac0178b94e90e57d334926ce05dceb959585f1ad176fb54a9e",
+	"scientific/FAT/1":      "ac8ca50835e1f167fd1499876b42916313b69a54cfd282dbd50649d5d73c8d57",
+	"scientific/FAT/2":      "1a0646ebc299b8c78c3e747f4a654e2c7045a14c2064b0a1d4be8d568ad3df2a",
+	"scientific/FAT/3":      "2633783e8827530db5886302c387f8eee007a8dad95074e8150d72915c5af41d",
+	"share/1":               "64182fc61fbdd04d7d5b4af88790466c30458a4ba551853b2327bec00a7f0620",
+	"share/2":               "6ae656e67ff91e0fc1f57d5f55380ecb22bef880f3956cc02a39aced8f7450dd",
+	"share/3":               "ca4301e51a3de717fa296e049a7ae5b3c49c34e2e5ff29ea24f720153d0ddfdb",
+	"share-150/1":           "ff676d4a731f71a7fc46dec180b599103274c1a25d3b5a07df34a6d9b9736ff0",
+	"share-150/2":           "524dacc749116b06a1aed305f3e471700a14d73a5a5c3fec0db2712e53356976",
+	"share-150/3":           "0048767b908487906a00a340942fc8a07030c7f8c2a9dbf5cebc038506250493",
+}
+
+// genNow is the digest cases' study start: late enough that NTFS and FAT
+// directory times differ.
+const genNow = sim.Time(30 * sim.Day)
+
+func TestGeneratorDigests(t *testing.T) {
+	type genCase struct {
+		name string
+		gen  func(rng *sim.RNG) (*fsys.FS, *Layout)
+	}
+	var cases []genCase
+	for _, cat := range []machine.Category{machine.WalkUp, machine.Pool, machine.Personal, machine.Administrative, machine.Scientific} {
+		// The study's disk geometry for the category.
+		geo := volume.IDE1998
+		if cat == machine.Scientific {
+			geo = volume.SCSI1998
+		}
+		for _, flavor := range []volume.Flavor{volume.FlavorNTFS, volume.FlavorFAT} {
+			cases = append(cases, genCase{cat.String() + "/" + flavor.String(), func(rng *sim.RNG) (*fsys.FS, *Layout) {
+				fs := fsys.New(flavor, geo.CapacityBytes)
+				return fs, PopulateLocal(fs, rng, Config{User: "alice", Category: cat, Now: genNow})
+			}})
+		}
+	}
+	for _, sc := range []struct {
+		name  string
+		scale float64
+	}{{"share", -1}, {"share-150", 0}} {
+		cases = append(cases, genCase{sc.name, func(rng *sim.RNG) (*fsys.FS, *Layout) {
+			fs := fsys.New(volume.FlavorCIFS, volume.Redirector100Mb.CapacityBytes)
+			return fs, PopulateShare(fs, rng, ShareConfig{User: "bob", Now: genNow, Scale: sc.scale})
+		}})
+	}
+	for _, c := range cases {
+		for seed := uint64(1); seed <= 3; seed++ {
+			key := fmt.Sprintf("%s/%d", c.name, seed)
+			fs, lay := c.gen(sim.NewRNG(seed))
+			h := sha256.New()
+			if err := snapshot.Take("m", "C:", fs, genNow).Write(h); err != nil {
+				t.Fatalf("%s: %v", key, err)
+			}
+			js, err := json.Marshal(lay)
+			if err != nil {
+				t.Fatalf("%s: %v", key, err)
+			}
+			h.Write(js)
+			if got, want := hex.EncodeToString(h.Sum(nil)), generatorDigests[key]; got != want {
+				t.Errorf("%s: digest %s, want %s", key, got, want)
+			}
+		}
 	}
 }

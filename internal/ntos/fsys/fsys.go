@@ -151,7 +151,12 @@ func splitPath(p string) []string {
 // an intermediate component is missing or not a directory, and
 // StatusObjectNameNotFound if only the final component is missing.
 func (fs *FS) Lookup(p string) (*Node, types.Status) {
-	parts := splitPath(p)
+	return fs.resolve(splitPath(p))
+}
+
+// resolve walks already-split path components down from the root, with
+// Lookup's statuses.
+func (fs *FS) resolve(parts []string) (*Node, types.Status) {
 	cur := fs.Root
 	for i, part := range parts {
 		if !cur.IsDir() {
@@ -176,9 +181,20 @@ func (fs *FS) Mkdir(p string, now sim.Time) (*Node, types.Status) {
 
 // MkdirAll creates a directory and any missing parents.
 func (fs *FS) MkdirAll(p string, now sim.Time) (*Node, types.Status) {
-	parts := splitPath(p)
-	cur := fs.Root
-	for _, part := range parts {
+	return fs.MkdirAllIn(fs.Root, p, now)
+}
+
+// MkdirAllIn creates the directory at the relative path rel under parent,
+// and any missing directories between them, and returns it; an empty rel
+// names parent itself. It fails with StatusNotADirectory where parent or a
+// component of rel is a file, and with StatusObjectPathNotFound when
+// parent has been unlinked.
+func (fs *FS) MkdirAllIn(parent *Node, rel string, now sim.Time) (*Node, types.Status) {
+	if st := parentStatus(parent); st.IsError() {
+		return nil, st
+	}
+	cur := parent
+	for _, part := range splitPath(rel) {
 		next := cur.Child(part)
 		if next == nil {
 			n, st := fs.createIn(cur, part, true, 0, types.AttrDirectory, now)
@@ -201,23 +217,45 @@ func (fs *FS) CreateFile(p string, size int64, attrs types.FileAttributes, now s
 	return fs.create(p, false, size, attrs, now)
 }
 
+// CreateIn creates a regular file named name directly under parent, a
+// node the caller holds, without walking a path from the root. It returns
+// the statuses of CreateFile: StatusNotADirectory when parent is a file,
+// StatusObjectPathNotFound when parent has been unlinked,
+// StatusObjectNameCollision and StatusDiskFull.
+func (fs *FS) CreateIn(parent *Node, name string, size int64, attrs types.FileAttributes, now sim.Time) (*Node, types.Status) {
+	return fs.createIn(parent, name, false, size, attrs, now)
+}
+
 func (fs *FS) create(p string, dir bool, size int64, attrs types.FileAttributes, now sim.Time) (*Node, types.Status) {
 	parts := splitPath(p)
 	if len(parts) == 0 {
 		return nil, types.StatusObjectNameCollision
 	}
-	parentPath := strings.Join(parts[:len(parts)-1], `\`)
-	parent, st := fs.Lookup(parentPath)
+	parent, st := fs.resolve(parts[:len(parts)-1])
 	if st.IsError() {
 		return nil, types.StatusObjectPathNotFound
-	}
-	if !parent.IsDir() {
-		return nil, types.StatusNotADirectory
 	}
 	return fs.createIn(parent, parts[len(parts)-1], dir, size, attrs, now)
 }
 
+// parentStatus says whether a node can take a new child: a path cannot
+// reach an unlinked node, and a file has no children.
+func parentStatus(parent *Node) types.Status {
+	switch {
+	case parent.Orphaned():
+		return types.StatusObjectPathNotFound
+	case !parent.IsDir():
+		return types.StatusNotADirectory
+	}
+	return types.StatusSuccess
+}
+
+// createIn is the one place a node joins the tree. A failed create leaves
+// the counts and space accounting untouched.
 func (fs *FS) createIn(parent *Node, name string, dir bool, size int64, attrs types.FileAttributes, now sim.Time) (*Node, types.Status) {
+	if st := parentStatus(parent); st.IsError() {
+		return nil, st
+	}
 	key := strings.ToLower(name)
 	if parent.children[key] != nil {
 		return nil, types.StatusObjectNameCollision
@@ -302,7 +340,7 @@ func (fs *FS) Rename(n *Node, newPath string) types.Status {
 	if len(parts) == 0 {
 		return types.StatusInvalidParameter
 	}
-	parent, st := fs.Lookup(strings.Join(parts[:len(parts)-1], `\`))
+	parent, st := fs.resolve(parts[:len(parts)-1])
 	if st.IsError() {
 		return types.StatusObjectPathNotFound
 	}

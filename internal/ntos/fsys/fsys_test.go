@@ -221,3 +221,89 @@ func TestChildNamesSorted(t *testing.T) {
 		t.Errorf("ChildNames = %v", names)
 	}
 }
+
+func TestCreateInAndMkdirAllIn(t *testing.T) {
+	fs := newNTFS()
+	dir, _ := fs.MkdirAll(`\dir`, 0)
+	f, st := fs.CreateIn(dir, "f.txt", 10, types.AttrNormal, 0)
+	if st.IsError() {
+		t.Fatalf("CreateIn: %v", st)
+	}
+	if n, st := fs.Lookup(`\dir\f.txt`); st.IsError() || n != f {
+		t.Errorf("created file does not resolve: %v", st)
+	}
+	sub, st := fs.MkdirAllIn(dir, `x\y`, 0)
+	if st.IsError() {
+		t.Fatalf("MkdirAllIn: %v", st)
+	}
+	if n, st := fs.Lookup(`\dir\x\y`); st.IsError() || n != sub {
+		t.Errorf("made directory does not resolve: %v", st)
+	}
+	if again, st := fs.MkdirAllIn(dir, `x\y`, 0); st.IsError() || again != sub {
+		t.Errorf("MkdirAllIn of an existing directory: %v", st)
+	}
+	if fs.FileCount != 1 || fs.DirCount != 4 || fs.UsedBytes != 10 {
+		t.Errorf("counts %d files, %d dirs, %d bytes; want 1, 4, 10", fs.FileCount, fs.DirCount, fs.UsedBytes)
+	}
+}
+
+// TestCreateInFailures checks that the node-based create fails with the
+// status the path form gives for the same target, and that a failed create
+// changes no count.
+func TestCreateInFailures(t *testing.T) {
+	fs := New(volume.FlavorNTFS, 1000)
+	dir, _ := fs.MkdirAll(`\dir`, 0)
+	file, _ := fs.CreateIn(dir, "a.txt", 600, types.AttrNormal, 0)
+	gone, _ := fs.MkdirAll(`\gone`, 0)
+	if st := fs.Remove(gone); st.IsError() {
+		t.Fatal(st)
+	}
+	for _, c := range []struct {
+		name   string
+		parent *Node
+		child  string
+		size   int64
+		path   string
+		want   types.Status
+	}{
+		{"case-insensitive collision", dir, "A.TXT", 1, `\dir\A.TXT`, types.StatusObjectNameCollision},
+		{"disk full", dir, "b.txt", 401, `\dir\b.txt`, types.StatusDiskFull},
+		{"file parent", file, "c", 1, `\dir\a.txt\c`, types.StatusNotADirectory},
+		{"unlinked parent", gone, "d", 1, `\gone\d`, types.StatusObjectPathNotFound},
+	} {
+		files, dirs, used := fs.FileCount, fs.DirCount, fs.UsedBytes
+		if _, st := fs.CreateIn(c.parent, c.child, c.size, types.AttrNormal, 0); st != c.want {
+			t.Errorf("%s: CreateIn gave %v, want %v", c.name, st, c.want)
+		}
+		if _, st := fs.CreateFile(c.path, c.size, types.AttrNormal, 0); st != c.want {
+			t.Errorf("%s: CreateFile gave %v, want %v", c.name, st, c.want)
+		}
+		if fs.FileCount != files || fs.DirCount != dirs || fs.UsedBytes != used {
+			t.Errorf("%s: counts moved to %d files, %d dirs, %d bytes from %d, %d, %d",
+				c.name, fs.FileCount, fs.DirCount, fs.UsedBytes, files, dirs, used)
+		}
+	}
+	for _, c := range []struct {
+		name   string
+		parent *Node
+		rel    string
+		want   types.Status
+	}{
+		{"file parent", file, `x\y`, types.StatusNotADirectory},
+		{"file parent, empty path", file, "", types.StatusNotADirectory},
+		{"file in the path", dir, `a.txt\y`, types.StatusNotADirectory},
+		{"unlinked parent", gone, "x", types.StatusObjectPathNotFound},
+		{"unlinked parent, empty path", gone, "", types.StatusObjectPathNotFound},
+	} {
+		dirs := fs.DirCount
+		if _, st := fs.MkdirAllIn(c.parent, c.rel, 0); st != c.want {
+			t.Errorf("MkdirAllIn %s: %v, want %v", c.name, st, c.want)
+		}
+		if fs.DirCount != dirs {
+			t.Errorf("MkdirAllIn %s: DirCount moved to %d from %d", c.name, fs.DirCount, dirs)
+		}
+	}
+	if gone.NumChildren() != 0 || file.IsDir() {
+		t.Error("a failed create attached a node")
+	}
+}

@@ -49,7 +49,9 @@ type Driver struct {
 	flush FlushFunc
 
 	// Triple buffering: buffers[active] accumulates; full buffers move to
-	// inFlight until the (simulated) ship-to-server completes.
+	// inFlight until the (simulated) ship-to-server completes. Each buffer
+	// is allocated when it first receives a record: a lightly loaded
+	// driver never fills its first.
 	buffers  [NumBuffers][]tracefmt.Record
 	active   int
 	inFlight int
@@ -84,9 +86,6 @@ func New(name string, next irp.Driver, sched *sim.Scheduler, flush FlushFunc) *D
 		nextPagingID: tracefmt.PagingObjectIDBase, // paging FOs get ids far above app FOs
 		seen:         map[types.FileObjectID]bool{},
 		Overhead:     sim.FromMicroseconds(0.5),
-	}
-	for i := range d.buffers {
-		d.buffers[i] = make([]tracefmt.Record, 0, BufferRecords)
 	}
 	d.fillFrom = sched.Now()
 	return d
@@ -304,6 +303,9 @@ func (d *Driver) store(rec tracefmt.Record) {
 	d.Stats.Records++
 	d.Metrics.record()
 	buf := &d.buffers[d.active]
+	if *buf == nil {
+		*buf = make([]tracefmt.Record, 0, BufferRecords)
+	}
 	*buf = append(*buf, rec)
 	if len(*buf) >= BufferRecords {
 		d.rotate(false)

@@ -206,3 +206,39 @@ func TestMarkApparatusEvents(t *testing.T) {
 		t.Errorf("marks = %+v", *out)
 	}
 }
+
+// TestBuffersAllocatedOnFirstUse checks that a driver holds only the
+// buffers it has stored records in: none before its first record, one
+// until the first rotation, two after it.
+func TestBuffersAllocatedOnFirstUse(t *testing.T) {
+	d, _, out, sched := newTraced(t)
+	allocated := func() int {
+		n := 0
+		for _, b := range d.buffers {
+			if b != nil {
+				n++
+			}
+		}
+		return n
+	}
+	if n := allocated(); n != 0 {
+		t.Fatalf("new driver holds %d buffers", n)
+	}
+	f := fo(6, `C:\lazy`)
+	d.Dispatch(&irp.Request{Major: types.IrpMjRead, FileObject: f, Length: 1})
+	if n := allocated(); n != 1 || cap(d.buffers[0]) != BufferRecords {
+		t.Fatalf("after one record: %d buffers, first of capacity %d", n, cap(d.buffers[0]))
+	}
+	// The first dispatch stored a name map and a read: 2 + (3000-1)
+	// records fill the first buffer and leave one in the second.
+	for i := 0; i < BufferRecords-1; i++ {
+		d.Dispatch(&irp.Request{Major: types.IrpMjRead, FileObject: f, Length: 1})
+	}
+	sched.Run()
+	if n := allocated(); n != 2 || d.Stats.BufferFlushes != 1 {
+		t.Fatalf("after one rotation: %d buffers, %d flushes", n, d.Stats.BufferFlushes)
+	}
+	if len(*out) != BufferRecords || len(d.buffers[1]) != 1 {
+		t.Errorf("delivered %d records, %d buffered; want %d and 1", len(*out), len(d.buffers[1]), BufferRecords)
+	}
+}

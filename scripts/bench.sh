@@ -1,6 +1,6 @@
 #!/usr/bin/env sh
-# bench.sh — run the analysis-engine benchmarks and emit the tracked
-# perf baseline:
+# bench.sh — run the study build and save, analysis-engine and query
+# benchmarks and emit the tracked perf baseline:
 #
 #   BENCH_analysis.txt   raw `go test -bench` output (benchstat-ready:
 #                        feed two of these to benchstat old.txt new.txt)
@@ -19,7 +19,7 @@ TXT=BENCH_analysis.txt
 JSON=BENCH_analysis.json
 
 go test -run NONE \
-  -bench 'BenchmarkDataSetDecode|BenchmarkComputeResults|BenchmarkColumnarEncode|BenchmarkColumnarScan|BenchmarkColumnarCompute|BenchmarkQueryCold|BenchmarkQueryCacheHit|BenchmarkLoadCorpus|BenchmarkSection5Snapshots' \
+  -bench 'BenchmarkStudyBuild|BenchmarkStudySave|BenchmarkDataSetDecode|BenchmarkComputeResults|BenchmarkColumnarEncode|BenchmarkColumnarScan|BenchmarkColumnarCompute|BenchmarkQueryCold|BenchmarkQueryCacheHit|BenchmarkLoadCorpus|BenchmarkSection5Snapshots' \
   -benchtime "$BENCHTIME" -count "$COUNT" . | tee "$TXT"
 
 # The obs and span hot paths are nanosecond-scale: at a small -benchtime
