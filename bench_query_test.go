@@ -37,7 +37,6 @@ func queryService(b *testing.B) *query.Service {
 			Machines:    6,
 			Duration:    sim.Hour,
 			WithNetwork: true,
-			Columnar:    true,
 		})
 		if queryErr = s.Run(); queryErr != nil {
 			return
@@ -46,7 +45,7 @@ func queryService(b *testing.B) *query.Service {
 			return
 		}
 		var c *query.Corpus
-		if c, queryErr = query.OpenCorpus(dir, nil); queryErr != nil {
+		if c, queryErr = query.OpenCorpusTrace(dir, nil, nil); queryErr != nil {
 			return
 		}
 		querySvc = query.NewService(c, query.Config{Workers: 4})

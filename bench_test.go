@@ -55,7 +55,7 @@ func corpus(b *testing.B) (*analysis.DataSet, *report.Results) {
 			panic(err)
 		}
 		corpusDS = ds
-		corpusRes = report.Compute(ds)
+		corpusRes = report.ComputeWorkers(ds, runtime.GOMAXPROCS(0))
 	})
 	return corpusDS, corpusRes
 }
@@ -340,12 +340,12 @@ func BenchmarkSection10(b *testing.B) {
 }
 
 // ledgerStudy is the study of the benchmark (perfbench's studyConfig):
-// the paper's 45-machine mix with network shares, a day-0 snapshot and
-// the columnar layout, 5 simulated minutes, built on GOMAXPROCS workers.
+// the paper's 45-machine mix with network shares and a day-0 snapshot,
+// 5 simulated minutes, built on GOMAXPROCS workers.
 func ledgerStudy() core.Config {
 	return core.Config{
 		Seed: 5, Machines: 45, Duration: 5 * sim.Minute,
-		WithNetwork: true, SnapshotAtStart: true, Columnar: true,
+		WithNetwork: true, SnapshotAtStart: true,
 		Workers: runtime.GOMAXPROCS(0),
 	}
 }
@@ -411,7 +411,7 @@ func BenchmarkLoadCorpus(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var err error
-		if c, err = core.LoadCorpus(dir, nil); err != nil {
+		if c, err = core.LoadCorpusTrace(dir, nil, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -659,7 +659,10 @@ func BenchmarkSynthFit(b *testing.B) {
 	ds, _ := corpus(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p := synth.Fit(ds)
+		p, err := synth.Fit(ds)
+		if err != nil {
+			b.Fatal(err)
+		}
 		if i == 0 {
 			b.ReportMetric(p.OpenGapMS.Alpha, "fitted_gap_alpha")
 			b.ReportMetric(100*p.ControlFraction, "fitted_control_pct")
@@ -765,7 +768,11 @@ func BenchmarkComputeResults(b *testing.B) {
 				b.StopTimer()
 				ds := &analysis.DataSet{}
 				for _, mt := range base.Machines {
-					fresh := analysis.NewMachineTrace(mt.Name, mt.Category, mt.Rows())
+					recs, err := mt.Rows()
+					if err != nil {
+						b.Fatal(err)
+					}
+					fresh := analysis.NewMachineTrace(mt.Name, mt.Category, recs)
 					fresh.ProcNames = mt.ProcNames
 					ds.Machines = append(ds.Machines, fresh)
 				}

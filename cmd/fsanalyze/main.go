@@ -12,6 +12,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"runtime"
 	"strings"
 
 	"repro/internal/core"
@@ -24,14 +25,15 @@ func main() {
 	in := flag.String("in", "traces", "trace corpus directory (from fstrace)")
 	flag.Parse()
 
-	ds, snaps, err := core.Load(*in)
+	c, err := core.LoadCorpusTrace(*in, nil, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
-	if len(ds.Machines) == 0 {
+	if len(c.DS.Machines) == 0 {
 		log.Fatal("no machine traces found in ", *in)
 	}
-	r := report.Compute(ds)
+	snaps := c.Snaps
+	r := report.ComputeWorkers(c.DS, runtime.GOMAXPROCS(0))
 
 	renders := map[string]func() string{
 		"table1": r.Table1, "table2": r.Table2, "table3": r.Table3,

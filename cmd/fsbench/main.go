@@ -35,11 +35,14 @@ func main() {
 		in := fs.String("in", "traces", "trace corpus directory")
 		out := fs.String("out", "profile.json", "output profile path")
 		fs.Parse(os.Args[2:])
-		ds, _, err := core.Load(*in)
+		c, err := core.LoadCorpusTrace(*in, nil, nil)
 		if err != nil {
 			log.Fatal(err)
 		}
-		pro := synth.Fit(ds)
+		pro, err := synth.Fit(c.DS)
+		if err != nil {
+			log.Fatal(err)
+		}
 		f, err := os.Create(*out)
 		if err != nil {
 			log.Fatal(err)
@@ -79,7 +82,10 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		check := synth.Fit(ds)
+		check, err := synth.Fit(ds)
+		if err != nil {
+			log.Fatal(err)
+		}
 		fmt.Printf("replayed %d events over %.1f h\n", study.TotalEvents(), *hours)
 		fmt.Printf("source vs replay: control %.0f%%→%.0f%%  RO %.0f%%→%.0f%%  WO %.0f%%→%.0f%%  gap α %.2f→%.2f\n",
 			100*pro.ControlFraction, 100*check.ControlFraction,

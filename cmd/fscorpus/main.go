@@ -1,17 +1,18 @@
-// Command fscorpus manages columnar trace corpora: it converts between
-// the row layout (*.trz, per-machine DEFLATE record streams) and the
-// colstore layout (*.fsc, per-machine columnar segments with zone maps),
-// inspects segment layout and encoding statistics, proves row/columnar
-// equivalence via the logical-stream SHA-256, and runs predicate-pushdown
-// scans with the pushdown ledger (blocks scanned vs skipped, bytes
-// decoded per column family) printed after the results.
+// Command fscorpus manages columnar trace corpora (*.fsc, per-machine
+// colstore segments with zone maps): it imports legacy row corpora
+// (*.trz, per-machine DEFLATE record streams) into segments, inspects
+// segment layout and encoding statistics, verifies every segment's
+// logical-stream SHA-256 (and, where a converted corpus still holds its
+// row streams, that the two agree), and runs predicate-pushdown scans
+// with the pushdown ledger (blocks scanned vs skipped, bytes decoded per
+// column family) printed after the results.
 //
 // Usage:
 //
-//	fscorpus convert -to columnar traces/        # add *.fsc beside *.trz
-//	fscorpus convert -to row -out rows/ traces/  # materialize row streams
+//	fscorpus convert traces/                     # add *.fsc beside *.trz
+//	fscorpus convert -out segs/ traces/          # write the segments elsewhere
 //	fscorpus stats traces/                       # layout + per-column bytes
-//	fscorpus verify traces/                      # SHA-256 row≡columnar proof
+//	fscorpus verify traces/                      # SHA-256 self-check (and row≡columnar)
 //	fscorpus scan -kinds read,write -min-h 1 -max-h 2 traces/
 package main
 
@@ -53,7 +54,7 @@ func main() {
 
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage: fscorpus <convert|stats|verify|scan> [flags] <corpus-dir>
-  convert -to columnar|row [-out dir] [-block-records n] <dir>
+  convert [-out dir] [-block-records n] <dir>
   stats   <dir>
   verify  [-q] <dir>
   scan    [-kinds k1,k2] [-min-h h] [-max-h h] <dir>`)
@@ -71,7 +72,6 @@ func dirArg(fs *flag.FlagSet) string {
 
 func cmdConvert(args []string) {
 	fs := flag.NewFlagSet("convert", flag.ExitOnError)
-	to := fs.String("to", "columnar", "target layout: columnar or row")
 	out := fs.String("out", "", "output directory (default: write beside the source)")
 	blockRecs := fs.Int("block-records", 0, "records per columnar block (0 = default 65536)")
 	fs.Parse(args)
@@ -79,52 +79,24 @@ func cmdConvert(args []string) {
 	if *out == "" {
 		*out = dir
 	}
-	switch *to {
-	case "columnar":
-		store, err := collect.LoadDir(dir)
-		if err != nil {
-			log.Fatal(err)
-		}
-		sums, err := store.SaveColumnarDir(*out, colstore.Options{BlockRecords: *blockRecs}, nil)
-		if err != nil {
-			log.Fatal(err)
-		}
-		var recs, bytes int64
-		for _, s := range sums {
-			recs += int64(s.Records)
-			bytes += s.Bytes
-		}
-		fmt.Printf("encoded %d machines, %d records, %d KB columnar into %s\n",
-			len(sums), recs, bytes/1024, *out)
-	case "row":
-		segs, err := collect.LoadColumnarDir(dir, nil)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if len(segs) == 0 {
-			log.Fatalf("no *%s segments in %s", collect.ColumnarExt, dir)
-		}
-		store := collect.NewStore()
-		for name, seg := range segs {
-			recs, err := seg.ReadAll()
-			if err != nil {
-				log.Fatalf("%s: %v", name, err)
-			}
-			if err := store.Append(name, recs); err != nil {
-				log.Fatalf("%s: %v", name, err)
-			}
-		}
-		if err := store.Finalize(); err != nil {
-			log.Fatal(err)
-		}
-		if err := store.SaveDir(*out); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("decoded %d machines, %d records into row streams in %s\n",
-			len(segs), store.TotalRecords(), *out)
-	default:
-		log.Fatalf("-to must be columnar or row (got %q)", *to)
+	store, err := collect.LoadDir(dir)
+	if err != nil {
+		log.Fatal(err)
 	}
+	if len(store.Machines()) == 0 {
+		log.Fatalf("no *.trz row streams in %s", dir)
+	}
+	sums, err := store.SaveColumnarDir(*out, colstore.Options{BlockRecords: *blockRecs})
+	if err != nil {
+		log.Fatal(err)
+	}
+	var recs, bytes int64
+	for _, s := range sums {
+		recs += int64(s.Records)
+		bytes += s.Bytes
+	}
+	fmt.Printf("encoded %d machines, %d records, %d KB columnar into %s\n",
+		len(sums), recs, bytes/1024, *out)
 }
 
 func cmdStats(args []string) {

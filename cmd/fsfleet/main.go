@@ -38,6 +38,7 @@ import (
 
 	"repro/internal/agent"
 	"repro/internal/collect"
+	"repro/internal/colstore"
 	"repro/internal/core"
 	"repro/internal/fleet"
 	"repro/internal/obs"
@@ -285,7 +286,7 @@ func runServer(addr, out string, reg *obs.Registry) {
 	}
 	fmt.Fprintf(os.Stderr, "received %d records from %d machines\n",
 		store.TotalRecords(), len(store.Machines()))
-	if err := store.SaveDir(out); err != nil {
+	if _, err := store.SaveColumnarDir(out, colstore.Options{}); err != nil {
 		log.Fatal(err)
 	}
 	if err := reg.WriteSnapshot(filepath.Join(out, "obs.json")); err != nil {

@@ -15,6 +15,7 @@ import (
 	"log"
 	"os"
 
+	"repro/internal/colstore"
 	"repro/internal/core"
 	"repro/internal/replay"
 )
@@ -36,10 +37,11 @@ func main() {
 		log.Fatal(err)
 	}
 
-	ds, _, err := core.Load(*in)
+	c, err := core.LoadCorpusTrace(*in, nil, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
+	ds := c.DS
 	if len(ds.Machines) == 0 {
 		log.Fatal("no machine traces found in ", *in)
 	}
@@ -65,7 +67,7 @@ func main() {
 	}
 
 	if *out != "" {
-		if err := res.Store.SaveDir(*out); err != nil {
+		if _, err := res.Store.SaveColumnarDir(*out, colstore.Options{}); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("replayed corpus saved to %s\n", *out)
@@ -76,7 +78,10 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		v := replay.Validate(ds, rds, mode)
+		v, err := replay.Validate(ds, rds, mode)
+		if err != nil {
+			log.Fatal(err)
+		}
 		fmt.Println("\nvalidation (original vs replayed):")
 		for _, d := range v.Deltas {
 			fmt.Println("  " + d.String())

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"runtime"
 
 	"repro/internal/core"
 	"repro/internal/report"
@@ -34,12 +35,12 @@ func main() {
 	var r *report.Results
 	var snaps []*snapshot.Snapshot
 	if *in != "" {
-		ds, loadedSnaps, err := core.Load(*in)
+		c, err := core.LoadCorpusTrace(*in, nil, nil)
 		if err != nil {
 			log.Fatal(err)
 		}
-		snaps = loadedSnaps
-		r = report.Compute(ds)
+		snaps = c.Snaps
+		r = report.ComputeWorkers(c.DS, runtime.GOMAXPROCS(0))
 	} else {
 		fmt.Fprintf(os.Stderr, "running %d machines for %.1f simulated hours...\n", *machines, *hours)
 		study := core.NewStudy(core.Config{

@@ -1,8 +1,9 @@
 // Command fstrace runs a simulated trace collection — the §2/§3 study: a
 // fleet of Windows NT 4.0 machines instrumented with the trace filter
 // driver, shipping records to the collection store, with daily file
-// system snapshots — and saves the resulting corpus to a directory for
-// analysis with fsanalyze/fsreport.
+// system snapshots — and saves the resulting corpus (colstore segments,
+// snapshots and the machine manifest) to a directory for analysis with
+// fsanalyze/fsreport.
 //
 // Usage:
 //
@@ -17,7 +18,6 @@ import (
 	"os"
 
 	"repro/internal/agent"
-	"repro/internal/colstore"
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/sim"
@@ -37,14 +37,8 @@ func main() {
 		collAddr = flag.String("collect", "", "ship trace streams to a live collection server at this address (corpus lives server-side)")
 		spill    = flag.Int("spill", 0, "per-agent spill-ring capacity in buffers for -collect (0 = default 64)")
 		metrics  = flag.String("metrics-addr", "", "serve live Prometheus-text /metrics and /debug/pprof on this address")
-		format   = flag.String("format", "row", "saved corpus layout: row (*.trz), columnar (*.fsc) or both")
 	)
 	flag.Parse()
-	switch *format {
-	case "row", "columnar", "both":
-	default:
-		log.Fatalf("-format must be row, columnar or both (got %q)", *format)
-	}
 
 	reg := obs.NewRegistry()
 	if *metrics != "" {
@@ -66,7 +60,6 @@ func main() {
 		Workers:         *workers,
 		CollectAddr:     *collAddr,
 		NetSink:         agent.NetSinkConfig{SpillSlots: *spill},
-		Columnar:        *format == "columnar",
 		Obs:             reg,
 	})
 	fmt.Fprintf(os.Stderr, "running %d machines for %.1f simulated hours (seed %d)...\n",
@@ -90,11 +83,5 @@ func main() {
 	if err := study.Save(*out); err != nil {
 		log.Fatal(err)
 	}
-	if *format == "both" {
-		// Save wrote the row layout; add the columnar segments beside it.
-		if _, err := study.Store.SaveColumnarDir(*out, colstore.Options{}, nil); err != nil {
-			log.Fatal(err)
-		}
-	}
-	fmt.Fprintf(os.Stderr, "saved %s corpus to %s\n", *format, *out)
+	fmt.Fprintf(os.Stderr, "saved corpus to %s\n", *out)
 }

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"log"
 	"net"
+	"runtime"
 
 	"repro/internal/agent"
 	"repro/internal/analysis"
@@ -104,7 +105,7 @@ func main() {
 		mt.ProcNames = machines[i].ProcNames
 		ds.Machines = append(ds.Machines, mt)
 	}
-	r := report.Compute(ds)
+	r := report.ComputeWorkers(ds, runtime.GOMAXPROCS(0))
 	fmt.Println()
 	fmt.Println(r.Section8())
 }

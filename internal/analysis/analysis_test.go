@@ -70,6 +70,16 @@ func (b *recBuilder) trace(t *testing.T) *MachineTrace {
 	return NewMachineTrace("test", machine.Personal, b.recs)
 }
 
+// mustRows returns mt's records, failing the test if they cannot be read.
+func mustRows(t *testing.T, mt *MachineTrace) []tracefmt.Record {
+	t.Helper()
+	recs, err := mt.Rows()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return recs
+}
+
 func TestInstanceWholeFileSequentialRead(t *testing.T) {
 	b := &recBuilder{}
 	b.open(1, `C:\a.txt`, 8192, types.FileOpened)
@@ -198,7 +208,7 @@ func TestCachePagingRecordsExcluded(t *testing.T) {
 	if len(ins) != 1 {
 		t.Fatalf("paging FO leaked into instances: %d", len(ins))
 	}
-	if !IsCachePaging(&mt.Rows()[3]) && !IsCachePaging(&mt.Rows()[4]) {
+	if rows := mustRows(t, mt); !IsCachePaging(&rows[3]) && !IsCachePaging(&rows[4]) {
 		t.Error("IsCachePaging missed the paging record")
 	}
 }

@@ -1,10 +1,13 @@
 package analysis
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"reflect"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/colstore"
@@ -93,13 +96,70 @@ func TestColumnarTraceEquivalence(t *testing.T) {
 				t.Fatal("name maps differ from the later-record-wins map of the sorted stream")
 			}
 
-			if !slices.Equal(row.Rows(), sorted) {
+			if !slices.Equal(mustRows(t, row), sorted) {
 				t.Fatal("records constructor: Rows() is not the stable by-start sort")
 			}
-			if !slices.Equal(col.Rows(), sorted) {
+			if !slices.Equal(mustRows(t, col), sorted) {
 				t.Fatal("segment constructor: Rows() is not the stable by-start sort")
 			}
 		})
+	}
+}
+
+// TestRowsCorruptMajorColumn pins that a segment whose IRP major column
+// cannot be decoded, but whose blocks pass their CRCs, loads (the load
+// scan never decodes that column) and then makes Rows return an error,
+// every time it is asked, instead of panicking in replay or synthesis.
+func TestRowsCorruptMajorColumn(t *testing.T) {
+	recs := make([]tracefmt.Record, 64)
+	for i := range recs {
+		recs[i] = tracefmt.Record{Kind: tracefmt.EvRead, Start: sim.Time(i), FileID: types.FileObjectID(1 + i%4), Major: types.MajorFunction(i % 5)}
+	}
+	data, _, err := colstore.EncodeSegment(recs, colstore.Options{BlockRecords: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	setColumnEncoding(t, data, colstore.ColMajor, 3) // encNameSparse, names only
+	seg, err := colstore.OpenSegment(data, nil)
+	if err != nil {
+		t.Fatalf("corrupted segment no longer opens: %v", err)
+	}
+	mt, err := NewMachineTraceColumnar("m", machine.Personal, seg, nil)
+	if err != nil {
+		t.Fatalf("load scan decoded the major column: %v", err)
+	}
+	for i := 0; i < 2; i++ {
+		rows, err := mt.Rows()
+		if err == nil || !strings.Contains(err.Error(), "major") {
+			t.Fatalf("Rows call %d: %d rows, err = %v, want an error naming the major column", i+1, len(rows), err)
+		}
+	}
+}
+
+// setColumnEncoding rewrites the encoding tag of column c in every block
+// of a segment, keeping its flate bit, and re-seals each block's footer
+// CRC so the damage passes every integrity check short of decoding c.
+func setColumnEncoding(t *testing.T, data []byte, c colstore.Column, enc byte) {
+	t.Helper()
+	le := binary.LittleEndian
+	magic := len(colstore.Magic)
+	footLen := int(le.Uint32(data[len(data)-magic-4:]))
+	foot := data[len(data)-magic-4-footLen:]
+	const fixed, metaSize = 4 + 8 + 4 + 32, 44
+	blocks := int(le.Uint32(foot[12:]))
+	for b := 0; b < blocks; b++ {
+		meta := foot[fixed+b*metaSize:]
+		off, n := le.Uint64(meta), le.Uint32(meta[8:])
+		raw := data[off : off+uint64(n)]
+		col := raw[4:]
+		for i := 0; i < colstore.NumColumns; i++ {
+			plen := int(le.Uint32(col[1:]))
+			if colstore.Column(i) == c {
+				col[0] = col[0]&0x80 | enc
+			}
+			col = col[5+plen:]
+		}
+		le.PutUint32(meta[40:], crc32.ChecksumIEEE(raw))
 	}
 }
 

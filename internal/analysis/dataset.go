@@ -56,6 +56,7 @@ type MachineTrace struct {
 	idx      *MachineIndex
 	rowsOnce sync.Once
 	rows     []tracefmt.Record
+	rowsErr  error
 }
 
 // DataSet is the full study corpus.
@@ -99,11 +100,12 @@ func (mt *MachineTrace) LastStart() sim.Time {
 // or read back from the segment and permuted; no measure takes this
 // path.
 //
-// Every block CRC was already verified by the construction-time column
-// scan, so a decode failure here means the segment mutated underneath
-// us; that invariant violation panics rather than returning partial
-// rows.
-func (mt *MachineTrace) Rows() []tracefmt.Record {
+// The construction-time scan of a segment decodes neither the IRP major
+// and minor codes nor the set-information class, nor the names of blocks
+// that hold no name record, so a segment whose blocks pass their CRCs
+// can still fail to decode here. That failure is returned, and returned
+// again by every later call.
+func (mt *MachineTrace) Rows() ([]tracefmt.Record, error) {
 	mt.rowsOnce.Do(func() {
 		if mt.seg == nil {
 			mt.rows = mt.tab.Records()
@@ -111,7 +113,8 @@ func (mt *MachineTrace) Rows() []tracefmt.Record {
 		}
 		recs, err := mt.seg.ReadAll()
 		if err != nil {
-			panic(fmt.Sprintf("analysis: materializing columnar trace %s: %v", mt.Name, err))
+			mt.rowsErr = fmt.Errorf("analysis: reading trace %s: %w", mt.Name, err)
+			return
 		}
 		if mt.perm != nil {
 			sorted := make([]tracefmt.Record, len(recs))
@@ -122,7 +125,7 @@ func (mt *MachineTrace) Rows() []tracefmt.Record {
 		}
 		mt.rows = recs
 	})
-	return mt.rows
+	return mt.rows, mt.rowsErr
 }
 
 // Names maps file-object ids to paths, indexed from EvNameMap records

@@ -43,11 +43,12 @@ func TestIndexSelectMatchesFullScan(t *testing.T) {
 		{tracefmt.EvPagingRead, tracefmt.EvPagingWrite, tracefmt.EvReadAhead, tracefmt.EvLazyWrite},
 		{tracefmt.EvMountVolume}, // absent kind
 	}
+	rows := mustRows(t, mt)
 	for _, kinds := range sets {
 		want := []int32{}
-		for i := range mt.Rows() {
+		for i := range rows {
 			for _, k := range kinds {
-				if mt.Rows()[i].Kind == k {
+				if rows[i].Kind == k {
 					want = append(want, int32(i))
 					break
 				}
@@ -67,8 +68,9 @@ func TestIndexOpenTimesAscending(t *testing.T) {
 	mt, _ := mixedTrace(t)
 	ts := mt.Index().OpenTimes()
 	wantN := 0
-	for i := range mt.Rows() {
-		if IsOpenAttempt(&mt.Rows()[i]) {
+	rows := mustRows(t, mt)
+	for i := range rows {
+		if IsOpenAttempt(&rows[i]) {
 			wantN++
 		}
 	}
@@ -93,7 +95,7 @@ func TestNewMachineTraceDoesNotMutateCaller(t *testing.T) {
 	copy(before, recs)
 
 	mt := NewMachineTrace("m", machine.Personal, recs)
-	rows := mt.Rows()
+	rows := mustRows(t, mt)
 	if !reflect.DeepEqual(recs, before) {
 		t.Fatal("NewMachineTrace or Rows mutated the caller's slice")
 	}
@@ -127,7 +129,7 @@ func TestUnsortedMultiVolumeRecordsYieldIdenticalInstances(t *testing.T) {
 	shuffled := append(append([]tracefmt.Record{}, vol2...), vol1...)
 	mt2 := NewMachineTrace("test", machine.Personal, shuffled)
 
-	if !reflect.DeepEqual(mt.Rows(), mt2.Rows()) {
+	if !reflect.DeepEqual(mustRows(t, mt), mustRows(t, mt2)) {
 		t.Fatal("sorted record views differ")
 	}
 	a, b := mt.Instances(), mt2.Instances()

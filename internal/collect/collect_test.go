@@ -1,6 +1,9 @@
 package collect
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"net"
 	"os"
@@ -89,6 +92,75 @@ func TestStoreRecordsBeforeFinalize(t *testing.T) {
 	}
 }
 
+// saveRowDir writes each finalized stream as <dir>/<stem>.trz with the
+// stem manifest beside them: the legacy row layout that LoadDir reads.
+// The program no longer writes it, so the tests write it themselves;
+// TestSaveRowDirMatchesLegacyWriter pins the bytes to those of the
+// removed writer.
+func saveRowDir(t *testing.T, s *Store, dir string) {
+	t.Helper()
+	stems := s.fileStems()
+	for _, mf := range stems {
+		data, _, err := s.ExportStream(mf.machine)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, mf.stem+".trz"), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := writeStemManifest(dir, stems); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// dirDigest is the SHA-256 over a directory's files in name order: each
+// file's name, a zero byte, its length (u64, little-endian) and its bytes.
+func dirDigest(t *testing.T, dir string) string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	for _, e := range entries { // ReadDir sorts by name
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.Write([]byte(e.Name()))
+		h.Write([]byte{0})
+		binary.Write(h, binary.LittleEndian, uint64(len(data)))
+		h.Write(data)
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestSaveRowDirMatchesLegacyWriter pins saveRowDir's output, stream
+// files and stem manifest, to the digest that the program's own row
+// writer (Store.SaveDir, since removed) gave for the same store: the
+// legacy corpora the tests build are the ones the program used to save.
+func TestSaveRowDirMatchesLegacyWriter(t *testing.T) {
+	const legacy = "7cfdf6892b4f216ca7de089453ef07271bd24b7805ea1fb96a2b40d4ed494116"
+	s := NewStore()
+	for i, m := range []struct {
+		name string
+		n    int
+	}{{"pool/01", 10}, {"pool:01", 20}, {"pool_01", 30}, {"lab\\win\\nt-07", 40}, {"plain-node", 50}} {
+		if err := s.Append(m.name, mkRecs(m.n, uint64(i+1))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Finalize(); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	saveRowDir(t, s, dir)
+	if got := dirDigest(t, dir); got != legacy {
+		t.Errorf("row directory digest %s, want %s", got, legacy)
+	}
+}
+
 func TestStoreSaveLoadDir(t *testing.T) {
 	dir := t.TempDir()
 	s := NewStore()
@@ -97,9 +169,7 @@ func TestStoreSaveLoadDir(t *testing.T) {
 	if err := s.Finalize(); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.SaveDir(dir); err != nil {
-		t.Fatal(err)
-	}
+	saveRowDir(t, s, dir)
 	loaded, err := LoadDir(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -117,8 +187,8 @@ func TestStoreSaveLoadDir(t *testing.T) {
 }
 
 func TestSaveDirNameCollisions(t *testing.T) {
-	// "pool/01", "pool:01" and "pool_01" all flatten to "pool_01"; SaveDir
-	// must keep all three streams instead of silently overwriting.
+	// "pool/01", "pool:01" and "pool_01" all flatten to "pool_01"; a row
+	// corpus keeps all three streams instead of silently overwriting.
 	dir := t.TempDir()
 	s := NewStore()
 	s.Append("pool/01", mkRecs(10, 1))
@@ -127,9 +197,7 @@ func TestSaveDirNameCollisions(t *testing.T) {
 	if err := s.Finalize(); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.SaveDir(dir); err != nil {
-		t.Fatal(err)
-	}
+	saveRowDir(t, s, dir)
 	loaded, err := LoadDir(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -142,9 +210,7 @@ func TestSaveDirNameCollisions(t *testing.T) {
 	}
 	// The flattening is deterministic: saving twice yields the same names.
 	dir2 := t.TempDir()
-	if err := s.SaveDir(dir2); err != nil {
-		t.Fatal(err)
-	}
+	saveRowDir(t, s, dir2)
 	loaded2, err := LoadDir(dir2)
 	if err != nil {
 		t.Fatal(err)
@@ -356,9 +422,7 @@ func TestSaveLoadDirExactNames(t *testing.T) {
 
 	t.Run("row", func(t *testing.T) {
 		dir := t.TempDir()
-		if err := s.SaveDir(dir); err != nil {
-			t.Fatal(err)
-		}
+		saveRowDir(t, s, dir)
 		loaded, err := LoadDir(dir)
 		if err != nil {
 			t.Fatal(err)
@@ -368,7 +432,7 @@ func TestSaveLoadDirExactNames(t *testing.T) {
 
 	t.Run("columnar", func(t *testing.T) {
 		dir := t.TempDir()
-		if _, err := s.SaveColumnarDir(dir, colstore.Options{}, nil); err != nil {
+		if _, err := s.SaveColumnarDir(dir, colstore.Options{}); err != nil {
 			t.Fatal(err)
 		}
 		segs, err := LoadColumnarDir(dir, nil)
@@ -393,10 +457,8 @@ func TestLoadDirManifestMismatch(t *testing.T) {
 	if err := s.Finalize(); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.SaveDir(dir); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.SaveColumnarDir(dir, colstore.Options{}, nil); err != nil {
+	saveRowDir(t, s, dir)
+	if _, err := s.SaveColumnarDir(dir, colstore.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	// A stray stream from some other corpus appears in the directory.
@@ -430,9 +492,7 @@ func TestLoadDirLegacyNoManifest(t *testing.T) {
 	if err := s.Finalize(); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.SaveDir(dir); err != nil {
-		t.Fatal(err)
-	}
+	saveRowDir(t, s, dir)
 	if err := os.Remove(filepath.Join(dir, StemManifestName)); err != nil {
 		t.Fatal(err)
 	}
@@ -467,7 +527,7 @@ func TestSaveColumnarDirFirstError(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			_, err := s.SaveColumnarDir(dir, colstore.Options{}, nil)
+			_, err := s.SaveColumnarDir(dir, colstore.Options{})
 			if err == nil || !strings.Contains(err.Error(), "m1"+ColumnarExt) {
 				t.Errorf("GOMAXPROCS=%d: error %v, want one naming m1%s", procs, err, ColumnarExt)
 			}

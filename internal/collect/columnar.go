@@ -11,24 +11,24 @@ import (
 	"repro/internal/par"
 )
 
-// ColumnarExt is the file suffix of a columnar segment on disk. A saved
-// corpus directory may hold <stem>.trz (row), <stem>.fsc (columnar) or
-// both for the same machine; loaders prefer the columnar form.
+// ColumnarExt is the file suffix of a columnar segment on disk, the one
+// layout the program saves. A directory converted from a legacy row
+// corpus (fscorpus convert) also holds <stem>.trz files, which loaders
+// ignore once the segment of the same stem is present.
 const ColumnarExt = ".fsc"
 
-// SaveColumnarDir writes each finalized machine stream as a columnar
-// segment <dir>/<machine>.fsc, using the same stem assignment as
-// SaveDir. prebuilt (may be nil) supplies already-encoded segments keyed
-// by machine name — the fleet engine's checkpointed segments — which are
-// written verbatim instead of re-encoding the row stream. It returns the
-// per-machine summaries; each summary's SHA-256 equals the digest of the
-// machine's logical record stream, so callers can prove row/columnar
-// equivalence without re-reading files.
+// SaveColumnarDir encodes each finalized machine stream as a columnar
+// segment <dir>/<stem>.fsc, with colliding flattened names disambiguated
+// per fileStems and the stem → machine assignment recorded in
+// StemManifestName so LoadColumnarDir restores the true names. It returns
+// the per-machine summaries; each summary's SHA-256 equals the digest of
+// the machine's logical record stream, so callers can prove equivalence
+// with another form of the stream without re-reading files.
 //
 // Machines are encoded and written on GOMAXPROCS workers, each into its
 // own slot, so the files, the summaries and the error returned (the first
 // in stem order) are those of a serial save.
-func (s *Store) SaveColumnarDir(dir string, opts colstore.Options, prebuilt map[string][]byte) (map[string]colstore.Summary, error) {
+func (s *Store) SaveColumnarDir(dir string, opts colstore.Options) (map[string]colstore.Summary, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
@@ -36,7 +36,7 @@ func (s *Store) SaveColumnarDir(dir string, opts colstore.Options, prebuilt map[
 	slots := make([]colstore.Summary, len(stems))
 	errs := make([]error, len(stems))
 	par.For(runtime.GOMAXPROCS(0), len(stems), func(i int) {
-		slots[i], errs[i] = s.saveSegment(dir, stems[i], opts, prebuilt[stems[i].machine])
+		slots[i], errs[i] = s.saveSegment(dir, stems[i], opts)
 	})
 	sums := make(map[string]colstore.Summary, len(stems))
 	for i, mf := range stems {
@@ -51,26 +51,15 @@ func (s *Store) SaveColumnarDir(dir string, opts colstore.Options, prebuilt map[
 	return sums, nil
 }
 
-// saveSegment writes one machine's segment: pre when the caller has it
-// already encoded, otherwise an encoding of the machine's stream.
-func (s *Store) saveSegment(dir string, mf machineFile, opts colstore.Options, pre []byte) (colstore.Summary, error) {
-	var data []byte
-	var sum colstore.Summary
-	if pre != nil {
-		seg, err := colstore.OpenSegment(pre, nil)
-		if err != nil {
-			return sum, fmt.Errorf("collect: prebuilt segment %q: %w", mf.machine, err)
-		}
-		data = pre
-		sum = colstore.Summary{Records: seg.Records(), Blocks: seg.Blocks(), Bytes: seg.Bytes(), SHA: seg.SHA256()}
-	} else {
-		recs, err := s.Records(mf.machine)
-		if err != nil {
-			return sum, err
-		}
-		if data, sum, err = colstore.EncodeSegment(recs, opts); err != nil {
-			return sum, fmt.Errorf("collect: encode %q columnar: %w", mf.machine, err)
-		}
+// saveSegment encodes one machine's stream and writes it as its segment.
+func (s *Store) saveSegment(dir string, mf machineFile, opts colstore.Options) (colstore.Summary, error) {
+	recs, err := s.Records(mf.machine)
+	if err != nil {
+		return colstore.Summary{}, err
+	}
+	data, sum, err := colstore.EncodeSegment(recs, opts)
+	if err != nil {
+		return sum, fmt.Errorf("collect: encode %q columnar: %w", mf.machine, err)
 	}
 	return sum, os.WriteFile(filepath.Join(dir, mf.stem+ColumnarExt), data, 0o644)
 }

@@ -338,9 +338,9 @@ type machineFile struct {
 // fileStems assigns each machine a unique file stem: SafeName-flattened,
 // with machines whose names flatten to the same stem disambiguated by a
 // deterministic numeric suffix (-2, -3, ...) in sorted-name order, so two
-// machines can never silently overwrite each other's file. Row and
-// columnar layouts share this assignment, keeping <stem>.trz and
-// <stem>.fsc referring to the same machine.
+// machines can never silently overwrite each other's file. Legacy row
+// corpora used the same assignment, so a converted <stem>.trz and its
+// <stem>.fsc refer to the same machine.
 func (s *Store) fileStems() []machineFile {
 	names := s.Machines()
 	out := make([]machineFile, 0, len(names))
@@ -361,8 +361,9 @@ func (s *Store) fileStems() []machineFile {
 // machine-name assignment. SafeName flattening is lossy ("pool/01" and
 // "pool:01" both land on "pool_01", with a numeric suffix breaking the
 // tie), so without this manifest a Save→Load round trip silently renames
-// any machine whose name was rewritten or collided. Both corpus layouts
-// share one manifest: <stem>.trz and <stem>.fsc name the same machine.
+// any machine whose name was rewritten or collided. A legacy row corpus
+// carries the same manifest: <stem>.trz and <stem>.fsc name the same
+// machine.
 const StemManifestName = "machines.json"
 
 // ErrManifestMismatch reports a corpus directory whose stem manifest
@@ -422,32 +423,12 @@ func machineForStem(stems map[string]string, stem, file string) (string, error) 
 	return name, nil
 }
 
-// SaveDir writes each finalized stream as <dir>/<machine>.trz, with
-// colliding flattened names disambiguated per fileStems and the stem →
-// machine assignment recorded in StemManifestName so LoadDir restores
-// the true names.
-func (s *Store) SaveDir(dir string) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	stems := s.fileStems()
-	for _, mf := range stems {
-		data, _, err := s.ExportStream(mf.machine)
-		if err != nil {
-			return err
-		}
-		path := filepath.Join(dir, mf.stem+".trz")
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			return err
-		}
-	}
-	return writeStemManifest(dir, stems)
-}
-
-// LoadDir reads every *.trz file in dir into a finalized Store. Machine
-// names come from the stem manifest when present (exact round trip of
-// SaveDir, including SafeName-rewritten and colliding names); a corpus
-// without one keeps the file stems as names.
+// LoadDir reads every *.trz file in dir into a finalized Store: the
+// legacy row layout, which the program no longer writes and reads only
+// to import (fscorpus convert) or to check segments against (fscorpus
+// verify). Machine names come from the stem manifest when present
+// (including SafeName-rewritten and colliding names); a corpus without
+// one keeps the file stems as names.
 func LoadDir(dir string) (*Store, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {

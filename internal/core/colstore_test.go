@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"compress/flate"
 	"crypto/sha256"
 	"fmt"
@@ -10,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/analysis"
 	"repro/internal/collect"
 	"repro/internal/colstore"
 	"repro/internal/report"
@@ -17,7 +19,7 @@ import (
 )
 
 // colstoreConfig is the shared small fleet of the columnar tests.
-func colstoreConfig(workers int, columnar bool) Config {
+func colstoreConfig(workers int) Config {
 	return Config{
 		Seed:            23,
 		Machines:        6,
@@ -25,7 +27,6 @@ func colstoreConfig(workers int, columnar bool) Config {
 		WithNetwork:     true,
 		SnapshotAtStart: true,
 		Workers:         workers,
-		Columnar:        columnar,
 	}
 }
 
@@ -34,16 +35,16 @@ func renderReport(t *testing.T, res *report.Results) string {
 	return res.Table1() + res.Table2() + res.Table3() + res.Section8() + res.Section9()
 }
 
-// rowStreamDigest inflates one saved .trz file and digests its logical
-// record bytes — the row-side half of the equivalence proof.
-func rowStreamDigest(t *testing.T, path string) [sha256.Size]byte {
+// streamDigest inflates one machine's stored DEFLATE stream and digests
+// its logical record bytes — the stream-side half of the equivalence
+// proof.
+func streamDigest(t *testing.T, s *Study, name string) [sha256.Size]byte {
 	t.Helper()
-	f, err := os.Open(path)
+	data, _, err := s.Store.ExportStream(name)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
-	zr := flate.NewReader(f)
+	zr := flate.NewReader(bytes.NewReader(data))
 	defer zr.Close()
 	h := sha256.New()
 	if _, err := io.Copy(h, zr); err != nil {
@@ -54,69 +55,69 @@ func rowStreamDigest(t *testing.T, path string) [sha256.Size]byte {
 	return sum
 }
 
+// writeRowStreams writes the named machines' stored streams as legacy
+// row files (<name>.trz) into dir, the layout the program saved before
+// segments were its only one. Study machine names are already safe file
+// stems, so no stem manifest is needed.
+func writeRowStreams(t *testing.T, s *Study, dir string, names []string) {
+	t.Helper()
+	for _, name := range names {
+		data, _, err := s.Store.ExportStream(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, collect.SafeName(name)+".trz"), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // TestColstoreStudyByteIdentical is the end-to-end equivalence proof:
-// the same seed studied through the row corpus and through the columnar
-// corpus must render byte-identical reports, and each machine's columnar
-// segment must carry the SHA-256 of exactly the bytes its row stream
-// inflates to — at every worker count the fleet engine supports.
+// the traces Study.DataSet builds from the collected records and the
+// traces loaded from the saved segments must render byte-identical
+// reports, and each machine's segment must carry the SHA-256 of exactly
+// the bytes its stored stream inflates to — at every worker count the
+// fleet engine supports.
 func TestColstoreStudyByteIdentical(t *testing.T) {
 	var wantReport string
 	var wantSums map[string][sha256.Size]byte
 	for _, workers := range []int{1, 4, 8} {
 		workers := workers
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			rowDir, colDir := t.TempDir(), t.TempDir()
-
-			rowStudy := NewStudy(colstoreConfig(workers, false))
-			if err := rowStudy.Run(); err != nil {
+			dir := t.TempDir()
+			s := NewStudy(colstoreConfig(workers))
+			if err := s.Run(); err != nil {
 				t.Fatal(err)
 			}
-			if err := rowStudy.Save(rowDir); err != nil {
+			if err := s.Save(dir); err != nil {
 				t.Fatal(err)
 			}
-
-			colStudy := NewStudy(colstoreConfig(workers, true))
-			if err := colStudy.Run(); err != nil {
-				t.Fatal(err)
-			}
-			if err := colStudy.Save(colDir); err != nil {
-				t.Fatal(err)
-			}
-
-			// The two directories hold different layouts of one corpus.
-			rowDS, _, err := Load(rowDir)
+			recDS, err := s.DataSet()
 			if err != nil {
 				t.Fatal(err)
 			}
-			colDS, _, err := Load(colDir)
+			c, err := LoadCorpusTrace(dir, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			rowReport := renderReport(t, report.Compute(rowDS))
-			colReport := renderReport(t, report.Compute(colDS))
-			if rowReport != colReport {
-				t.Fatal("row and columnar corpora rendered different reports")
+			recReport := renderReport(t, report.ComputeWorkers(recDS, workers))
+			segReport := renderReport(t, report.ComputeWorkers(c.DS, workers))
+			if recReport != segReport {
+				t.Fatal("records-built and segment-loaded traces rendered different reports")
 			}
 			if wantReport == "" {
-				wantReport = rowReport
-			} else if rowReport != wantReport {
+				wantReport = segReport
+			} else if segReport != wantReport {
 				t.Fatalf("report diverged at %d workers", workers)
 			}
 
-			// Per-machine digest equivalence: segment footer == inflated
-			// row stream bytes.
-			segs, err := collect.LoadColumnarDir(colDir, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(segs) == 0 {
-				t.Fatal("columnar save produced no segments")
+			if len(c.Segments) != len(s.Store.Machines()) {
+				t.Fatalf("loaded %d segments for %d machines", len(c.Segments), len(s.Store.Machines()))
 			}
 			sums := map[string][sha256.Size]byte{}
-			for name, seg := range segs {
-				rowPath := filepath.Join(rowDir, name+".trz")
-				if got, want := seg.SHA256(), rowStreamDigest(t, rowPath); got != want {
-					t.Errorf("%s: segment digest %x != row stream digest %x", name, got, want)
+			for name, seg := range c.Segments {
+				if got, want := seg.SHA256(), streamDigest(t, s, name); got != want {
+					t.Errorf("%s: segment digest %x != stream digest %x", name, got, want)
 				}
 				if err := seg.VerifySHA(); err != nil {
 					t.Errorf("%s: %v", name, err)
@@ -136,57 +137,67 @@ func TestColstoreStudyByteIdentical(t *testing.T) {
 	}
 }
 
-// TestColstoreLoadPrefersSegments pins the fallback order: a directory
-// holding both layouts loads through the columnar path, and the loaded
-// corpus equals the row-only load record for record.
+// TestColstoreLoadPrefersSegments pins how the loader treats legacy row
+// streams: a directory of *.trz files alone fails to load, naming a file
+// and the converter; once converted (collect.LoadDir, then
+// SaveColumnarDir beside the row files, as fscorpus convert does) it
+// holds every file of the study's own save byte for byte and loads
+// through those segments.
 func TestColstoreLoadPrefersSegments(t *testing.T) {
-	dir := t.TempDir()
-	s := NewStudy(colstoreConfig(2, false))
+	s := NewStudy(colstoreConfig(2))
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Save(dir); err != nil {
+	ownDir, legacyDir := t.TempDir(), t.TempDir()
+	if err := s.Save(ownDir); err != nil {
 		t.Fatal(err)
 	}
-	rowDS, _, err := Load(dir)
+	// A legacy corpus: the same manifest and snapshots, row streams in
+	// place of segments.
+	for name, data := range readCorpusDir(t, ownDir) {
+		if strings.HasSuffix(name, collect.ColumnarExt) || name == collect.StemManifestName {
+			continue
+		}
+		if err := os.WriteFile(filepath.Join(legacyDir, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	machines := s.Store.Machines()
+	writeRowStreams(t, s, legacyDir, machines)
+	_, err := LoadCorpusTrace(legacyDir, nil, nil)
+	if err == nil || !strings.Contains(err.Error(), machines[0]+".trz") || !strings.Contains(err.Error(), "fscorpus convert") {
+		t.Fatalf("row-only corpus: err = %v, want an error naming %s.trz and fscorpus convert", err, machines[0])
+	}
+
+	store, err := collect.LoadDir(legacyDir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Add segments beside the row streams; loads must now go columnar.
-	if _, err := s.Store.SaveColumnarDir(dir, colstore.Options{}, nil); err != nil {
+	if _, err := store.SaveColumnarDir(legacyDir, colstore.Options{}); err != nil {
 		t.Fatal(err)
 	}
-	bothDS, _, err := Load(dir)
+	own, converted := readCorpusDir(t, ownDir), readCorpusDir(t, legacyDir)
+	for name, data := range own {
+		if !bytes.Equal(converted[name], data) {
+			t.Errorf("%s: converted corpus differs from the study's own save", name)
+		}
+	}
+	c, err := LoadCorpusTrace(legacyDir, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(bothDS.Machines) != len(rowDS.Machines) {
-		t.Fatalf("mixed-layout load found %d machines, row load %d", len(bothDS.Machines), len(rowDS.Machines))
-	}
-	for i, mt := range bothDS.Machines {
-		rmt := rowDS.Machines[i]
-		rows, rrows := mt.Rows(), rmt.Rows()
-		if mt.Name != rmt.Name || len(rows) != len(rrows) {
-			t.Fatalf("machine %d: %s/%d records vs %s/%d", i, mt.Name, len(rows), rmt.Name, len(rrows))
-		}
-		for j := range rows {
-			if rows[j] != rrows[j] {
-				t.Fatalf("%s: record %d differs between layouts", mt.Name, j)
-			}
-		}
-		if mt.Index().KindCount(0) != rmt.Index().KindCount(0) {
-			t.Fatalf("%s: pre-seeded index disagrees with rebuilt index", mt.Name)
-		}
+	if len(c.Segments) != len(machines) || len(c.DS.Machines) != len(machines) {
+		t.Fatalf("converted corpus loaded %d segments and %d traces for %d machines", len(c.Segments), len(c.DS.Machines), len(machines))
 	}
 }
 
-// TestColstoreCheckpointResume pins the checkpointed-segment path: a
-// columnar study resumed from checkpoints saves segments identical to an
-// uninterrupted run's, without re-encoding (the restored bytes are
-// written verbatim).
+// TestColstoreCheckpointResume pins resume through the one saved layout:
+// a study restored from checkpoints (each holding a machine's stream and
+// snapshots) saves a directory byte-identical to the uninterrupted
+// run's: segments, snapshots and both manifests.
 func TestColstoreCheckpointResume(t *testing.T) {
 	ckpt := t.TempDir()
-	cfg := colstoreConfig(2, true)
+	cfg := colstoreConfig(2)
 	cfg.CheckpointDir = ckpt
 
 	oneDir := t.TempDir()
@@ -217,30 +228,21 @@ func TestColstoreCheckpointResume(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	entries, err := os.ReadDir(oneDir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a, b := readCorpusDir(t, oneDir), readCorpusDir(t, twoDir)
 	segFiles := 0
-	for _, e := range entries {
-		if !strings.HasSuffix(e.Name(), collect.ColumnarExt) {
-			continue
+	for name, data := range a {
+		if strings.HasSuffix(name, collect.ColumnarExt) {
+			segFiles++
 		}
-		segFiles++
-		a, err := os.ReadFile(filepath.Join(oneDir, e.Name()))
-		if err != nil {
-			t.Fatal(err)
+		if !bytes.Equal(b[name], data) {
+			t.Errorf("%s: resumed save differs from uninterrupted save", name)
 		}
-		b, err := os.ReadFile(filepath.Join(twoDir, e.Name()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if string(a) != string(b) {
-			t.Errorf("%s: resumed save differs from uninterrupted save", e.Name())
-		}
+	}
+	if len(b) != len(a) {
+		t.Errorf("resumed save wrote %d files, uninterrupted save %d", len(b), len(a))
 	}
 	if segFiles == 0 {
-		t.Fatal("columnar study saved no segments")
+		t.Fatal("study saved no segments")
 	}
 }
 
@@ -261,13 +263,14 @@ func renderEverything(r *report.Results) string {
 	return b.String()
 }
 
-// TestColumnarComputeByteIdentical is the layout-equivalence proof: one
-// corpus saved in both layouts, recomputed at every compute worker
-// count, must render every table, figure and section byte-identically
-// through the one kernel set. The row layout reaches it by transposing
-// decoded records, the columnar layout by scanning segments without
-// ever materializing rows. Each (layout, workers) pass reloads the
-// directory so no lazily derived state carries over between passes.
+// TestColumnarComputeByteIdentical is the trace-construction
+// equivalence proof: one study's traces, built from its collected
+// records (Study.DataSet transposes them) and loaded from its saved
+// segments (scanned without ever materializing rows), recomputed at
+// every compute worker count, must render every table, figure and
+// section byte-identically through the one kernel set. Each (source,
+// workers) pass builds or reloads its traces so no lazily derived state
+// carries over between passes.
 func TestColumnarComputeByteIdentical(t *testing.T) {
 	st := NewStudy(Config{
 		Seed: 29, Machines: 6, Duration: 30 * sim.Minute,
@@ -276,43 +279,41 @@ func TestColumnarComputeByteIdentical(t *testing.T) {
 	if err := st.Run(); err != nil {
 		t.Fatal(err)
 	}
-	rowDir, colDir := t.TempDir(), t.TempDir()
-	if err := st.Save(rowDir); err != nil {
-		t.Fatal(err)
-	}
-	st.Cfg.Columnar = true
-	if err := st.Save(colDir); err != nil {
+	dir := t.TempDir()
+	if err := st.Save(dir); err != nil {
 		t.Fatal(err)
 	}
 
 	var want string
-	for _, layout := range []struct {
-		name     string
-		dir      string
-		columnar bool
+	for _, source := range []struct {
+		name string
+		load func() (*analysis.DataSet, error)
 	}{
-		{"row", rowDir, false},
-		{"columnar", colDir, true},
+		{"records", st.DataSet},
+		{"segments", func() (*analysis.DataSet, error) {
+			c, err := LoadCorpusTrace(dir, nil, nil)
+			if err != nil {
+				return nil, err
+			}
+			if len(c.Segments) != len(c.DS.Machines) {
+				return nil, fmt.Errorf("loaded %d segments for %d machines", len(c.Segments), len(c.DS.Machines))
+			}
+			return c.DS, nil
+		}},
 	} {
 		for _, workers := range []int{1, 4, 8} {
-			c, err := LoadCorpus(layout.dir, nil)
+			ds, err := source.load()
 			if err != nil {
 				t.Fatal(err)
 			}
-			if layout.columnar && len(c.Segments) != len(c.DS.Machines) {
-				t.Fatalf("columnar layout loaded %d segments for %d machines", len(c.Segments), len(c.DS.Machines))
-			}
-			if !layout.columnar && len(c.Segments) != 0 {
-				t.Fatalf("row layout loaded %d segments, want 0", len(c.Segments))
-			}
-			got := renderEverything(report.ComputeWorkers(c.DS, workers))
+			got := renderEverything(report.ComputeWorkers(ds, workers))
 			if got == "" {
-				t.Fatalf("%s layout rendered an empty report", layout.name)
+				t.Fatalf("%s traces rendered an empty report", source.name)
 			}
 			if want == "" {
 				want = got
 			} else if got != want {
-				t.Fatalf("%s layout at %d compute workers rendered a different report", layout.name, workers)
+				t.Fatalf("%s traces at %d compute workers rendered a different report", source.name, workers)
 			}
 		}
 	}

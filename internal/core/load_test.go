@@ -31,7 +31,7 @@ func loadStudy(t *testing.T) *Study {
 	loadStudyOnce.Do(func() {
 		s := NewStudy(Config{
 			Seed: 31, Machines: 5, Duration: 5 * sim.Minute,
-			WithNetwork: true, SnapshotAtStart: true, Columnar: true, Workers: 2,
+			WithNetwork: true, SnapshotAtStart: true, Workers: 2,
 		})
 		loadStudyErr = s.Run()
 		loadStudyRun = s
@@ -42,28 +42,23 @@ func loadStudy(t *testing.T) *Study {
 	return loadStudyRun
 }
 
-// saveMixed saves the study as a columnar corpus, adds the row streams,
-// and drops every other segment, so the load runs both of its paths.
-func saveMixed(t *testing.T) string {
+// saveConverted saves the study and adds legacy row streams beside every
+// other machine's segment, as a corpus converted by fscorpus convert
+// holds them: the load must read the segments and ignore the rows.
+func saveConverted(t *testing.T) string {
 	t.Helper()
 	s := loadStudy(t)
 	dir := t.TempDir()
 	if err := s.Save(dir); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Store.SaveDir(dir); err != nil {
-		t.Fatal(err)
-	}
-	segs, err := filepath.Glob(filepath.Join(dir, "*.fsc"))
-	if err != nil || len(segs) < 2 {
-		t.Fatalf("saved %d segments (%v)", len(segs), err)
-	}
-	sort.Strings(segs)
-	for i := 0; i < len(segs); i += 2 {
-		if err := os.Remove(segs[i]); err != nil {
-			t.Fatal(err)
+	var rows []string
+	for i, name := range s.Store.Machines() {
+		if i%2 == 0 {
+			rows = append(rows, name)
 		}
 	}
+	writeRowStreams(t, s, dir, rows)
 	return dir
 }
 
@@ -98,16 +93,15 @@ func viewCorpus(t *testing.T, c *Corpus) loadView {
 }
 
 // TestLoadCorpusProcsInvariant pins the parallel load to the serial one:
-// under GOMAXPROCS 1 and 4 a mixed row/columnar corpus loads the same
-// machines in the same order, the same segments and snapshots, and
-// renders the same report; the snapshots are the study's own, in
-// file-name order.
+// under GOMAXPROCS 1 and 4 a converted corpus loads the same machines in
+// the same order, the same segments and snapshots, and renders the same
+// report; the snapshots are the study's own, in file-name order.
 func TestLoadCorpusProcsInvariant(t *testing.T) {
-	dir := saveMixed(t)
+	dir := saveConverted(t)
 	var views []loadView
 	for _, procs := range []int{1, 4} {
 		withProcs(procs, func() {
-			c, err := LoadCorpus(dir, nil)
+			c, err := LoadCorpusTrace(dir, nil, nil)
 			if err != nil {
 				t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
 			}
@@ -127,8 +121,8 @@ func TestLoadCorpusProcsInvariant(t *testing.T) {
 	if !reflect.DeepEqual(serial.snaps, parallel.snaps) {
 		t.Errorf("snapshots differ between GOMAXPROCS 1 and 4")
 	}
-	if len(serial.segments) == 0 || len(serial.segments) == len(serial.machines) {
-		t.Fatalf("%d segments for %d machines: the corpus is not mixed", len(serial.segments), len(serial.machines))
+	if len(serial.segments) == 0 || len(serial.segments) != len(serial.machines) {
+		t.Fatalf("%d segments for %d machines: not every machine loaded its segment", len(serial.segments), len(serial.machines))
 	}
 
 	s := loadStudy(t)
@@ -154,7 +148,7 @@ func TestLoadCorpusProcsInvariant(t *testing.T) {
 // GOMAXPROCS the error names the first in file-name order, as a serial
 // load stops there.
 func TestLoadCorpusFirstCorruptSnapshot(t *testing.T) {
-	dir := saveMixed(t)
+	dir := saveConverted(t)
 	snaps, err := filepath.Glob(filepath.Join(dir, "*.snap"))
 	if err != nil || len(snaps) < 4 {
 		t.Fatalf("saved %d snapshots (%v)", len(snaps), err)
@@ -168,7 +162,7 @@ func TestLoadCorpusFirstCorruptSnapshot(t *testing.T) {
 	}
 	for _, procs := range []int{1, 4} {
 		withProcs(procs, func() {
-			_, err := LoadCorpus(dir, nil)
+			_, err := LoadCorpusTrace(dir, nil, nil)
 			if err == nil {
 				t.Fatalf("GOMAXPROCS=%d: corrupt snapshots loaded", procs)
 			}
@@ -184,9 +178,9 @@ func TestLoadCorpusFirstCorruptSnapshot(t *testing.T) {
 // exists and cannot be read fails the load instead of dropping every
 // machine's category and process names.
 func TestLoadCorpusManifest(t *testing.T) {
-	dir := saveMixed(t)
+	dir := saveConverted(t)
 	man := filepath.Join(dir, "manifest.json")
-	c, err := LoadCorpus(dir, nil)
+	c, err := LoadCorpusTrace(dir, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,13 +198,13 @@ func TestLoadCorpusManifest(t *testing.T) {
 	if err := os.Remove(man); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadCorpus(dir, nil); err != nil {
+	if _, err := LoadCorpusTrace(dir, nil, nil); err != nil {
 		t.Errorf("corpus without a manifest: %v", err)
 	}
 	if err := os.Mkdir(man, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadCorpus(dir, nil); err == nil || !strings.Contains(err.Error(), "manifest") {
+	if _, err := LoadCorpusTrace(dir, nil, nil); err == nil || !strings.Contains(err.Error(), "manifest") {
 		t.Errorf("manifest.json as a directory: err = %v, want a manifest error", err)
 	}
 }

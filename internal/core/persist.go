@@ -32,12 +32,9 @@ type manifestEntry struct {
 	ProcNames map[uint32]string `json:"proc_names,omitempty"`
 }
 
-// Save writes the collected corpus, snapshots (*.snap, the binary
-// snapshot format) and the machine manifest into dir. The corpus layout
-// follows Cfg.Columnar: row streams (*.trz) by default, colstore
-// segments (*.fsc) when set — restored machines reuse the segment
-// carried by their checkpoint instead of re-encoding. The study must
-// have Run.
+// Save writes the collected corpus as colstore segments (*.fsc), the
+// snapshots (*.snap, the binary snapshot format) and the machine
+// manifest into dir. The study must have Run.
 //
 // Segments and snapshots are encoded and written on GOMAXPROCS workers,
 // as LoadCorpusTrace reads them; each lands in its own slot, so the
@@ -47,20 +44,7 @@ func (s *Study) Save(dir string) error {
 	if !s.ran {
 		return fmt.Errorf("core: Save before Run")
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	if s.Cfg.Columnar {
-		prebuilt := map[string][]byte{}
-		for i, r := range s.restored {
-			if r != nil && r.Segment != nil {
-				prebuilt[s.specs[i].name] = r.Segment
-			}
-		}
-		if _, err := s.Store.SaveColumnarDir(dir, colstore.Options{Metrics: s.colMetrics}, prebuilt); err != nil {
-			return err
-		}
-	} else if err := s.Store.SaveDir(dir); err != nil {
+	if _, err := s.Store.SaveColumnarDir(dir, colstore.Options{Metrics: s.colMetrics}); err != nil {
 		return err
 	}
 	var man manifest
@@ -102,63 +86,43 @@ func writeSnapshot(path string, snap *snapshot.Snapshot) error {
 func safe(s string) string { return collect.SafeName(s) }
 
 // Corpus is a loaded study directory with every layer kept accessible:
-// the analysis DataSet (what the report pipeline consumes), the raw
-// columnar segments (what the pushdown scan engine serves), the row
-// store for machines saved without a segment, and the snapshots. The
+// the analysis DataSet (what the report pipeline consumes), the columnar
+// segments (what the pushdown scan engine serves) and the snapshots. The
 // query service holds one of these for its whole lifetime.
 type Corpus struct {
 	DS    *analysis.DataSet
 	Snaps []*snapshot.Snapshot
-	// Segments holds the columnar form keyed by true machine name; a
-	// machine absent here was loaded from its row stream.
+	// Segments holds each machine's segment keyed by true machine name.
 	Segments map[string]*colstore.Segment
-	// Store holds the row streams (possibly empty for a pure-columnar
-	// corpus), keyed by true machine name.
-	Store *collect.Store
 }
 
-// Load reads a saved study directory back into an analysis corpus and
-// its snapshots. Machines saved as columnar segments (*.fsc) decode
-// through the colstore scan engine — the index pre-seeded from a narrow
-// column scan — and the rest fall back to row streams (*.trz); a
-// directory may mix both, and a machine with both forms uses the
-// columnar one.
-func Load(dir string) (*analysis.DataSet, []*snapshot.Snapshot, error) {
-	return LoadObs(dir, nil)
-}
-
-// LoadObs is Load with corpus-scan instrumentation: when reg is non-nil
-// every opened segment counts blocks scanned/skipped and bytes decoded
-// per column family on the colstore bundle.
-func LoadObs(dir string, reg *obs.Registry) (*analysis.DataSet, []*snapshot.Snapshot, error) {
-	c, err := LoadCorpus(dir, reg)
-	if err != nil {
-		return nil, nil, err
-	}
-	return c.DS, c.Snaps, nil
-}
-
-// LoadCorpus is LoadObs keeping the storage layers open alongside the
-// DataSet, so callers that serve both decoded analyses and raw pushdown
-// scans (the query service) load the directory exactly once.
-func LoadCorpus(dir string, reg *obs.Registry) (*Corpus, error) {
-	return LoadCorpusTrace(dir, reg, nil)
-}
-
-// LoadCorpusTrace is LoadCorpus with per-machine load tracing: each
-// columnar machine's scan/argsort/gather stages record as a span tree on
-// tr (nil tr loads identically and traces nothing).
+// LoadCorpusTrace reads a saved study directory back into an analysis
+// corpus, its segments and its snapshots, so callers that serve both
+// decoded analyses and raw pushdown scans (the query service) load the
+// directory exactly once. Each machine's trace is built from its
+// segment (*.fsc) through the colstore scan engine, in sorted machine
+// order. A legacy row stream (*.trz) with no segment of the same stem
+// fails the load: such a corpus is imported once with fscorpus convert,
+// after which its segments load and the row streams are ignored.
+//
+// When reg is non-nil every opened segment counts blocks scanned and
+// skipped and bytes decoded per column family on the colstore bundle.
+// Each machine's scan/argsort/gather stages record as a span tree on tr
+// (nil tr loads identically and traces nothing).
 //
 // The load runs in two phases, each spread over GOMAXPROCS workers:
 // first every machine's trace, then every snapshot. Results land in
 // slot-indexed entries, so the machines, the snapshots and the error
 // returned come out in the order a serial load gives.
 func LoadCorpusTrace(dir string, reg *obs.Registry, tr *trace.Tracer) (*Corpus, error) {
-	segs, err := collect.LoadColumnarDir(dir, colstore.NewMetrics(reg))
+	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err
 	}
-	store, err := collect.LoadDir(dir)
+	if err := checkNoRowOnly(entries); err != nil {
+		return nil, err
+	}
+	segs, err := collect.LoadColumnarDir(dir, colstore.NewMetrics(reg))
 	if err != nil {
 		return nil, err
 	}
@@ -175,7 +139,7 @@ func LoadCorpusTrace(dir string, reg *obs.Registry, tr *trace.Tracer) (*Corpus, 
 	}
 	cats := map[string]machine.Category{}
 	procs := map[string]map[uint32]string{}
-	// Streams from a corpus without a stem manifest surface under their
+	// Segments from a corpus without a stem manifest surface under their
 	// flattened file stems, so register those keys first and let the true
 	// names (the stem-manifest round trip) overwrite them.
 	for _, e := range man.Machines {
@@ -186,32 +150,15 @@ func LoadCorpusTrace(dir string, reg *obs.Registry, tr *trace.Tracer) (*Corpus, 
 		cats[e.Name] = machine.Category(e.Category)
 		procs[e.Name] = e.ProcNames
 	}
-	// Union of both layouts, row names first (sorted), then any
-	// columnar-only machines in sorted order.
-	names := store.Machines()
-	have := map[string]bool{}
-	for _, n := range names {
-		have[n] = true
-	}
-	var extra []string
+	names := make([]string, 0, len(segs))
 	for n := range segs {
-		if !have[n] {
-			extra = append(extra, n)
-		}
+		names = append(names, n)
 	}
-	sort.Strings(extra)
-	names = append(names, extra...)
+	sort.Strings(names)
 	load := func(name string) (*analysis.MachineTrace, error) {
-		if seg := segs[name]; seg != nil {
-			sp := tr.StartTrace("load", name, trace.HashID("load", name), nil)
-			defer sp.Finish()
-			return analysis.NewMachineTraceColumnar(name, cats[name], seg, sp)
-		}
-		recs, err := store.Records(name)
-		if err != nil {
-			return nil, err
-		}
-		return analysis.NewMachineTrace(name, cats[name], recs), nil
+		sp := tr.StartTrace("load", name, trace.HashID("load", name), nil)
+		defer sp.Finish()
+		return analysis.NewMachineTraceColumnar(name, cats[name], segs[name], sp)
 	}
 	workers := runtime.GOMAXPROCS(0)
 	mts := make([]*analysis.MachineTrace, len(names))
@@ -222,10 +169,6 @@ func LoadCorpusTrace(dir string, reg *obs.Registry, tr *trace.Tracer) (*Corpus, 
 		}
 	})
 	if err := firstError(errs); err != nil {
-		return nil, err
-	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
 		return nil, err
 	}
 	// Snapshots in file-name order; corpora saved before the binary
@@ -244,7 +187,25 @@ func LoadCorpusTrace(dir string, reg *obs.Registry, tr *trace.Tracer) (*Corpus, 
 	if err := firstError(errs); err != nil {
 		return nil, err
 	}
-	return &Corpus{DS: &analysis.DataSet{Machines: mts}, Snaps: snaps, Segments: segs, Store: store}, nil
+	return &Corpus{DS: &analysis.DataSet{Machines: mts}, Snaps: snaps, Segments: segs}, nil
+}
+
+// checkNoRowOnly fails on the first legacy row stream (*.trz) of a
+// corpus directory that has no segment of the same stem: loading without
+// it would drop the machine from every measure.
+func checkNoRowOnly(entries []fs.DirEntry) error {
+	segs := map[string]bool{}
+	for _, e := range entries {
+		if stem, ok := strings.CutSuffix(e.Name(), collect.ColumnarExt); ok && !e.IsDir() {
+			segs[stem] = true
+		}
+	}
+	for _, e := range entries {
+		if stem, ok := strings.CutSuffix(e.Name(), ".trz"); ok && !e.IsDir() && !segs[stem] {
+			return fmt.Errorf("core: %s is a row stream with no %s segment; import the corpus with fscorpus convert", e.Name(), stem+collect.ColumnarExt)
+		}
+	}
+	return nil
 }
 
 // readSnapshot decodes one snapshot file of a corpus directory.

@@ -26,10 +26,11 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if err := s.Save(dir); err != nil {
 		t.Fatal(err)
 	}
-	ds, snaps, err := Load(dir)
+	c, err := LoadCorpusTrace(dir, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	ds, snaps := c.DS, c.Snaps
 	if len(ds.Machines) != 2 {
 		t.Fatalf("loaded %d machines", len(ds.Machines))
 	}
@@ -88,11 +89,11 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	_, legacy, err := Load(dir)
+	legacy, err := LoadCorpusTrace(dir, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(legacy, snaps) {
+	if !reflect.DeepEqual(legacy.Snaps, snaps) {
 		t.Error("legacy *.snap.json corpus loads different snapshots than the *.snap save")
 	}
 	// Category survives for at least one machine.
@@ -144,8 +145,8 @@ func TestSaveBeforeRunFails(t *testing.T) {
 }
 
 func TestLoadMissingDirFails(t *testing.T) {
-	if _, _, err := Load("/nonexistent-dir-xyz"); err == nil {
-		t.Error("Load of missing dir succeeded")
+	if _, err := LoadCorpusTrace("/nonexistent-dir-xyz", nil, nil); err == nil {
+		t.Error("load of a missing dir succeeded")
 	}
 }
 

@@ -79,12 +79,10 @@ type Config struct {
 	// Resume loads matching checkpoints from CheckpointDir instead of
 	// re-running those machines.
 	Resume bool
-	// Columnar switches the saved corpus to the colstore layout: Save
-	// writes per-machine columnar segments (*.fsc) instead of row
-	// streams, and checkpoints carry the segment so a resumed study
-	// saves without re-encoding. Load prefers segments wherever they
-	// exist and falls back to row streams, so either corpus layout
-	// round-trips through the same analysis.
+	// Columnar is read by nothing: Save always writes colstore segments.
+	//
+	// Deprecated: the saved layout is no longer selectable; the field
+	// stays only until the benchmark harness stops setting it.
 	Columnar bool
 
 	// Obs, when set, instruments the whole stack — NT layers, trace
@@ -261,7 +259,6 @@ func NewStudy(cfg Config) *Study {
 		Workers:       cfg.Workers,
 		CheckpointDir: cfg.CheckpointDir,
 		Remote:        cfg.CollectAddr != "",
-		Columnar:      cfg.Columnar,
 		Obs:           cfg.Obs,
 		Tracer:        cfg.Trace,
 	}, s.Store)

@@ -267,9 +267,24 @@ func TestDataSetWorkersDeterministic(t *testing.T) {
 			if !reflect.DeepEqual(mt.Names(), want.Names()) {
 				t.Fatalf("workers=%d %s: name maps differ", workers, mt.Name)
 			}
-			if !slices.Equal(mt.Rows(), want.Rows()) {
+			if !equalRows(t, mt, want) {
 				t.Fatalf("workers=%d %s: rows differ", workers, mt.Name)
 			}
 		}
 	}
+}
+
+// equalRows reports whether two traces hold the same records in the
+// same order.
+func equalRows(t *testing.T, a, b *analysis.MachineTrace) bool {
+	t.Helper()
+	ar, err := a.Rows()
+	if err != nil {
+		t.Fatal(err)
+	}
+	br, err := b.Rows()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return slices.Equal(ar, br)
 }

@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"bytes"
-	"compress/flate"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -12,9 +11,7 @@ import (
 	"path/filepath"
 
 	"repro/internal/collect"
-	"repro/internal/colstore"
 	"repro/internal/snapshot"
-	"repro/internal/tracefmt"
 )
 
 // A checkpoint is one completed shard on disk: a small JSON header
@@ -27,13 +24,12 @@ import (
 // Layout: magic, then length-prefixed sections
 //
 //	"FSFLEET1" | u32 len + header JSON | u64 len + stream | u32 snapCount
-//	| per snapshot: u64 len + snapshot JSON
-//	| optional: u64 len + columnar segment (Config.Columnar)
+//	| per snapshot: u64 len + binary snapshot (snapshot.Write)
 //
-// The columnar section is strictly additive: checkpoints written before
-// it existed (or with Columnar off) simply end after the snapshots, and
-// loaders treat the absent section as "no segment". The row stream stays
-// verbatim either way, preserving the byte-identical-store invariant.
+// The file ends after the last snapshot; any byte after it makes the
+// checkpoint malformed. (Checkpoints from before segments became the
+// only saved layout could carry a columnar segment there; they re-run
+// their machine, which collects the same stream.)
 //
 // Files are written to <name>.ckpt.tmp and renamed into place, so a kill
 // mid-write leaves no valid-looking partial checkpoint; loaders treat any
@@ -55,7 +51,6 @@ type checkpoint struct {
 	ProcNames   map[uint32]string
 	Stream      []byte
 	Snapshots   []*snapshot.Snapshot
-	Segment     []byte
 }
 
 func checkpointPath(dir, machine string) string {
@@ -95,18 +90,6 @@ func (e *Engine) writeCheckpoint(sh *shard) error {
 		binary.Write(&buf, binary.LittleEndian, uint64(sb.Len()))
 		buf.Write(sb.Bytes())
 	}
-	if e.cfg.Columnar {
-		recs, err := decodeForColumnar(stream, count)
-		if err != nil {
-			return err
-		}
-		seg, _, err := colstore.EncodeSegment(recs, colstore.Options{Metrics: e.colM})
-		if err != nil {
-			return fmt.Errorf("fleet: columnar checkpoint %q: %w", sh.spec.Name, err)
-		}
-		binary.Write(&buf, binary.LittleEndian, uint64(len(seg)))
-		buf.Write(seg)
-	}
 	final := checkpointPath(e.cfg.CheckpointDir, sh.spec.Name)
 	tmp := final + ".tmp"
 	if err := os.WriteFile(tmp, buf.Bytes(), 0o644); err != nil {
@@ -123,14 +106,28 @@ func loadCheckpoint(path, fingerprint string) (*checkpoint, error) {
 	if err != nil {
 		return nil, err
 	}
+	ck, err := parseCheckpoint(data, fingerprint)
+	if err != nil {
+		return nil, fmt.Errorf("fleet: %s: %w", path, err)
+	}
+	return ck, nil
+}
+
+// parseCheckpoint decodes a checkpoint file's bytes. Every length is
+// checked against the bytes left before anything is allocated, so no
+// input makes it allocate far beyond its own size.
+func parseCheckpoint(data []byte, fingerprint string) (*checkpoint, error) {
 	r := bytes.NewReader(data)
 	magic := make([]byte, len(ckptMagic))
 	if _, err := io.ReadFull(r, magic); err != nil || string(magic) != ckptMagic {
-		return nil, fmt.Errorf("fleet: %s: bad magic", path)
+		return nil, errors.New("bad magic")
 	}
 	var headLen uint32
 	if err := binary.Read(r, binary.LittleEndian, &headLen); err != nil {
 		return nil, err
+	}
+	if uint64(headLen) > uint64(r.Len()) {
+		return nil, errors.New("truncated header")
 	}
 	head := make([]byte, headLen)
 	if _, err := io.ReadFull(r, head); err != nil {
@@ -138,17 +135,17 @@ func loadCheckpoint(path, fingerprint string) (*checkpoint, error) {
 	}
 	var h ckptHeader
 	if err := json.Unmarshal(head, &h); err != nil {
-		return nil, fmt.Errorf("fleet: %s: header: %w", path, err)
+		return nil, fmt.Errorf("header: %w", err)
 	}
 	if h.Fingerprint != fingerprint {
-		return nil, fmt.Errorf("fleet: %s: fingerprint mismatch (checkpoint from a different study configuration)", path)
+		return nil, errors.New("fingerprint mismatch (checkpoint from a different study configuration)")
 	}
 	var streamLen uint64
 	if err := binary.Read(r, binary.LittleEndian, &streamLen); err != nil {
 		return nil, err
 	}
 	if streamLen > uint64(r.Len()) {
-		return nil, fmt.Errorf("fleet: %s: truncated stream", path)
+		return nil, errors.New("truncated stream")
 	}
 	stream := make([]byte, streamLen)
 	if _, err := io.ReadFull(r, stream); err != nil {
@@ -171,60 +168,20 @@ func loadCheckpoint(path, fingerprint string) (*checkpoint, error) {
 			return nil, err
 		}
 		if snapLen > uint64(r.Len()) {
-			return nil, fmt.Errorf("fleet: %s: truncated snapshot", path)
+			return nil, errors.New("truncated snapshot")
 		}
 		raw := make([]byte, snapLen)
 		if _, err := io.ReadFull(r, raw); err != nil {
 			return nil, err
 		}
-		snap, err := snapshot.Read(bytes.NewReader(raw))
+		snap, err := snapshot.Decode(raw)
 		if err != nil {
-			return nil, fmt.Errorf("fleet: %s: snapshot %d: %w", path, i, err)
+			return nil, fmt.Errorf("snapshot %d: %w", i, err)
 		}
 		ck.Snapshots = append(ck.Snapshots, snap)
 	}
-	// Optional columnar section: absent in pre-columnar checkpoints.
 	if r.Len() > 0 {
-		var segLen uint64
-		if err := binary.Read(r, binary.LittleEndian, &segLen); err != nil {
-			return nil, err
-		}
-		if segLen != uint64(r.Len()) {
-			return nil, fmt.Errorf("fleet: %s: columnar section length %d != %d remaining bytes", path, segLen, r.Len())
-		}
-		seg := make([]byte, segLen)
-		if _, err := io.ReadFull(r, seg); err != nil {
-			return nil, err
-		}
-		// Validate now so restore never hands back a corrupt segment;
-		// the count must also match the row stream's.
-		opened, err := colstore.OpenSegment(seg, nil)
-		if err != nil {
-			return nil, fmt.Errorf("fleet: %s: columnar section: %w", path, err)
-		}
-		if opened.Records() != h.Records {
-			return nil, fmt.Errorf("fleet: %s: columnar section holds %d records, header says %d", path, opened.Records(), h.Records)
-		}
-		ck.Segment = seg
+		return nil, fmt.Errorf("%d bytes after the last snapshot", r.Len())
 	}
 	return ck, nil
-}
-
-// decodeForColumnar materializes a checkpointed row stream's records for
-// columnar encoding. An empty stream (machine with no records) yields no
-// records and, upstream, an empty segment.
-func decodeForColumnar(stream []byte, count int) ([]tracefmt.Record, error) {
-	if len(stream) == 0 {
-		return nil, nil
-	}
-	zr := flate.NewReader(bytes.NewReader(stream))
-	defer zr.Close()
-	rd := tracefmt.NewReader(zr)
-	recs := make([]tracefmt.Record, count)
-	for i := range recs {
-		if err := rd.ReadInto(&recs[i]); err != nil {
-			return nil, fmt.Errorf("fleet: columnar encode: record %d of %d: %w", i, count, err)
-		}
-	}
-	return recs, nil
 }

@@ -26,7 +26,6 @@ import (
 	"path/filepath"
 
 	"repro/internal/collect"
-	"repro/internal/colstore"
 	"repro/internal/obs"
 	"repro/internal/obs/trace"
 	"repro/internal/sim"
@@ -87,12 +86,6 @@ type Config struct {
 	// via CountRecords, the local store is neither finalized nor
 	// checkpointed (the server owns the corpus), and Restore is refused.
 	Remote bool
-	// Columnar additionally encodes each completed shard's trace stream
-	// as a colstore segment inside its checkpoint, so a resumed study can
-	// reuse the columnar corpus without re-encoding. The row stream is
-	// still checkpointed verbatim — the byte-identical-store invariant is
-	// unchanged; the segment is a derived, digest-verified view.
-	Columnar bool
 	// Obs, when set, exports the per-shard progress gauges as
 	// shard-labeled series and the fleet aggregates as derived gauges
 	// refreshed on every gather. The gauges exist either way — they ARE
@@ -147,17 +140,12 @@ type Restored struct {
 	Records   int
 	ProcNames map[uint32]string
 	Snapshots []*snapshot.Snapshot
-	// Segment is the shard's columnar trace segment when the checkpoint
-	// was written with Config.Columnar (nil otherwise): already validated
-	// to open cleanly, reusable without re-encoding the row stream.
-	Segment []byte
 }
 
 // Engine executes a fleet of shards over a worker pool.
 type Engine struct {
 	cfg   Config
 	store *collect.Store
-	colM  *colstore.Metrics
 
 	// Fleet-level aggregates, recomputed by Status (and therefore by the
 	// registry's gather hook before every export).
@@ -186,7 +174,6 @@ func New(cfg Config, store *collect.Store) *Engine {
 		cfg.Workers = 1
 	}
 	e := &Engine{cfg: cfg, store: store, byName: map[string]*shard{}}
-	e.colM = colstore.NewMetrics(cfg.Obs)
 	if r := cfg.Obs; r != nil {
 		e.aggEventsPerSec = r.FloatGauge("fleet_events_per_sec",
 			"aggregate scheduler events per wall second")
@@ -275,7 +262,7 @@ func (e *Engine) Restore(spec Spec) (*Restored, bool) {
 	if err := e.register(sh); err != nil {
 		return nil, false
 	}
-	return &Restored{Records: ck.Records, ProcNames: ck.ProcNames, Snapshots: ck.Snapshots, Segment: ck.Segment}, true
+	return &Restored{Records: ck.Records, ProcNames: ck.ProcNames, Snapshots: ck.Snapshots}, true
 }
 
 // TraceBuffer implements agent.Sink: records merge into the shared store

@@ -2,10 +2,13 @@ package fleet
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -19,7 +22,7 @@ import (
 // addFakeShard registers a synthetic machine: a repeating event that
 // emits deterministic records through the engine's Sink, seeded per
 // machine so every shard's stream is distinct.
-func addFakeShard(t *testing.T, e *Engine, idx int, name string, rng *sim.RNG) {
+func addFakeShard(t testing.TB, e *Engine, idx int, name string, rng *sim.RNG) {
 	t.Helper()
 	sched := sim.NewScheduler()
 	var tick func(*sim.Scheduler)
@@ -53,7 +56,7 @@ func addFakeShard(t *testing.T, e *Engine, idx int, name string, rng *sim.RNG) {
 
 // runFleet builds and runs a synthetic fleet, returning per-machine
 // stream sums.
-func runFleet(t *testing.T, machines, workers int, dir string) map[string][32]byte {
+func runFleet(t testing.TB, machines, workers int, dir string) map[string][32]byte {
 	t.Helper()
 	store := collect.NewStore()
 	e := New(Config{Duration: sim.Hour, Workers: workers, CheckpointDir: dir}, store)
@@ -132,21 +135,81 @@ func TestRestoreRejectsFingerprintMismatch(t *testing.T) {
 	}
 }
 
+// TestRestoreRejectsCorruptCheckpoint pins that a malformed checkpoint
+// is not restored, so its machine re-runs: a truncated file, and one
+// with a section after the snapshots, which checkpoints carried while
+// they could hold a columnar segment.
 func TestRestoreRejectsCorruptCheckpoint(t *testing.T) {
 	dir := t.TempDir()
-	runFleet(t, 1, 1, dir)
+	want := runFleet(t, 1, 1, dir)
 	path := filepath.Join(dir, "m00.ckpt")
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(path, data[:len(data)/2], 0o644); err != nil {
-		t.Fatal(err)
+	trailing := binary.LittleEndian.AppendUint64(slices.Clone(data), 4)
+	trailing = append(trailing, "FSC1"...)
+	for name, bad := range map[string][]byte{
+		"truncated":        data[:len(data)/2],
+		"trailing section": trailing,
+	} {
+		if err := os.WriteFile(path, bad, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		store := collect.NewStore()
+		e := New(Config{Duration: sim.Hour, CheckpointDir: dir}, store)
+		if _, ok := e.Restore(Spec{Index: 0, Name: "m00", Fingerprint: "fp-m00"}); ok {
+			t.Errorf("%s: restore accepted the checkpoint", name)
+		}
+		if _, err := store.StreamSum("m00"); !errors.Is(err, collect.ErrNoRecords) {
+			t.Errorf("%s: rejected checkpoint left a stream in the store (%v)", name, err)
+		}
 	}
-	e := New(Config{Duration: sim.Hour, CheckpointDir: dir}, collect.NewStore())
-	if _, ok := e.Restore(Spec{Index: 0, Name: "m00", Fingerprint: "fp-m00"}); ok {
-		t.Error("restore accepted a truncated checkpoint")
+	// The machine re-runs and checkpoints the stream it had before.
+	if got := runFleet(t, 1, 1, dir); got["m00"] != want["m00"] {
+		t.Error("re-run after a rejected checkpoint collected a different stream")
 	}
+	if _, err := loadCheckpoint(path, "fp-m00"); err != nil {
+		t.Errorf("re-run left no valid checkpoint: %v", err)
+	}
+}
+
+// FuzzLoadCheckpoint feeds the checkpoint parser arbitrary bytes, seeded
+// with a real checkpoint, the same checkpoint with a trailing section, a
+// header that claims 256 MiB, and 5,000 two-byte legacy JSON snapshots
+// (which the JSON decoder would expand ~90-fold). Every input must be
+// rejected or parsed, never panic, and never make the parser allocate
+// far beyond the input's own size.
+func FuzzLoadCheckpoint(f *testing.F) {
+	dir := f.TempDir()
+	runFleet(f, 1, 1, dir)
+	ckpt, err := os.ReadFile(filepath.Join(dir, "m00.ckpt"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(ckpt)
+	f.Add(append(binary.LittleEndian.AppendUint64(slices.Clone(ckpt), 4), "FSC1"...))
+	f.Add(binary.LittleEndian.AppendUint32([]byte(ckptMagic), 256<<20))
+	head := ckpt[:len(ckptMagic)+4+int(binary.LittleEndian.Uint32(ckpt[len(ckptMagic):]))]
+	tiny := binary.LittleEndian.AppendUint32(binary.LittleEndian.AppendUint64(slices.Clone(head), 0), 5000)
+	for i := 0; i < 5000; i++ {
+		tiny = append(binary.LittleEndian.AppendUint64(tiny, 2), "{}"...)
+	}
+	f.Add(tiny)
+	f.Fuzz(func(t *testing.T, in []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		ck, err := parseCheckpoint(in, "fp-m00")
+		runtime.ReadMemStats(&after)
+		// Snapshots decode at up to 64 bytes per input byte (their own
+		// fuzz bound); the stream and header are copied once.
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 64*uint64(len(in))+1<<20 {
+			t.Fatalf("parse of %d bytes allocated %d bytes", len(in), grew)
+		}
+		if (err == nil) == (ck == nil) {
+			t.Fatalf("parse returned checkpoint %v with error %v", ck != nil, err)
+		}
+	})
 }
 
 func TestDuplicateShardName(t *testing.T) {

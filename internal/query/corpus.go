@@ -19,7 +19,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"runtime"
 	"sort"
 
 	"repro/internal/analysis"
@@ -28,7 +27,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/obs/trace"
-	"repro/internal/par"
 )
 
 // cacheKey is a result identity: SHA-256 over corpus SHA ‖ canonical
@@ -42,29 +40,21 @@ type cacheKey [sha256.Size]byte
 type Corpus struct {
 	Dir string
 	// SHA identifies the corpus content: a digest over the sorted
-	// (machine name, logical record-stream SHA-256) pairs. The row and
-	// columnar forms of the same corpus digest identically, because the
-	// colstore footer SHA is defined over the logical record stream.
+	// (machine name, logical record-stream SHA-256) pairs. The colstore
+	// footer SHA is defined over the logical record stream, so a corpus
+	// converted from legacy row streams digests as the study's own save.
 	SHA [sha256.Size]byte
 
 	machines []string // sorted true machine names
-	segs     map[string]*colstore.Segment
 	ds       *analysis.DataSet
 	snaps    int
 	parts    *core.Corpus
 }
 
-// OpenCorpus loads dir exactly once and computes the corpus identity.
-// A machine saved without a *.fsc segment has its row stream sealed
-// into an in-memory segment here, once, so every scan runs through the
-// one pushdown engine. The registry (nil ok) receives colstore
+// OpenCorpusTrace loads dir exactly once, with per-machine load tracing
+// on tr (nil tr loads identically and traces nothing), and computes the
+// corpus identity. The registry (nil ok) receives colstore
 // pushdown-ledger metrics for every scan the service runs later.
-func OpenCorpus(dir string, reg *obs.Registry) (*Corpus, error) {
-	return OpenCorpusTrace(dir, reg, nil)
-}
-
-// OpenCorpusTrace is OpenCorpus with per-machine load tracing on tr
-// (nil tr loads identically and traces nothing).
 func OpenCorpusTrace(dir string, reg *obs.Registry, tr *trace.Tracer) (*Corpus, error) {
 	parts, err := core.LoadCorpusTrace(dir, reg, tr)
 	if err != nil {
@@ -72,7 +62,6 @@ func OpenCorpusTrace(dir string, reg *obs.Registry, tr *trace.Tracer) (*Corpus, 
 	}
 	c := &Corpus{
 		Dir:   dir,
-		segs:  make(map[string]*colstore.Segment, len(parts.DS.Machines)),
 		ds:    parts.DS,
 		snaps: len(parts.Snaps),
 		parts: parts,
@@ -85,35 +74,9 @@ func OpenCorpusTrace(dir string, reg *obs.Registry, tr *trace.Tracer) (*Corpus, 
 		return nil, fmt.Errorf("query: %s holds no trace streams", dir)
 	}
 
-	for name, seg := range parts.Segments {
-		c.segs[name] = seg
-	}
-	// Seal the row-only machines, one worker per CPU. A sealed segment
-	// keeps the stream order and its footer SHA is the stream's
-	// RowStreamSHA, so scans and the identity below come out the same as
-	// from a saved segment of the same stream.
-	var rowOnly []string
-	for _, name := range parts.Store.Machines() {
-		if c.segs[name] == nil {
-			rowOnly = append(rowOnly, name)
-		}
-	}
-	m := colstore.NewMetrics(reg)
-	sealed := make([]*colstore.Segment, len(rowOnly))
-	errs := make([]error, len(rowOnly))
-	par.For(runtime.GOMAXPROCS(0), len(rowOnly), func(i int) {
-		sealed[i], errs[i] = sealRows(parts.Store, rowOnly[i], m)
-	})
-	for i, name := range rowOnly {
-		if errs[i] != nil {
-			return nil, errs[i]
-		}
-		c.segs[name] = sealed[i]
-	}
-
 	h := sha256.New()
 	for _, name := range c.machines {
-		sum := c.segs[name].SHA256()
+		sum := c.parts.Segments[name].SHA256()
 		h.Write([]byte(name))
 		h.Write([]byte{0})
 		h.Write(sum[:])
@@ -122,47 +85,15 @@ func OpenCorpusTrace(dir string, reg *obs.Registry, tr *trace.Tracer) (*Corpus, 
 	return c, nil
 }
 
-// sealBlockRecords is the block size of a sealed segment. At the
-// on-disk default a row-only machine of a few thousand records is one
-// block, which no zone map can skip; with small blocks the kind bitmaps
-// and start ranges skip most of a selective scan. Of 64 to 65,536
-// records a block, 128 gave the fastest cold scans on corpora of 45
-// machines × 5 minutes and of 12 machines × 1 hour (2-vCPU host).
-const sealBlockRecords = 128
-
-// sealRows encodes one machine's row stream as an in-memory segment.
-// The segment is never stored or shipped, so its columns skip DEFLATE:
-// sealing and every later scan of it cost less, and it still holds far
-// fewer bytes than the decoded records.
-func sealRows(store *collect.Store, name string, m *colstore.Metrics) (*colstore.Segment, error) {
-	recs, err := store.Records(name)
-	if err != nil {
-		return nil, fmt.Errorf("query: %s: %w", name, err)
-	}
-	data, _, err := colstore.EncodeSegment(recs, colstore.Options{NoCompress: true, BlockRecords: sealBlockRecords})
-	if err != nil {
-		return nil, fmt.Errorf("query: sealing %s: %w", name, err)
-	}
-	seg, err := colstore.OpenSegment(data, m)
-	if err != nil {
-		return nil, fmt.Errorf("query: sealing %s: %w", name, err)
-	}
-	return seg, nil
-}
-
 // SHAHex is the corpus identity as the API renders it.
 func (c *Corpus) SHAHex() string { return hex.EncodeToString(c.SHA[:]) }
 
 // Machines lists the sorted true machine names.
 func (c *Corpus) Machines() []string { return c.machines }
 
-// Columnar reports whether the machine was stored as a colstore segment
-// (true) or as a row stream sealed at open (false).
-func (c *Corpus) Columnar(name string) bool { return c.parts.Segments[name] != nil }
-
 // Records reports the record count of one machine.
 func (c *Corpus) Records(name string) int {
-	if seg := c.segs[name]; seg != nil {
+	if seg := c.parts.Segments[name]; seg != nil {
 		return seg.Records()
 	}
 	return 0
@@ -184,10 +115,9 @@ func (c *Corpus) DataSet() *analysis.DataSet { return c.ds }
 func (c *Corpus) Parts() *core.Corpus { return c.parts }
 
 // ScanMachine runs one machine's pushdown scan, producing rows in stream
-// order whichever layout the machine was stored in. The stats are the
-// scan's own block ledger.
+// order. The stats are the scan's own block ledger.
 func (c *Corpus) ScanMachine(name string, p colstore.Predicate, cols colstore.ColumnSet) (*colstore.Batch, colstore.ScanStats, error) {
-	seg := c.segs[name]
+	seg := c.parts.Segments[name]
 	if seg == nil {
 		return nil, colstore.ScanStats{}, fmt.Errorf("%w for machine %q", collect.ErrNoRecords, name)
 	}

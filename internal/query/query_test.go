@@ -13,6 +13,7 @@ import (
 	"net/url"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -26,56 +27,94 @@ import (
 	"repro/internal/tracefmt"
 )
 
-// testStudy builds one small fleet study, shared by every test in the
-// package, and saves it in both layouts: the columnar directory is the
-// primary fixture, the row directory proves layout equivalence.
+// The package's tests share one small study, saved once (the primary
+// fixture) and once more as a legacy row corpus imported the way
+// fscorpus convert does it, which proves the import equivalent.
 var (
 	studyOnce sync.Once
-	colDir    string
-	rowDir    string
+	study     *core.Study
+	ownDir    string
+	convDir   string
 	studyErr  error
 )
 
-func corpusDirs(t *testing.T) (columnar, row string) {
+func corpusDirs(t *testing.T) (own, converted string) {
 	t.Helper()
 	studyOnce.Do(func() {
-		s := core.NewStudy(core.Config{
+		study = core.NewStudy(core.Config{
 			Seed:        7,
 			Machines:    4,
 			Duration:    30 * sim.Minute,
 			WithNetwork: true,
-			Columnar:    true,
 		})
-		if studyErr = s.Run(); studyErr != nil {
+		if studyErr = study.Run(); studyErr != nil {
 			return
 		}
-		colDir, studyErr = saveAs(s, true)
-		if studyErr != nil {
+		if ownDir, studyErr = mkTempDir(); studyErr != nil {
 			return
 		}
-		rowDir, studyErr = saveAs(s, false)
+		if studyErr = study.Save(ownDir); studyErr != nil {
+			return
+		}
+		if convDir, studyErr = legacyCopy(study, ownDir, study.Store.Machines()); studyErr != nil {
+			return
+		}
+		var store *collect.Store
+		if store, studyErr = collect.LoadDir(convDir); studyErr != nil {
+			return
+		}
+		_, studyErr = store.SaveColumnarDir(convDir, colstore.Options{})
 	})
 	if studyErr != nil {
 		t.Fatal(studyErr)
 	}
-	return colDir, rowDir
+	return ownDir, convDir
 }
 
-func saveAs(s *core.Study, columnar bool) (string, error) {
-	dir, err := mkTempDir()
+// legacyCopy copies the corpus in src to a new directory, replacing the
+// segments of the machines in rows by their legacy row streams
+// (<name>.trz), the layout the program saved before segments became its
+// only one. Study machine names are already safe file stems, so the
+// stem manifest still holds.
+func legacyCopy(s *core.Study, src string, rows []string) (string, error) {
+	dst, err := mkTempDir()
 	if err != nil {
 		return "", err
 	}
-	s.Cfg.Columnar = columnar
-	if err := s.Save(dir); err != nil {
+	if err := os.MkdirAll(dst, 0o755); err != nil {
 		return "", err
 	}
-	return dir, nil
+	entries, err := os.ReadDir(src)
+	if err != nil {
+		return "", err
+	}
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(src, e.Name()))
+		if err != nil {
+			return "", err
+		}
+		if err := os.WriteFile(filepath.Join(dst, e.Name()), data, 0o644); err != nil {
+			return "", err
+		}
+	}
+	for _, name := range rows {
+		data, _, err := s.Store.ExportStream(name)
+		if err != nil {
+			return "", err
+		}
+		if err := os.WriteFile(filepath.Join(dst, name+".trz"), data, 0o644); err != nil {
+			return "", err
+		}
+		if err := os.Remove(filepath.Join(dst, name+collect.ColumnarExt)); err != nil {
+			return "", err
+		}
+	}
+	return dst, nil
 }
 
 var tempSeq int
 
-// mkTempDir allocates corpus directories under a root that outlives any
+// mkTempDir names a new corpus directory under a root that outlives any
 // single test, since the saved study is shared package-wide.
 func mkTempDir() (string, error) {
 	tempSeq++
@@ -103,7 +142,7 @@ func newTestService(t *testing.T, dir string, cfg Config) (*Service, *obs.Regist
 	} else {
 		reg = cfg.Obs
 	}
-	c, err := OpenCorpus(dir, reg)
+	c, err := OpenCorpusTrace(dir, reg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,39 +206,66 @@ func TestQueryDeterministic(t *testing.T) {
 	}
 }
 
-// TestRowColumnarEquivalent pins layout independence: the row and
-// columnar saves of one study share a corpus identity and answer scans
-// byte-identically, so cache keys survive a format conversion.
+// TestRowColumnarEquivalent pins the import of legacy row corpora: a
+// row corpus converted with collect.LoadDir and SaveColumnarDir, as
+// fscorpus convert does it, carries the segment digests and the corpus
+// identity of the study's own save and answers scans, machine listings
+// and report artifacts byte-identically, so cache keys survive the
+// import.
 func TestRowColumnarEquivalent(t *testing.T) {
-	cDir, rDir := corpusDirs(t)
-	cSvc, _ := newTestService(t, cDir, Config{Workers: 4})
-	rSvc, _ := newTestService(t, rDir, Config{Workers: 4})
-	if cSvc.Corpus().SHAHex() != rSvc.Corpus().SHAHex() {
-		t.Fatalf("corpus identity differs by layout: %s vs %s",
-			cSvc.Corpus().SHAHex(), rSvc.Corpus().SHAHex())
+	own, conv := corpusDirs(t)
+	oSvc, _ := newTestService(t, own, Config{Workers: 4})
+	cSvc, _ := newTestService(t, conv, Config{Workers: 4})
+	if oSvc.Corpus().SHAHex() != cSvc.Corpus().SHAHex() {
+		t.Fatalf("corpus identity differs after import: %s vs %s",
+			oSvc.Corpus().SHAHex(), cSvc.Corpus().SHAHex())
 	}
-	for _, m := range cSvc.Corpus().Machines() {
-		if !cSvc.Corpus().Columnar(m) {
-			t.Fatalf("%s: expected a columnar segment in the .fsc save", m)
+	oSegs, cSegs := oSvc.Corpus().Parts().Segments, cSvc.Corpus().Parts().Segments
+	if len(cSegs) != len(oSegs) {
+		t.Fatalf("imported corpus has %d segments, own save %d", len(cSegs), len(oSegs))
+	}
+	for name, seg := range oSegs {
+		if cSegs[name] == nil || cSegs[name].SHA256() != seg.SHA256() {
+			t.Errorf("%s: imported segment digest differs from the own save's", name)
 		}
 	}
-	for _, m := range rSvc.Corpus().Machines() {
-		if rSvc.Corpus().Columnar(m) {
-			t.Fatalf("%s: expected the row layout reported for the .trz save", m)
-		}
-	}
-	for _, p := range []string{scanPath, "/v1/scan?limit=10&kinds=3,5"} {
+	for _, p := range []string{
+		scanPath, "/v1/scan?limit=10&kinds=3,5", "/v1/machines",
+		"/v1/report?artifact=table2", "/v1/report?artifact=section5",
+	} {
+		code, _, oBody := get(t, oSvc.Handler(), p)
 		_, _, cBody := get(t, cSvc.Handler(), p)
-		_, _, rBody := get(t, rSvc.Handler(), p)
-		if !bytes.Equal(cBody, rBody) {
-			t.Fatalf("%s: row scan differs from columnar scan\ncol: %s\nrow: %s", p, cBody, rBody)
+		if code != http.StatusOK || !bytes.Equal(oBody, cBody) {
+			t.Fatalf("%s: imported corpus answers differently (status %d)\nown:      %s\nimported: %s", p, code, oBody, cBody)
 		}
 	}
 }
 
+// TestRowOnlyMachineFailsClosed pins that a machine saved only as a
+// legacy row stream, with no segment of the same stem, fails the load —
+// in core.LoadCorpusTrace and in OpenCorpusTrace — with an error naming
+// the file and the converter, instead of leaving the machine out.
+func TestRowOnlyMachineFailsClosed(t *testing.T) {
+	own, _ := corpusDirs(t)
+	name := study.Store.Machines()[1]
+	dir, err := legacyCopy(study, own, []string{name})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(what string, err error) {
+		if err == nil || !strings.Contains(err.Error(), name+".trz") || !strings.Contains(err.Error(), "fscorpus convert") {
+			t.Errorf("%s: err = %v, want an error naming %s.trz and fscorpus convert", what, err, name)
+		}
+	}
+	_, err = core.LoadCorpusTrace(dir, nil, nil)
+	check("core.LoadCorpusTrace", err)
+	_, err = OpenCorpusTrace(dir, nil, nil)
+	check("OpenCorpusTrace", err)
+}
+
 // TestCorruptNameColumnFailsClosed pins that a segment whose blocks
 // pass their CRC but whose name column does not decode is refused when
-// the corpus loads — by core.LoadCorpus and by OpenCorpus — rather than
+// the corpus loads — by core.LoadCorpusTrace and by OpenCorpusTrace — rather than
 // panicking on first use of the name map.
 func TestCorruptNameColumnFailsClosed(t *testing.T) {
 	var recs []tracefmt.Record
@@ -227,11 +293,11 @@ func TestCorruptNameColumnFailsClosed(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "m"+collect.ColumnarExt), data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := core.LoadCorpus(dir, nil); err == nil {
-		t.Error("core.LoadCorpus accepted a segment whose name column does not decode")
+	if _, err := core.LoadCorpusTrace(dir, nil, nil); err == nil {
+		t.Error("core.LoadCorpusTrace accepted a segment whose name column does not decode")
 	}
-	if _, err := OpenCorpus(dir, nil); err == nil {
-		t.Error("OpenCorpus accepted a segment whose name column does not decode")
+	if _, err := OpenCorpusTrace(dir, nil, nil); err == nil {
+		t.Error("OpenCorpusTrace accepted a segment whose name column does not decode")
 	}
 }
 

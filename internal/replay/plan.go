@@ -136,8 +136,13 @@ func parentDir(path string) string {
 
 // BuildPlan reconstructs the replay plan from one machine's trace. The
 // MachineTrace's records are already time-sorted and its name maps
-// indexed, which is exactly the join the reconstruction needs.
-func BuildPlan(mt *analysis.MachineTrace) *Plan {
+// indexed, which is exactly the join the reconstruction needs. It fails
+// only when the trace's records cannot be read back.
+func BuildPlan(mt *analysis.MachineTrace) (*Plan, error) {
+	recs, err := mt.Rows()
+	if err != nil {
+		return nil, err
+	}
 	p := &Plan{Machine: mt.Name, Category: mt.Category}
 
 	mounts := map[string]int{} // prefix → index into p.Mounts
@@ -187,7 +192,6 @@ func BuildPlan(mt *analysis.MachineTrace) *Plan {
 		p.LastStart = t
 	}
 
-	recs := mt.Rows()
 	for i := range recs {
 		r := &recs[i]
 		switch {
@@ -257,7 +261,7 @@ func BuildPlan(mt *analysis.MachineTrace) *Plan {
 			delete(sessions, r.FileID)
 		}
 	}
-	return p
+	return p, nil
 }
 
 // planPreload decides, from a path's first open record, whether the file

@@ -140,7 +140,10 @@ func machineSeed(seed uint64, name string) uint64 {
 }
 
 func replayMachine(mt *analysis.MachineTrace, cfg Config, store *collect.Store) (*MachineResult, error) {
-	plan := BuildPlan(mt)
+	plan, err := BuildPlan(mt)
+	if err != nil {
+		return nil, err
+	}
 	mr := &MachineResult{Machine: mt.Name, Category: mt.Category, Plan: plan}
 
 	sched := sim.NewScheduler()

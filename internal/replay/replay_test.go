@@ -32,7 +32,10 @@ func studyCorpus(t *testing.T, machines int, dur sim.Duration, blocked bool) *an
 func TestBuildPlanCoversTrace(t *testing.T) {
 	ds := studyCorpus(t, 2, sim.Hour, false)
 	for _, mt := range ds.Machines {
-		p := BuildPlan(mt)
+		p, err := BuildPlan(mt)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if got, want := p.Records(), mt.Len(); got != want {
 			t.Errorf("%s: plan covers %d records, trace has %d", mt.Name, got, want)
 		}
@@ -70,7 +73,10 @@ func TestReplayFastValidates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v := Validate(ds, rds, ModeFast)
+	v, err := Validate(ds, rds, ModeFast)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, d := range v.Deltas {
 		t.Logf("%s", d)
 	}
@@ -89,7 +95,10 @@ func TestReplayFaithfulValidates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v := Validate(ds, rds, ModeFaithful)
+	v, err := Validate(ds, rds, ModeFaithful)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, d := range v.Deltas {
 		t.Logf("%s", d)
 	}
@@ -135,7 +144,15 @@ func TestReplayDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if m1, m2 := Measure(d1), Measure(d2); m1 != m2 {
+		m1, err := Measure(d1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m2, err := Measure(d2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m1 != m2 {
 			t.Errorf("%v: metrics differ:\n %+v\n %+v", mode, m1, m2)
 		}
 	}
@@ -162,7 +179,10 @@ func TestReplayBlockFastIO(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := Measure(rds)
+	m, err := Measure(rds)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if m.FastReadShare != 0 || m.FastWriteShare != 0 {
 		t.Errorf("blocked replay still shows FastIO shares: %v / %v", m.FastReadShare, m.FastWriteShare)
 	}

@@ -35,8 +35,9 @@ type Metrics struct {
 	HoldP50, HoldP90 float64
 }
 
-// Measure computes replay-validation metrics over a corpus.
-func Measure(ds *analysis.DataSet) Metrics {
+// Measure computes replay-validation metrics over a corpus. It fails
+// only when a machine's records cannot be read back.
+func Measure(ds *analysis.DataSet) (Metrics, error) {
 	var mx Metrics
 	var holds []float64
 	var fastReads, fastWrites, irpReads, irpWrites int
@@ -56,7 +57,10 @@ func Measure(ds *analysis.DataSet) Metrics {
 		}
 		holds = append(holds, analysis.HoldTimes(ins, analysis.DataSessions)...)
 
-		recs := mt.Rows()
+		recs, err := mt.Rows()
+		if err != nil {
+			return Metrics{}, err
+		}
 		for i := range recs {
 			r := &recs[i]
 			if r.FileID >= tracefmt.PagingObjectIDBase || !analysis.IsDataTransfer(r) {
@@ -102,7 +106,7 @@ func Measure(ds *analysis.DataSet) Metrics {
 	sort.Float64s(holds)
 	mx.HoldP50 = percentile(holds, 0.50)
 	mx.HoldP90 = percentile(holds, 0.90)
-	return mx
+	return mx, nil
 }
 
 func percentile(sorted []float64, p float64) float64 {
@@ -227,6 +231,14 @@ func Compare(orig, rep Metrics, tol Tolerances) *Validation {
 
 // Validate measures both corpora and compares them with the default
 // tolerances for the replay mode.
-func Validate(orig, replayed *analysis.DataSet, mode Mode) *Validation {
-	return Compare(Measure(orig), Measure(replayed), DefaultTolerances(mode))
+func Validate(orig, replayed *analysis.DataSet, mode Mode) (*Validation, error) {
+	om, err := Measure(orig)
+	if err != nil {
+		return nil, err
+	}
+	rm, err := Measure(replayed)
+	if err != nil {
+		return nil, err
+	}
+	return Compare(om, rm, DefaultTolerances(mode)), nil
 }

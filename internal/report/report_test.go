@@ -2,6 +2,7 @@ package report
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -50,7 +51,7 @@ func synthDS(t *testing.T) *analysis.DataSet {
 
 func synth(t *testing.T) *Results {
 	t.Helper()
-	return Compute(synthDS(t))
+	return ComputeWorkers(synthDS(t), runtime.GOMAXPROCS(0))
 }
 
 // renderAll concatenates every report artefact — the full observable
@@ -92,7 +93,7 @@ func TestBuildInstancesOncePerMachine(t *testing.T) {
 	}
 	defer func() { analysis.BuildInstancesHook = nil }()
 
-	r := Compute(synthDS(t))
+	r := ComputeWorkers(synthDS(t), runtime.GOMAXPROCS(0))
 	// Rendering every figure — several of which consume the instance
 	// table — must not trigger any rebuild.
 	_ = renderAll(r)
@@ -177,7 +178,7 @@ func TestEmptyResultsDoNotPanic(t *testing.T) {
 	ds := &analysis.DataSet{Machines: []*analysis.MachineTrace{
 		analysis.NewMachineTrace("empty", machine.WalkUp, nil),
 	}}
-	r := Compute(ds)
+	r := ComputeWorkers(ds, runtime.GOMAXPROCS(0))
 	for _, f := range []func() string{
 		r.Table1, r.Table2, r.Table3, r.Figure1, r.Figure2, r.Figure3,
 		r.Figure4, r.Figure5, r.Figure6, r.Figure7, r.Figure8, r.Figure9,

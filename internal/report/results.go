@@ -7,7 +7,6 @@ package report
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
 	"strings"
 	"time"
@@ -40,8 +39,8 @@ type Results struct {
 	ReadShares, WriteShares []float64
 }
 
-// machineMeasures is everything Compute derives from a single machine —
-// the unit of the worker fan-out.
+// machineMeasures is everything ComputeWorkersTrace derives from a single
+// machine — the unit of the worker fan-out.
 type machineMeasures struct {
 	ins    []*analysis.Instance
 	lt     analysis.LifetimeStats
@@ -51,25 +50,12 @@ type machineMeasures struct {
 	rs, ws float64
 }
 
-// Compute builds Results from a data set, fanning machines across
-// GOMAXPROCS workers. Output is identical to ComputeWorkers(ds, 1): the
-// merge runs serially in corpus order over slot-indexed results.
-func Compute(ds *analysis.DataSet) *Results {
-	return ComputeWorkers(ds, runtime.GOMAXPROCS(0))
-}
-
-// ComputeWorkers is Compute with an explicit worker count (0 or 1 =
-// sequential).
+// ComputeWorkers builds Results from a data set, fanning machines across
+// workers (0 or 1 = sequential). Output is identical at every worker
+// count: the merge runs serially in corpus order over slot-indexed
+// results.
 func ComputeWorkers(ds *analysis.DataSet, workers int) *Results {
-	return ComputeWorkersObs(ds, workers, nil)
-}
-
-// ComputeWorkersObs is ComputeWorkers with an optional wall-clock
-// histogram receiving one per-machine measure duration (microseconds)
-// per machine — the analysis-side instrumentation hook. A nil histogram
-// adds no timing calls, and timing never alters the computed results.
-func ComputeWorkersObs(ds *analysis.DataSet, workers int, perMachine *obs.Histogram) *Results {
-	return ComputeWorkersTimed(ds, workers, perMachine, nil)
+	return ComputeWorkersTrace(ds, workers, nil, nil, nil)
 }
 
 // KernelTimers are the per-kernel wall-clock histograms of the compute
@@ -100,18 +86,14 @@ func NewKernelTimers(r *obs.Registry) *KernelTimers {
 	}
 }
 
-// ComputeWorkersTimed is ComputeWorkersObs plus optional per-kernel
-// timing. Timing never alters the computed results.
-func ComputeWorkersTimed(ds *analysis.DataSet, workers int, perMachine *obs.Histogram, kt *KernelTimers) *Results {
-	return ComputeWorkersTrace(ds, workers, perMachine, kt, nil)
-}
-
-// ComputeWorkersTrace is ComputeWorkersTimed plus optional span tracing:
-// each machine's measure pass becomes one wall-clock trace (family
-// "compute") with a child span per kernel, mirroring the KernelTimers
-// split. Trace IDs derive from the machine name, so runs over the same
-// corpus produce the same IDs. Neither timing nor tracing alters the
-// computed results.
+// ComputeWorkersTrace is ComputeWorkers with optional instrumentation:
+// perMachine receives one measure duration (microseconds) per machine,
+// kt one per machine per kernel, and each machine's measure pass
+// becomes one wall-clock trace on tr (family "compute") with a child
+// span per kernel, mirroring the KernelTimers split. Trace IDs derive
+// from the machine name, so runs over the same corpus produce the same
+// IDs. Nil histograms, timers and tracer are no-ops, and neither timing
+// nor tracing alters the computed results.
 func ComputeWorkersTrace(ds *analysis.DataSet, workers int, perMachine *obs.Histogram, kt *KernelTimers, tr *trace.Tracer) *Results {
 	slots := make([]machineMeasures, len(ds.Machines))
 	measure := func(i int) {

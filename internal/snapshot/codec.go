@@ -143,6 +143,13 @@ func readAll(r io.Reader) ([]byte, error) {
 	return buf.Bytes(), err
 }
 
+// Decode parses one snapshot in the binary format, as Write produces it.
+// Unlike Read it refuses the legacy JSON form, whose decoder allocates
+// several hundred bytes even for a two-byte object, so a container that
+// only ever holds Write's output (a fleet checkpoint) can bound what its
+// snapshots cost by their size.
+func Decode(data []byte) (*Snapshot, error) { return decode(data) }
+
 // decode parses the binary format. Every count is checked against the
 // input still unread before anything is allocated for it, so a corrupt
 // file cannot ask for more memory than its own size implies.

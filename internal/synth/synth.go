@@ -155,8 +155,9 @@ type Profile struct {
 	FailProbeFraction float64 `json:"fail_probe_fraction"`
 }
 
-// Fit extracts a Profile from a corpus.
-func Fit(ds *analysis.DataSet) Profile {
+// Fit extracts a Profile from a corpus. It fails only when a machine's
+// records cannot be read back.
+func Fit(ds *analysis.DataSet) (Profile, error) {
 	var gaps, sessionBytes, readSizes, writeSizes []float64
 	var control, ro, wo, rw, failed, total int
 	for _, mt := range ds.Machines {
@@ -186,7 +187,10 @@ func Fit(ds *analysis.DataSet) Profile {
 				sessionBytes = append(sessionBytes, float64(in.Bytes()))
 			}
 		}
-		recs := mt.Rows()
+		recs, err := mt.Rows()
+		if err != nil {
+			return Profile{}, err
+		}
 		for i := range recs {
 			r := &recs[i]
 			if !analysis.IsDataTransfer(r) {
@@ -213,7 +217,7 @@ func Fit(ds *analysis.DataSet) Profile {
 		p.ReadWriteFraction = float64(rw) / ft
 		p.FailProbeFraction = float64(failed) / ft
 	}
-	return p
+	return p, nil
 }
 
 // Write serialises the profile as JSON.

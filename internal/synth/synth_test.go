@@ -84,7 +84,10 @@ func TestFitAndReplayEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pro := Fit(ds)
+	pro, err := Fit(ds)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if pro.ControlFraction <= 0 || pro.ReadOnlyFraction <= 0 {
 		t.Fatalf("degenerate profile: %+v", pro)
 	}
@@ -119,7 +122,10 @@ func TestFitAndReplayEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rpro := Fit(rds)
+	rpro, err := Fit(rds)
+	if err != nil {
+		t.Fatal(err)
+	}
 	// The replayed mix must resemble the source mix (coarsely: the
 	// control share within 0.25 absolute).
 	if math.Abs(rpro.ControlFraction-pro.ControlFraction) > 0.25 {

@@ -1,7 +1,7 @@
 #!/usr/bin/env sh
 # trace_smoke.sh — end-to-end check of the span tracing surface.
 #
-# Builds fstrace and fsqueryd, generates a small columnar corpus, then
+# Builds fstrace and fsqueryd, generates a small corpus, then
 # drives a traced scan and asserts the whole tracing contract: the
 # response carries X-Trace-Id, /debug/spans resolves that trace to a
 # span tree covering admission → cache → fan-out → merge → encode, and
@@ -20,8 +20,7 @@ trap 'kill "$PID" 2>/dev/null || true; rm -rf "$WORK"' EXIT
 go build -o "$WORK/fstrace" ./cmd/fstrace
 go build -o "$WORK/fsqueryd" ./cmd/fsqueryd
 
-"$WORK/fstrace" -out "$WORK/traces" -machines 4 -hours 1 -seed 9 \
-  -format columnar >/dev/null
+"$WORK/fstrace" -out "$WORK/traces" -machines 4 -hours 1 -seed 9 >/dev/null
 
 "$WORK/fsqueryd" -dir "$WORK/traces" -addr "127.0.0.1:$PORT" \
   -workers 2 -slow-ms 0 2>"$WORK/log" &
