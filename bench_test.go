@@ -26,6 +26,7 @@ import (
 	"repro/internal/replay"
 	"repro/internal/report"
 	"repro/internal/sim"
+	"repro/internal/snapshot"
 	"repro/internal/stats"
 	"repro/internal/synth"
 	"repro/internal/tracefmt"
@@ -434,6 +435,42 @@ func BenchmarkStudyBuild(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(files), "files")
+}
+
+// BenchmarkSnapshotWalk measures the snapshot walk of the ledger study's
+// 45 local volumes. fresh is the first walk after the volumes are built
+// (the build is outside the timer), in which every directory sorts its
+// children; unchanged is a later walk with nothing changed since the
+// last, which reads every directory's cached order and sorts nothing.
+func BenchmarkSnapshotWalk(b *testing.B) {
+	walk := func(s *core.Study) (records int) {
+		for _, n := range s.Nodes {
+			records += len(snapshot.Take(n.M.Name, `C:`, n.M.SystemVolume().FS, 0).Records)
+		}
+		return records
+	}
+	b.Run("fresh", func(b *testing.B) {
+		b.ReportAllocs()
+		var records int
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			s := core.NewStudy(ledgerStudy())
+			b.StartTimer()
+			records = walk(s)
+		}
+		b.ReportMetric(float64(records), "records")
+	})
+	b.Run("unchanged", func(b *testing.B) {
+		s := core.NewStudy(ledgerStudy())
+		walk(s)
+		b.ReportAllocs()
+		b.ResetTimer()
+		var records int
+		for i := 0; i < b.N; i++ {
+			records = walk(s)
+		}
+		b.ReportMetric(float64(records), "records")
+	})
 }
 
 // BenchmarkStudySave measures Study.Save of the ledger study after its run

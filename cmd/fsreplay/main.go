@@ -15,6 +15,7 @@ import (
 	"log"
 	"os"
 
+	"repro/internal/analysis"
 	"repro/internal/colstore"
 	"repro/internal/core"
 	"repro/internal/replay"
@@ -67,7 +68,7 @@ func main() {
 	}
 
 	if *out != "" {
-		if _, err := res.Store.SaveColumnarDir(*out, colstore.Options{}); err != nil {
+		if err := saveReplayed(*out, res, ds); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("replayed corpus saved to %s\n", *out)
@@ -92,4 +93,18 @@ func main() {
 		}
 		fmt.Println("PASS: replay within tolerance")
 	}
+}
+
+// saveReplayed writes the replayed corpus into dir: its segments, and the
+// manifest that gives each replayed machine the category and process
+// names of the machine of ds it replays.
+func saveReplayed(dir string, res *replay.Result, ds *analysis.DataSet) error {
+	if _, err := res.Store.SaveColumnarDir(dir, colstore.Options{}); err != nil {
+		return err
+	}
+	machines := make([]core.MachineInfo, len(ds.Machines))
+	for i, mt := range ds.Machines {
+		machines[i] = core.MachineInfo{Name: mt.Name, Category: mt.Category, ProcNames: mt.ProcNames}
+	}
+	return core.WriteManifest(dir, machines)
 }

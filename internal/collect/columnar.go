@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"sort"
 	"strings"
 
 	"repro/internal/colstore"
@@ -68,8 +69,10 @@ func (s *Store) saveSegment(dir string, mf machineFile, opts colstore.Options) (
 // machine name: the stem manifest written at save time resolves
 // SafeName-rewritten and collision-suffixed stems back to the names the
 // streams were collected under, and a corpus without a manifest keeps
-// the file stems. Metrics m may be nil; when set, every opened segment
-// reports scans against it.
+// the file stems. A stem the manifest lists without its segment in dir
+// fails the load with ErrManifestMismatch naming the file, as a segment
+// the manifest does not list does. Metrics m may be nil; when set, every
+// opened segment reports scans against it.
 func LoadColumnarDir(dir string, m *colstore.Metrics) (map[string]*colstore.Segment, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -77,6 +80,9 @@ func LoadColumnarDir(dir string, m *colstore.Metrics) (map[string]*colstore.Segm
 	}
 	stems, err := readStemManifest(dir)
 	if err != nil {
+		return nil, err
+	}
+	if err := checkSegmentsListed(stems, entries); err != nil {
 		return nil, err
 	}
 	segs := make(map[string]*colstore.Segment)
@@ -99,4 +105,28 @@ func LoadColumnarDir(dir string, m *colstore.Metrics) (map[string]*colstore.Segm
 		segs[name] = seg
 	}
 	return segs, nil
+}
+
+// checkSegmentsListed fails on the first stem, in sorted order, that the
+// manifest lists but that has no segment in the directory: loading
+// without it would drop the machine from every measure. A directory
+// without a manifest (stems nil) lists nothing.
+func checkSegmentsListed(stems map[string]string, entries []os.DirEntry) error {
+	have := map[string]bool{}
+	for _, e := range entries {
+		if stem, ok := strings.CutSuffix(e.Name(), ColumnarExt); ok && !e.IsDir() {
+			have[stem] = true
+		}
+	}
+	var missing []string
+	for stem := range stems {
+		if !have[stem] {
+			missing = append(missing, stem)
+		}
+	}
+	if len(missing) == 0 {
+		return nil
+	}
+	sort.Strings(missing)
+	return fmt.Errorf("%w: %s lists machine %q but %s is missing", ErrManifestMismatch, StemManifestName, stems[missing[0]], missing[0]+ColumnarExt)
 }

@@ -368,9 +368,11 @@ const StemManifestName = "machines.json"
 
 // ErrManifestMismatch reports a corpus directory whose stem manifest
 // disagrees with the files on disk — a stream file whose stem the
-// manifest does not mention. That means the directory holds a mix of
-// corpora (or a manifest from a different save) and the true machine
-// names cannot be trusted; callers test with errors.Is.
+// manifest does not mention, or (for segments) a stem the manifest lists
+// with no segment. That means the directory holds a mix of corpora, a
+// manifest from a different save, or a partial copy, so the true machine
+// names or the machine set cannot be trusted; callers test with
+// errors.Is.
 var ErrManifestMismatch = errors.New("collect: stem manifest mismatch")
 
 // stemManifest is the on-disk schema of StemManifestName.

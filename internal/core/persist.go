@@ -23,12 +23,14 @@ import (
 
 // manifest records per-machine dimensions next to the trace store.
 type manifest struct {
-	Machines []manifestEntry `json:"machines"`
+	Machines []MachineInfo `json:"machines"`
 }
 
-type manifestEntry struct {
+// MachineInfo is what a corpus directory's manifest.json keeps of one
+// machine: the dimensions its trace stream does not carry.
+type MachineInfo struct {
 	Name      string            `json:"name"`
-	Category  uint8             `json:"category"`
+	Category  machine.Category  `json:"category"`
 	ProcNames map[uint32]string `json:"proc_names,omitempty"`
 }
 
@@ -47,19 +49,11 @@ func (s *Study) Save(dir string) error {
 	if _, err := s.Store.SaveColumnarDir(dir, colstore.Options{Metrics: s.colMetrics}); err != nil {
 		return err
 	}
-	var man manifest
+	machines := make([]MachineInfo, len(s.specs))
 	for i, sp := range s.specs {
-		man.Machines = append(man.Machines, manifestEntry{
-			Name:      sp.name,
-			Category:  uint8(sp.cat),
-			ProcNames: s.procNames(i),
-		})
+		machines[i] = MachineInfo{Name: sp.name, Category: sp.cat, ProcNames: s.procNames(i)}
 	}
-	data, err := json.MarshalIndent(man, "", " ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(filepath.Join(dir, "manifest.json"), data, 0o644); err != nil {
+	if err := WriteManifest(dir, machines); err != nil {
 		return err
 	}
 	errs := make([]error, len(s.Snapshots))
@@ -68,6 +62,18 @@ func (s *Study) Save(dir string) error {
 		errs[i] = writeSnapshot(filepath.Join(dir, fmt.Sprintf("%s-%03d.snap", safe(snap.Machine), i)), snap)
 	})
 	return firstError(errs)
+}
+
+// WriteManifest writes dir's manifest.json, from which LoadCorpusTrace
+// gives each machine its category and process names. Study.Save writes
+// it beside the segments, and so does fsreplay -out, whose replayed
+// machines keep the dimensions of the machines they replay.
+func WriteManifest(dir string, machines []MachineInfo) error {
+	data, err := json.MarshalIndent(manifest{Machines: machines}, "", " ")
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(filepath.Join(dir, "manifest.json"), data, 0o644)
 }
 
 // writeSnapshot encodes one snapshot into a new file at path.
@@ -143,11 +149,11 @@ func LoadCorpusTrace(dir string, reg *obs.Registry, tr *trace.Tracer) (*Corpus, 
 	// flattened file stems, so register those keys first and let the true
 	// names (the stem-manifest round trip) overwrite them.
 	for _, e := range man.Machines {
-		cats[safe(e.Name)] = machine.Category(e.Category)
+		cats[safe(e.Name)] = e.Category
 		procs[safe(e.Name)] = e.ProcNames
 	}
 	for _, e := range man.Machines {
-		cats[e.Name] = machine.Category(e.Category)
+		cats[e.Name] = e.Category
 		procs[e.Name] = e.ProcNames
 	}
 	names := make([]string, 0, len(segs))

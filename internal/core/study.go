@@ -357,6 +357,7 @@ func (s *Study) buildNode(idx int, rng *sim.RNG) {
 		sink = &netNodeSink{engine: s.Engine, net: node.Net}
 	}
 	node.Agent = agent.New(m, sink)
+	node.Agent.Trace = s.Cfg.Trace
 	node.Driver = workload.Install(m, node.Layout, rng.Fork(4))
 	if node.Share != nil {
 		p := workload.NewProc(m, "shareuser", `\\fs\`+user, rng.Fork(5))

@@ -82,6 +82,30 @@ func TestTraceDeterminism(t *testing.T) {
 		}
 	}
 
+	// Each snapshot walk records one wall-clock span per local volume,
+	// annotated with the walk's record count.
+	walkRecords := map[trace.ID]int64{}
+	for _, snap := range tr.Recent(0) {
+		if snap.Family == "walk" {
+			for _, a := range snap.Spans[0].Attrs {
+				if a.Key == "records" {
+					walkRecords[snap.TraceID] = a.Int
+				}
+			}
+		}
+	}
+	var snapRecords, spanRecords int64
+	for _, snap := range traced.Snapshots {
+		snapRecords += int64(len(snap.Records))
+	}
+	for _, n := range walkRecords {
+		spanRecords += n
+	}
+	if len(ids["walk"]) != len(traced.Snapshots) || len(walkRecords) != len(traced.Snapshots) || spanRecords != snapRecords {
+		t.Errorf("walk family: %d traces (%d distinct) for %d snapshots, %d records annotated for %d taken",
+			len(ids["walk"]), len(walkRecords), len(traced.Snapshots), spanRecords, snapRecords)
+	}
+
 	// Shard spans ride the virtual clock: the run stage must span the
 	// configured sim duration, not wall time.
 	cfg := obsConfig(nil)

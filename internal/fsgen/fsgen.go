@@ -10,8 +10,8 @@
 package fsgen
 
 import (
-	"fmt"
 	"math"
+	"strconv"
 
 	"repro/internal/dist"
 	"repro/internal/ntos/fsys"
@@ -123,20 +123,67 @@ type dir struct {
 	node *fsys.Node
 }
 
-// file creates one file, returning its volume-relative path.
-func (g *gen) file(d dir, name string, size int64, backdate bool) string {
-	return g.fileAttr(d, name, size, backdate, types.AttrNormal)
+// file creates one file; it leaves the volume as it was when the name is
+// taken or the volume is full.
+func (g *gen) file(d dir, name string, size int64, backdate bool) {
+	g.fileAttr(nil, d, name, size, backdate, types.AttrNormal)
 }
 
-// fileAttr creates one file with explicit attributes; it returns "" when
-// the name is taken or the volume is full.
-func (g *gen) fileAttr(d dir, name string, size int64, backdate bool, attrs types.FileAttributes) string {
+// keep creates one file as file does and, when it was made, appends its
+// volume-relative path to list: only the files a Layout keeps pay for a
+// path string.
+func (g *gen) keep(list *[]string, d dir, name string, size int64, backdate bool) {
+	g.fileAttr(list, d, name, size, backdate, types.AttrNormal)
+}
+
+// fileAttr creates one file with explicit attributes and, when list is
+// set and the file was made, appends its path to list.
+func (g *gen) fileAttr(list *[]string, d dir, name string, size int64, backdate bool, attrs types.FileAttributes) {
 	n, st := g.fs.CreateIn(d.node, name, size, attrs, g.now)
 	if st.IsError() {
-		return ""
+		return
 	}
 	g.stamp(n, backdate)
-	return d.path + `\` + name
+	if list != nil {
+		*list = append(*list, d.path+`\`+name)
+	}
+}
+
+// numbered returns prefix, then i zero-padded to width decimal digits,
+// then "." and ext when ext is set: fmt.Sprintf(prefix+"%0<width>d."+ext,
+// i) for i >= 0, built in a stack buffer instead of through a format.
+func numbered(prefix string, i, width int, ext string) string {
+	var buf [64]byte
+	b := appendNum(append(buf[:0], prefix...), i, width, 10)
+	if ext != "" {
+		b = append(append(b, '.'), ext...)
+	}
+	return string(b)
+}
+
+// tmpName is fmt.Sprintf("~tmp%04x.tmp", v) for v >= 0.
+func tmpName(v int) string {
+	var buf [16]byte
+	return string(append(appendNum(append(buf[:0], "~tmp"...), v, 4, 16), ".tmp"...))
+}
+
+// sdkDir is fmt.Sprintf(`d%02d\s%02d`, i/40, i%40) for i >= 0: the
+// Platform SDK's two-level directory i.
+func sdkDir(i int) string {
+	var buf [16]byte
+	b := appendNum(append(buf[:0], 'd'), i/40, 2, 10)
+	return string(appendNum(append(b, `\s`...), i%40, 2, 10))
+}
+
+// appendNum appends v >= 0 in base 10 or 16 (lower-case digits),
+// zero-padded to width digits, as the verbs %0<width>d and %0<width>x do.
+func appendNum(b []byte, v, width, base int) []byte {
+	var digits [20]byte
+	d := strconv.AppendUint(digits[:0], uint64(v), base)
+	for n := len(d); n < width; n++ {
+		b = append(b, '0')
+	}
+	return append(b, d...)
 }
 
 // sub ensures the directory at the relative path rel (one or more
@@ -184,7 +231,7 @@ func PopulateLocal(fs *fsys.FS, rng *sim.RNG, cfg Config) *Layout {
 	temp := g.sub(g.root, "temp")
 	lay.TempDir = temp.path
 	for i := 0; i < 3+rng.Intn(8); i++ {
-		g.file(temp, fmt.Sprintf("~tmp%04x.tmp", rng.Intn(65536)), g.size(sizeTiny), false)
+		g.file(temp, tmpName(rng.Intn(65536)), g.size(sizeTiny), false)
 	}
 
 	switch cfg.Category {
@@ -221,38 +268,29 @@ func (g *gen) systemTree(lay *Layout) {
 	// system32: the dll/exe census the size distribution hangs off.
 	nDll := 1300 + g.rng.Intn(700)
 	for i := 0; i < nDll; i++ {
-		p := g.file(system, fmt.Sprintf("sys%04d.dll", i), g.size(sizeDll), false)
-		if p != "" {
-			lay.Libraries = append(lay.Libraries, p)
-		}
+		g.keep(&lay.Libraries, system, numbered("sys", i, 4, "dll"), g.size(sizeDll), false)
 	}
 	nExe := 250 + g.rng.Intn(150)
 	for i := 0; i < nExe; i++ {
-		p := g.file(system, fmt.Sprintf("app%03d.exe", i), g.size(sizeExe), false)
-		if p != "" {
-			lay.Executables = append(lay.Executables, p)
-		}
+		g.keep(&lay.Executables, system, numbered("app", i, 3, "exe"), g.size(sizeExe), false)
 	}
 	for i := 0; i < 300+g.rng.Intn(200); i++ {
-		g.file(system, fmt.Sprintf("drv%03d.sys", i), g.size(sizeMedium), false)
+		g.file(system, numbered("drv", i, 3, "sys"), g.size(sizeMedium), false)
 	}
 	for i := 0; i < 120+g.rng.Intn(80); i++ {
-		p := g.file(fonts, fmt.Sprintf("font%03d.ttf", i), g.size(sizeFont), false)
-		if p != "" {
-			lay.Fonts = append(lay.Fonts, p)
-		}
+		g.keep(&lay.Fonts, fonts, numbered("font", i, 3, "ttf"), g.size(sizeFont), false)
 	}
 	for i := 0; i < 150+g.rng.Intn(150); i++ {
-		g.file(help, fmt.Sprintf("topic%03d.hlp", i), g.size(sizeMedium), false)
+		g.file(help, numbered("topic", i, 3, "hlp"), g.size(sizeMedium), false)
 	}
 	for i := 0; i < 100+g.rng.Intn(100); i++ {
-		g.file(inf, fmt.Sprintf("setup%03d.inf", i), g.size(sizeTiny), false)
+		g.file(inf, numbered("setup", i, 3, "inf"), g.size(sizeTiny), false)
 	}
 	for i := 0; i < 30+g.rng.Intn(30); i++ {
-		g.file(media, fmt.Sprintf("snd%02d.wav", i), g.size(sizeMedium), false)
+		g.file(media, numbered("snd", i, 2, "wav"), g.size(sizeMedium), false)
 	}
 	for i := 0; i < 40; i++ {
-		g.file(winnt, fmt.Sprintf("cfg%02d.ini", i), g.size(sizeTiny), false)
+		g.file(winnt, numbered("cfg", i, 2, "ini"), g.size(sizeTiny), false)
 	}
 }
 
@@ -271,23 +309,17 @@ func (g *gen) profileTree(lay *Layout, user string) {
 	lay.WebCache = web.path
 
 	for i := 0; i < 10+g.rng.Intn(20); i++ {
-		g.file(desktop, fmt.Sprintf("shortcut%02d.lnk", i), g.size(sizeTiny), false)
+		g.file(desktop, numbered("shortcut", i, 2, "lnk"), g.size(sizeTiny), false)
 	}
 	docTypes := []string{"doc", "xls", "txt", "ppt", "htm", "pdf"}
 	nDocs := 120 + g.rng.Intn(500)
 	for i := 0; i < nDocs; i++ {
 		ext := docTypes[g.rng.Intn(len(docTypes))]
-		p := g.file(docs, fmt.Sprintf("note%04d.%s", i, ext), g.size(sizeSmall), false)
-		if p != "" {
-			lay.Documents = append(lay.Documents, p)
-		}
+		g.keep(&lay.Documents, docs, numbered("note", i, 4, ext), g.size(sizeSmall), false)
 	}
 	nMail := 2 + g.rng.Intn(8)
 	for i := 0; i < nMail; i++ {
-		p := g.file(mail, fmt.Sprintf("folder%02d.mbx", i), g.size(sizeMail), false)
-		if p != "" {
-			lay.MailFiles = append(lay.MailFiles, p)
-		}
+		g.keep(&lay.MailFiles, mail, numbered("folder", i, 2, "mbx"), g.size(sizeMail), false)
 	}
 
 	// WWW cache: 2,000–9,500 files, 5–45 MB total (§5). Draw sizes until
@@ -299,7 +331,7 @@ func (g *gen) profileTree(lay *Layout, user string) {
 	// subdirectories up front makes the ones first use would make.
 	var cache [4]dir
 	for k := range cache {
-		cache[k] = g.sub(web, fmt.Sprintf("cache%d", k))
+		cache[k] = g.sub(web, numbered("cache", k, 0, ""))
 	}
 	var bytes int64
 	for i := 0; i < targetFiles; i++ {
@@ -309,10 +341,7 @@ func (g *gen) profileTree(lay *Layout, user string) {
 		}
 		bytes += sz
 		ext := webTypes[g.rng.Intn(len(webTypes))]
-		p := g.file(cache[i%4], fmt.Sprintf("ie%06d.%s", i, ext), sz, false)
-		if p != "" {
-			lay.WebFiles = append(lay.WebFiles, p)
-		}
+		g.keep(&lay.WebFiles, cache[i%4], numbered("ie", i, 6, ext), sz, false)
 	}
 }
 
@@ -320,33 +349,26 @@ func (g *gen) profileTree(lay *Layout, user string) {
 func (g *gen) applicationPackages(lay *Layout) {
 	nApps := 12 + g.rng.Intn(9)
 	for a := 0; a < nApps; a++ {
-		root := g.sub(g.root, fmt.Sprintf(`Program Files\app%02d`, a))
+		root := g.sub(g.root, numbered(`Program Files\app`, a, 2, ""))
 		nFiles := 250 + g.rng.Intn(1400)
 		nDirs := 1 + nFiles/60
 		dirs := make([]dir, nDirs)
 		for i := range dirs {
-			dirs[i] = g.sub(root, fmt.Sprintf("part%02d", i))
+			dirs[i] = g.sub(root, numbered("part", i, 2, ""))
 		}
 		for i := 0; i < nFiles; i++ {
 			d := dirs[g.rng.Intn(nDirs)]
-			var p string
 			switch r := g.rng.Float64(); {
 			case r < 0.08:
-				p = g.file(d, fmt.Sprintf("bin%03d.exe", i), g.size(sizeExe), true)
-				if p != "" {
-					lay.Executables = append(lay.Executables, p)
-				}
+				g.keep(&lay.Executables, d, numbered("bin", i, 3, "exe"), g.size(sizeExe), true)
 			case r < 0.30:
-				p = g.file(d, fmt.Sprintf("lib%03d.dll", i), g.size(sizeDll), true)
-				if p != "" {
-					lay.Libraries = append(lay.Libraries, p)
-				}
+				g.keep(&lay.Libraries, d, numbered("lib", i, 3, "dll"), g.size(sizeDll), true)
 			case r < 0.55:
-				g.file(d, fmt.Sprintf("res%03d.dat", i), g.size(sizeMedium), true)
+				g.file(d, numbered("res", i, 3, "dat"), g.size(sizeMedium), true)
 			case r < 0.75:
-				g.file(d, fmt.Sprintf("doc%03d.hlp", i), g.size(sizeMedium), true)
+				g.file(d, numbered("doc", i, 3, "hlp"), g.size(sizeMedium), true)
 			default:
-				g.file(d, fmt.Sprintf("cfg%03d.ini", i), g.size(sizeTiny), true)
+				g.file(d, numbered("cfg", i, 3, "ini"), g.size(sizeTiny), true)
 			}
 		}
 	}
@@ -358,7 +380,7 @@ func (g *gen) devTree(lay *Layout, n int) {
 	lay.DevDir = src.path
 	nMods := 1 + n/120
 	for m := 0; m < nMods; m++ {
-		mod := g.sub(src, fmt.Sprintf("mod%02d", m))
+		mod := g.sub(src, numbered("mod", m, 2, ""))
 		objDir := g.sub(mod, "obj")
 		per := n / nMods
 		// NTFS compression is commonly enabled on development trees; the
@@ -371,20 +393,11 @@ func (g *gen) devTree(lay *Layout, n int) {
 		for i := 0; i < per; i++ {
 			switch g.rng.Intn(5) {
 			case 0:
-				p := g.fileAttr(mod, fmt.Sprintf("unit%03d.h", i), g.size(sizeSmall), false, attrs)
-				if p != "" {
-					lay.DevSources = append(lay.DevSources, p)
-				}
+				g.fileAttr(&lay.DevSources, mod, numbered("unit", i, 3, "h"), g.size(sizeSmall), false, attrs)
 			case 1, 2:
-				p := g.fileAttr(mod, fmt.Sprintf("unit%03d.c", i), g.size(sizeSmall), false, attrs)
-				if p != "" {
-					lay.DevSources = append(lay.DevSources, p)
-				}
+				g.fileAttr(&lay.DevSources, mod, numbered("unit", i, 3, "c"), g.size(sizeSmall), false, attrs)
 			default:
-				p := g.fileAttr(objDir, fmt.Sprintf("unit%03d.obj", i), g.size(sizeObj), false, attrs)
-				if p != "" {
-					lay.DevObjects = append(lay.DevObjects, p)
-				}
+				g.fileAttr(&lay.DevObjects, objDir, numbered("unit", i, 3, "obj"), g.size(sizeObj), false, attrs)
 			}
 		}
 	}
@@ -397,19 +410,19 @@ func (g *gen) platformSDK(lay *Layout) {
 	const nDirs, nFiles = 1300, 14000
 	dirs := make([]dir, nDirs)
 	for i := range dirs {
-		dirs[i] = g.sub(root, fmt.Sprintf(`d%02d\s%02d`, i/40, i%40))
+		dirs[i] = g.sub(root, sdkDir(i))
 	}
 	for i := 0; i < nFiles; i++ {
 		d := dirs[g.rng.Intn(nDirs)]
 		switch g.rng.Intn(4) {
 		case 0:
-			g.file(d, fmt.Sprintf("sdk%05d.h", i), g.size(sizeSmall), true)
+			g.file(d, numbered("sdk", i, 5, "h"), g.size(sizeSmall), true)
 		case 1:
-			g.file(d, fmt.Sprintf("sdk%05d.lib", i), g.size(sizeObj), true)
+			g.file(d, numbered("sdk", i, 5, "lib"), g.size(sizeObj), true)
 		case 2:
-			g.file(d, fmt.Sprintf("sdk%05d.htm", i), g.size(sizeSmall), true)
+			g.file(d, numbered("sdk", i, 5, "htm"), g.size(sizeSmall), true)
 		default:
-			g.file(d, fmt.Sprintf("sdk%05d.exe", i), g.size(sizeExe), true)
+			g.file(d, numbered("sdk", i, 5, "exe"), g.size(sizeExe), true)
 		}
 	}
 }
@@ -420,10 +433,7 @@ func (g *gen) dataTree(lay *Layout) {
 	data := g.sub(g.root, "data")
 	lay.DataDir = data.path
 	for i := 0; i < 5+g.rng.Intn(12); i++ {
-		p := g.file(data, fmt.Sprintf("run%02d.hdf", i), g.size(sizeData), false)
-		if p != "" {
-			lay.DataFiles = append(lay.DataFiles, p)
-		}
+		g.keep(&lay.DataFiles, data, numbered("run", i, 2, "hdf"), g.size(sizeData), false)
 	}
 }
 
@@ -463,7 +473,7 @@ func PopulateShare(fs *fsys.FS, rng *sim.RNG, cfg ShareConfig) *Layout {
 			d = archive
 		case 2:
 			if projDirs[i%20].node == nil {
-				projDirs[i%20] = g.sub(proj, fmt.Sprintf("p%02d", i%20))
+				projDirs[i%20] = g.sub(proj, numbered("p", i%20, 2, ""))
 			}
 			d = projDirs[i%20]
 		}
@@ -474,10 +484,7 @@ func PopulateShare(fs *fsys.FS, rng *sim.RNG, cfg ShareConfig) *Layout {
 		} else {
 			size = g.size(sizeSmall)
 		}
-		p := g.file(d, fmt.Sprintf("%s%05d.%s", cfg.User[:min(3, len(cfg.User))], i, ext), size, false)
-		if p != "" {
-			lay.Documents = append(lay.Documents, p)
-		}
+		g.keep(&lay.Documents, d, numbered(cfg.User[:min(3, len(cfg.User))], i, 5, ext), size, false)
 	}
 	fs.CapacityBytes = fs.UsedBytes * 3
 	return lay

@@ -328,3 +328,73 @@ func TestGeneratorDigests(t *testing.T) {
 		}
 	}
 }
+
+// TestNamesMatchSprintf pins the name helpers to the formats the
+// generator used to build names with: every numbered call site's format,
+// for i from 0 to past 10^width, where the padding stops, and the two
+// names with their own helper.
+func TestNamesMatchSprintf(t *testing.T) {
+	for _, c := range []struct {
+		format, prefix string
+		width          int
+		exts           []string
+	}{
+		{"sys%04d.dll", "sys", 4, nil}, {"app%03d.exe", "app", 3, nil},
+		{"drv%03d.sys", "drv", 3, nil}, {"font%03d.ttf", "font", 3, nil},
+		{"topic%03d.hlp", "topic", 3, nil}, {"setup%03d.inf", "setup", 3, nil},
+		{"snd%02d.wav", "snd", 2, nil}, {"cfg%02d.ini", "cfg", 2, nil},
+		{"shortcut%02d.lnk", "shortcut", 2, nil},
+		{"note%04d.%s", "note", 4, []string{"doc", "xls", "txt", "ppt", "htm", "pdf"}},
+		{"folder%02d.mbx", "folder", 2, nil}, {"cache%d", "cache", 0, nil},
+		{"ie%06d.%s", "ie", 6, []string{"gif", "jpg", "htm", "html", "js", "css"}},
+		{`Program Files\app%02d`, `Program Files\app`, 2, nil}, {"part%02d", "part", 2, nil},
+		{"bin%03d.exe", "bin", 3, nil}, {"lib%03d.dll", "lib", 3, nil},
+		{"res%03d.dat", "res", 3, nil}, {"doc%03d.hlp", "doc", 3, nil}, {"cfg%03d.ini", "cfg", 3, nil},
+		{"mod%02d", "mod", 2, nil}, {"unit%03d.h", "unit", 3, nil},
+		{"unit%03d.c", "unit", 3, nil}, {"unit%03d.obj", "unit", 3, nil},
+		{"sdk%05d.h", "sdk", 5, nil}, {"sdk%05d.lib", "sdk", 5, nil},
+		{"sdk%05d.htm", "sdk", 5, nil}, {"sdk%05d.exe", "sdk", 5, nil},
+		{"run%02d.hdf", "run", 2, nil}, {"p%02d", "p", 2, nil},
+		{"ali%05d.%s", "ali", 5, []string{"doc", "xls", "txt", "ppt", "zip", "mdb", "csv"}},
+	} {
+		exts := c.exts
+		if exts == nil {
+			// A fixed extension is part of the format; numbered takes it
+			// without the dot.
+			ext := ""
+			if i := strings.LastIndexByte(c.format, '.'); i >= 0 {
+				ext = c.format[i+1:]
+			}
+			exts = []string{ext}
+		}
+		limit := 1
+		for w := 0; w < c.width; w++ {
+			limit *= 10
+		}
+		limit += 100
+		for i := 0; i <= limit; i++ {
+			// A list of extensions is taken in turn, so each meets every
+			// digit count.
+			ext := exts[i%len(exts)]
+			var want string
+			if c.exts != nil {
+				want = fmt.Sprintf(c.format, i, ext)
+			} else {
+				want = fmt.Sprintf(c.format, i)
+			}
+			if got := numbered(c.prefix, i, c.width, ext); got != want {
+				t.Fatalf("numbered(%q, %d, %d, %q) = %q, want %q", c.prefix, i, c.width, ext, got, want)
+			}
+		}
+	}
+	for v := 0; v <= 0x12000; v++ {
+		if got, want := tmpName(v), fmt.Sprintf("~tmp%04x.tmp", v); got != want {
+			t.Fatalf("tmpName(%d) = %q, want %q", v, got, want)
+		}
+	}
+	for i := 0; i <= 100*40+40; i++ {
+		if got, want := sdkDir(i), fmt.Sprintf(`d%02d\s%02d`, i/40, i%40); got != want {
+			t.Fatalf("sdkDir(%d) = %q, want %q", i, got, want)
+		}
+	}
+}

@@ -20,6 +20,7 @@ package cachemgr
 
 import (
 	"container/list"
+	"slices"
 
 	"repro/internal/ntos/fsys"
 	"repro/internal/ntos/irp"
@@ -98,7 +99,11 @@ type Manager struct {
 type SharedCacheMap struct {
 	Node  *fsys.Node
 	pages map[int64]*page
-	dirty int
+	// dirty holds the index of every dirty page, unsorted: a page joins
+	// when CopyWrite dirties it and leaves when writeDirty writes it or
+	// Purge drops it (dirty pages are never evicted), so the writers sort
+	// the dirty set instead of ranging over every resident page.
+	dirty []int64
 
 	// ReadAhead granularity for this file (per-file, FS-controlled §9.1).
 	ReadAhead int
@@ -254,12 +259,10 @@ func (m *Manager) evictOne(exclude *page) bool {
 	return false
 }
 
+// dropPage evicts p, a clean page.
 func (m *Manager) dropPage(p *page) {
 	m.lru.Remove(p.elem)
 	delete(p.cm.pages, p.idx)
-	if p.dirty {
-		p.cm.dirty--
-	}
 	m.resident--
 }
 
@@ -445,7 +448,7 @@ func (m *Manager) CopyWrite(fo *types.FileObject, cm *SharedCacheMap, offset int
 		p := m.addPage(cm, i)
 		if !p.dirty {
 			p.dirty = true
-			cm.dirty++
+			cm.dirty = append(cm.dirty, i)
 		}
 	}
 	m.queueDirty(cm)
@@ -463,7 +466,7 @@ func (m *Manager) queueDirty(cm *SharedCacheMap) {
 // is not cached).
 func (m *Manager) DirtyPages(node *fsys.Node) int {
 	if cm := m.maps[node]; cm != nil {
-		return cm.dirty
+		return len(cm.dirty)
 	}
 	return 0
 }
@@ -475,30 +478,24 @@ func (m *Manager) ResidentPages() int { return m.resident }
 // FlushFileBuffers path, §9.2). Returns the number of pages written.
 func (m *Manager) FlushFile(node *fsys.Node, procID uint32) int {
 	cm := m.maps[node]
-	if cm == nil || cm.dirty == 0 {
+	if cm == nil || len(cm.dirty) == 0 {
 		return 0
 	}
 	m.Stats.FlushOps++
-	return m.writeDirty(cm, cm.dirty, procID, false)
+	return m.writeDirty(cm, len(cm.dirty), procID, false)
 }
 
-// writeDirty writes up to maxPages dirty pages of cm in page-run requests
-// capped at 64 KB each, returning pages written.
+// writeDirty writes up to maxPages dirty pages of cm, lowest index first,
+// in page-run requests capped at 64 KB each, returning pages written.
 func (m *Manager) writeDirty(cm *SharedCacheMap, maxPages int, procID uint32, lazy bool) int {
 	if maxPages <= 0 {
 		return 0
 	}
 	const maxRunPages = BoostedReadAhead / PageSize // 16 pages = 64 KB
-	// Collect dirty page indexes in ascending order.
-	idxs := make([]int64, 0, cm.dirty)
-	for i, p := range cm.pages {
-		if p.dirty {
-			idxs = append(idxs, i)
-		}
-	}
-	sortInt64s(idxs)
-	written := 0
-	for start := 0; start < len(idxs) && written < maxPages; {
+	idxs := cm.dirty
+	slices.Sort(idxs)
+	written, start := 0, 0
+	for start < len(idxs) && written < maxPages {
 		end := start
 		for end+1 < len(idxs) && idxs[end+1] == idxs[end]+1 &&
 			end-start+1 < maxRunPages && written+(end-start+1) < maxPages {
@@ -522,13 +519,14 @@ func (m *Manager) writeDirty(cm *SharedCacheMap, maxPages int, procID uint32, la
 			p := cm.pages[i]
 			if p != nil && p.dirty {
 				p.dirty = false
-				cm.dirty--
 				written++
 			}
 		}
 		m.Stats.LazyWritePages += uint64(last - first + 1)
 		start = end + 1
 	}
+	// The runs wrote idxs[:start]; the rest stay dirty, still sorted.
+	cm.dirty = idxs[:copy(idxs, idxs[start:])]
 	return written
 }
 
@@ -541,11 +539,11 @@ func (m *Manager) lazyWriteScan() {
 	queue := m.dirtyQ
 	m.dirtyQ = m.dirtyQ[:0]
 	for _, cm := range queue {
-		if cm.dirty > 0 && !cm.Temporary {
-			target := cm.dirty / 8
+		if len(cm.dirty) > 0 && !cm.Temporary {
+			target := len(cm.dirty) / 8
 			burstCap := 8 * (BoostedReadAhead / PageSize)
 			if target < 2 {
-				target = cm.dirty
+				target = len(cm.dirty)
 			}
 			if target > burstCap {
 				target = burstCap
@@ -553,14 +551,14 @@ func (m *Manager) lazyWriteScan() {
 			m.Stats.LazyWriteBursts++
 			m.Metrics.lazyBurst(m.writeDirty(cm, target, 0, true))
 		}
-		if cm.dirty == 0 && len(cm.pendingClose) > 0 {
+		if len(cm.dirty) == 0 && len(cm.pendingClose) > 0 {
 			pend := cm.pendingClose
 			cm.pendingClose = nil
 			for _, fo := range pend {
 				m.releaseAfterCleanup(fo, cm)
 			}
 		}
-		if (cm.dirty > 0 && !cm.Temporary) || len(cm.pendingClose) > 0 {
+		if (len(cm.dirty) > 0 && !cm.Temporary) || len(cm.pendingClose) > 0 {
 			// More work remains: stay queued.
 			m.dirtyQ = append(m.dirtyQ, cm)
 		} else {
@@ -592,7 +590,7 @@ func (m *Manager) Cleanup(fo *types.FileObject, node *fsys.Node) {
 	// cache reference releases immediately even while another session's
 	// dirty pages remain on the shared map (§8.1 measures 4–80 µs gaps
 	// for read caching specifically).
-	if cm.dirty > 0 && !cm.Temporary && fo.Flags.Has(types.FODirtied) {
+	if len(cm.dirty) > 0 && !cm.Temporary && fo.Flags.Has(types.FODirtied) {
 		m.Stats.CleanupDeferred++
 		m.Metrics.cleanup(true)
 		cm.pendingClose = append(cm.pendingClose, fo)
@@ -659,7 +657,7 @@ func (m *Manager) Purge(node *fsys.Node) int {
 		return 0
 	}
 	m.Stats.PurgeOps++
-	dirty := cm.dirty
+	dirty := len(cm.dirty)
 	for _, p := range cm.pages {
 		m.lru.Remove(p.elem)
 		m.resident--
@@ -668,7 +666,7 @@ func (m *Manager) Purge(node *fsys.Node) int {
 		m.Stats.PurgedDirty++
 	}
 	cm.pages = map[int64]*page{}
-	cm.dirty = 0
+	cm.dirty = nil
 	cm.readAheadHigh = 0
 	return dirty
 }
@@ -682,15 +680,4 @@ func (m *Manager) DropMap(node *fsys.Node) {
 	m.Purge(node)
 	delete(m.maps, node)
 	// A queued entry is dequeued lazily at the next scan (dirty is now 0).
-}
-
-// sortInt64s shellsorts the (small) dirty-page index sets.
-func sortInt64s(xs []int64) {
-	for gap := len(xs) / 2; gap > 0; gap /= 2 {
-		for i := gap; i < len(xs); i++ {
-			for j := i; j >= gap && xs[j-gap] > xs[j]; j -= gap {
-				xs[j-gap], xs[j] = xs[j], xs[j-gap]
-			}
-		}
-	}
 }

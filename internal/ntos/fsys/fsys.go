@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"path"
 	"slices"
-	"sort"
 	"strings"
 
 	"repro/internal/ntos/types"
@@ -38,8 +37,8 @@ type Node struct {
 	LastModified sim.Time
 	LastAccessed sim.Time
 
-	// children is nil for regular files.
-	children map[string]*Node
+	// dir is nil for regular files.
+	dir *dirIndex
 
 	// OpenCount tracks live FileObjects referencing this node so deletion
 	// can be deferred NT-style (delete-pending until last close).
@@ -48,8 +47,25 @@ type Node struct {
 	DeletePending bool
 }
 
+// dirIndex is a directory's children: the lookup map under lower-cased
+// keys, and the same nodes in walk order. A file node keeps only a nil
+// pointer to it, so caching the order does not grow the file nodes.
+type dirIndex struct {
+	children map[string]*Node
+	// order is the children sorted by key, or nil when a create, remove
+	// or rename has changed the directory since the last walk listed it.
+	// It holds nodes only, 8 bytes a child; the keys are in the map.
+	order []*Node
+}
+
+// changed drops the cached walk order after a create, remove or rename;
+// the next walk sorts the directory again.
+func (d *dirIndex) changed() { d.order = nil }
+
+func newDirIndex() *dirIndex { return &dirIndex{children: map[string]*Node{}} }
+
 // IsDir reports whether the node is a directory.
-func (n *Node) IsDir() bool { return n.children != nil }
+func (n *Node) IsDir() bool { return n.dir != nil }
 
 // Orphaned reports whether the node has been unlinked from the tree (the
 // volume root is never orphaned).
@@ -81,42 +97,67 @@ func (n *Node) Ext() string {
 	return strings.ToLower(e[1:])
 }
 
-// ChildNames returns the sorted child names (directories only).
+// dirEntry is one child of a directory under its lookup key, the
+// lower-cased name the walk order sorts by.
+type dirEntry struct {
+	key  string
+	node *Node
+}
+
+// Children returns the directory's children in walk order, sorted by
+// key (nil for a file). A directory sorts its children at the first walk
+// after it changed and keeps that order until it changes again, so a
+// walk of an unchanged tree sorts nothing. The slice is the directory's
+// own: callers must not modify it. A change to the directory while a
+// caller ranges over it leaves the caller's slice as it was. Listing may
+// store the order, so like a change it must not run concurrently with
+// another use of the volume.
+func (n *Node) Children() []*Node {
+	d := n.dir
+	if d == nil {
+		return nil
+	}
+	if d.order == nil {
+		es := make([]dirEntry, 0, len(d.children))
+		for key, c := range d.children {
+			es = append(es, dirEntry{key, c})
+		}
+		slices.SortFunc(es, func(a, b dirEntry) int { return strings.Compare(a.key, b.key) })
+		order := make([]*Node, len(es))
+		for i, e := range es {
+			order[i] = e.node
+		}
+		d.order = order
+	}
+	return d.order
+}
+
+// ChildNames returns the sorted child keys, the lower-cased names, in
+// Children order (empty for a file).
 func (n *Node) ChildNames() []string {
-	names := make([]string, 0, len(n.children))
-	for name := range n.children {
-		names = append(names, name)
+	kids := n.Children()
+	names := make([]string, len(kids))
+	for i, c := range kids {
+		names[i] = strings.ToLower(c.Name)
 	}
-	sort.Strings(names)
 	return names
-}
-
-// DirEntry is one child of a directory under its lookup key, the
-// lower-cased name ChildNames sorts by.
-type DirEntry struct {
-	Key  string
-	Node *Node
-}
-
-// AppendChildren appends the directory's children to dst in ChildNames
-// order and returns the extended slice, so a tree walk can list each
-// directory once into one reused buffer.
-func (n *Node) AppendChildren(dst []DirEntry) []DirEntry {
-	start := len(dst)
-	for key, c := range n.children {
-		dst = append(dst, DirEntry{key, c})
-	}
-	slices.SortFunc(dst[start:], func(a, b DirEntry) int { return strings.Compare(a.Key, b.Key) })
-	return dst
 }
 
 // Child returns the named child, or nil.
 func (n *Node) Child(name string) *Node {
-	return n.children[strings.ToLower(name)]
+	if n.dir == nil {
+		return nil
+	}
+	return n.dir.children[strings.ToLower(name)]
 }
 
 // NumChildren returns the number of entries in a directory.
-func (n *Node) NumChildren() int { return len(n.children) }
+func (n *Node) NumChildren() int {
+	if n.dir == nil {
+		return 0
+	}
+	return len(n.dir.children)
+}
 
 // FS is one volume's file-system state.
 type FS struct {
@@ -134,7 +175,7 @@ type FS struct {
 
 // New creates an empty file system of the given flavor and capacity.
 func New(flavor volume.Flavor, capacity int64) *FS {
-	root := &Node{Name: "", children: map[string]*Node{}, Attrs: types.AttrDirectory}
+	root := &Node{Name: "", dir: newDirIndex(), Attrs: types.AttrDirectory}
 	return &FS{Flavor: flavor, Root: root, CapacityBytes: capacity, DirCount: 1}
 }
 
@@ -257,7 +298,7 @@ func (fs *FS) createIn(parent *Node, name string, dir bool, size int64, attrs ty
 		return nil, st
 	}
 	key := strings.ToLower(name)
-	if parent.children[key] != nil {
+	if parent.dir.children[key] != nil {
 		return nil, types.StatusObjectNameCollision
 	}
 	if !dir && fs.UsedBytes+size > fs.CapacityBytes {
@@ -265,7 +306,7 @@ func (fs *FS) createIn(parent *Node, name string, dir bool, size int64, attrs ty
 	}
 	n := &Node{Name: name, Parent: parent, Attrs: attrs, Size: size}
 	if dir {
-		n.children = map[string]*Node{}
+		n.dir = newDirIndex()
 		n.Attrs |= types.AttrDirectory
 		fs.DirCount++
 	} else {
@@ -273,7 +314,8 @@ func (fs *FS) createIn(parent *Node, name string, dir bool, size int64, attrs ty
 		fs.UsedBytes += size
 	}
 	fs.stampCreate(n, now)
-	parent.children[key] = n
+	parent.dir.children[key] = n
+	parent.dir.changed()
 	return n, types.StatusSuccess
 }
 
@@ -320,7 +362,7 @@ func (fs *FS) Remove(n *Node) types.Status {
 		return types.StatusAccessDenied
 	}
 	if n.IsDir() {
-		if len(n.children) > 0 {
+		if len(n.dir.children) > 0 {
 			return types.StatusAccessDenied
 		}
 		fs.DirCount--
@@ -328,7 +370,7 @@ func (fs *FS) Remove(n *Node) types.Status {
 		fs.FileCount--
 		fs.UsedBytes -= n.Size
 	}
-	delete(n.Parent.children, strings.ToLower(n.Name))
+	n.Parent.unlink(n)
 	n.Parent = nil
 	return types.StatusSuccess
 }
@@ -351,11 +393,18 @@ func (fs *FS) Rename(n *Node, newPath string) types.Status {
 	if parent.Child(newName) != nil {
 		return types.StatusObjectNameCollision
 	}
-	delete(n.Parent.children, strings.ToLower(n.Name))
+	n.Parent.unlink(n)
 	n.Name = newName
 	n.Parent = parent
-	parent.children[strings.ToLower(newName)] = n
+	parent.dir.children[strings.ToLower(newName)] = n
+	parent.dir.changed()
 	return types.StatusSuccess
+}
+
+// unlink removes child c from directory n.
+func (n *Node) unlink(c *Node) {
+	delete(n.dir.children, strings.ToLower(c.Name))
+	n.dir.changed()
 }
 
 // Walk visits every node under root depth-first (directories before their
@@ -366,10 +415,8 @@ func (fs *FS) Walk(fn func(*Node) bool) {
 		if !fn(n) {
 			return
 		}
-		if n.IsDir() {
-			for _, name := range n.ChildNames() {
-				rec(n.Child(name))
-			}
+		for _, c := range n.Children() {
+			rec(c)
 		}
 	}
 	rec(fs.Root)

@@ -2,6 +2,7 @@ package fsys
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -131,6 +132,121 @@ func TestCapacityNeverExceeded(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
+		t.Error(err)
+	}
+}
+
+// mapOrder is the walk order as it was computed before directories cached
+// it: the directory's map listed and sorted by key on every call.
+func mapOrder(d *Node) []*Node {
+	keys := make([]string, 0, len(d.dir.children))
+	for key := range d.dir.children {
+		keys = append(keys, key)
+	}
+	slices.Sort(keys)
+	out := make([]*Node, len(keys))
+	for i, key := range keys {
+		out[i] = d.dir.children[key]
+	}
+	return out
+}
+
+// childPath is the full path of name under directory d.
+func childPath(d *Node, name string) string {
+	if d.Parent == nil {
+		return `\` + name
+	}
+	return d.Path() + `\` + name
+}
+
+// TestWalkOrderTracksChanges drives random creates (files, directories
+// and names that collide case-insensitively), removes, and renames within
+// and across directories, interleaved with walks, and checks after every
+// step that each directory's cached walk order equals its map listed and
+// sorted afresh, and that FS.Walk visits the tree in that order.
+func TestWalkOrderTracksChanges(t *testing.T) {
+	names := []string{"a", "A", "b", "B.txt", "b.TXT", "c", "Cc", "cC", "d.dll", "D.DLL"}
+	f := func(seed uint64) bool {
+		rng := sim.NewRNG(seed)
+		fs := New(volume.FlavorNTFS, 1<<30)
+		dirs := []*Node{fs.Root}
+		var files []*Node
+		live := func(ns []*Node) []*Node {
+			out := ns[:0]
+			for _, n := range ns {
+				if n.Parent != nil || n == fs.Root {
+					out = append(out, n)
+				}
+			}
+			return out
+		}
+		check := func(op int) bool {
+			var want []*Node
+			var rec func(n *Node)
+			rec = func(n *Node) {
+				want = append(want, n)
+				if !n.IsDir() {
+					return
+				}
+				for _, c := range mapOrder(n) {
+					rec(c)
+				}
+			}
+			rec(fs.Root)
+			var got []*Node
+			fs.Walk(func(n *Node) bool {
+				got = append(got, n)
+				return true
+			})
+			if !slices.Equal(got, want) {
+				t.Logf("op %d (seed %d): Walk visits %d nodes out of map order", op, seed, len(got))
+				return false
+			}
+			for _, n := range want {
+				if n.IsDir() && !slices.Equal(n.Children(), mapOrder(n)) {
+					t.Logf("op %d (seed %d): %s: Children %v, map order %v", op, seed, n.Path(), n.Children(), mapOrder(n))
+					return false
+				}
+			}
+			return true
+		}
+		for op := 0; op < 200; op++ {
+			dirs, files = live(dirs), live(files)
+			name := names[rng.Intn(len(names))]
+			d := dirs[rng.Intn(len(dirs))]
+			switch rng.Intn(6) {
+			case 0: // create a file
+				if n, st := fs.CreateIn(d, name, rng.Int63n(1000), types.AttrNormal, sim.Time(op)); !st.IsError() {
+					files = append(files, n)
+				}
+			case 1: // create a directory
+				if n, st := fs.Mkdir(childPath(d, name), sim.Time(op)); !st.IsError() {
+					dirs = append(dirs, n)
+				}
+			case 2: // remove a file or an (empty) directory
+				all := append(slices.Clone(files), dirs[1:]...)
+				if len(all) > 0 {
+					fs.Remove(all[rng.Intn(len(all))])
+				}
+			case 3: // rename a file or directory within its directory
+				all := append(slices.Clone(files), dirs[1:]...)
+				if len(all) > 0 {
+					n := all[rng.Intn(len(all))]
+					fs.Rename(n, childPath(n.Parent, name))
+				}
+			case 4, 5: // move a file into another directory
+				if len(files) > 0 {
+					n := files[rng.Intn(len(files))]
+					fs.Rename(n, childPath(d, name))
+				}
+			}
+			if !check(op) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
 	}
 }

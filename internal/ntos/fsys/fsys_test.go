@@ -192,22 +192,24 @@ func TestPathAndExt(t *testing.T) {
 	}
 }
 
-func TestAppendChildrenMatchesChildNames(t *testing.T) {
+func TestChildrenMatchesChildNames(t *testing.T) {
 	fs := newNTFS()
 	for _, name := range []string{`\c`, `\A`, `\b`} {
 		fs.CreateFile(name, 1, types.AttrNormal, 0)
 	}
 	fs.MkdirAll(`\Dir`, 0)
-	prefix := []DirEntry{{Key: "kept"}}
-	got := fs.Root.AppendChildren(prefix)
+	got := fs.Root.Children()
 	names := fs.Root.ChildNames()
-	if len(got) != 1+len(names) || got[0].Key != "kept" {
-		t.Fatalf("AppendChildren = %v, want the prefix then %d children", got, len(names))
+	if len(got) != len(names) || len(names) != 4 {
+		t.Fatalf("Children = %v, want the %d children of ChildNames", got, len(names))
 	}
 	for i, name := range names {
-		if e := got[1+i]; e.Key != name || e.Node != fs.Root.Child(name) {
-			t.Errorf("child %d = %q, want %q", i, e.Key, name)
+		if c := got[i]; c != fs.Root.Child(name) {
+			t.Errorf("child %d = %q, want %q", i, c.Name, name)
 		}
+	}
+	if f := fs.Root.Child("c"); f.Children() != nil || len(f.ChildNames()) != 0 {
+		t.Errorf("a file lists children")
 	}
 }
 

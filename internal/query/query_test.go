@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -255,6 +256,31 @@ func TestRowOnlyMachineFailsClosed(t *testing.T) {
 	check := func(what string, err error) {
 		if err == nil || !strings.Contains(err.Error(), name+".trz") || !strings.Contains(err.Error(), "fscorpus convert") {
 			t.Errorf("%s: err = %v, want an error naming %s.trz and fscorpus convert", what, err, name)
+		}
+	}
+	_, err = core.LoadCorpusTrace(dir, nil, nil)
+	check("core.LoadCorpusTrace", err)
+	_, err = OpenCorpusTrace(dir, nil, nil)
+	check("OpenCorpusTrace", err)
+}
+
+// TestMissingSegmentFailsClosed pins that a saved corpus missing one of
+// the segments its stem manifest lists fails the load — in
+// core.LoadCorpusTrace and in OpenCorpusTrace — with an error naming the
+// file, instead of loading the other machines.
+func TestMissingSegmentFailsClosed(t *testing.T) {
+	own, _ := corpusDirs(t)
+	dir, err := legacyCopy(study, own, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seg := collect.SafeName(study.Store.Machines()[2]) + collect.ColumnarExt
+	if err := os.Remove(filepath.Join(dir, seg)); err != nil {
+		t.Fatal(err)
+	}
+	check := func(what string, err error) {
+		if !errors.Is(err, collect.ErrManifestMismatch) || !strings.Contains(err.Error(), seg) {
+			t.Errorf("%s: err = %v, want ErrManifestMismatch naming %s", what, err, seg)
 		}
 	}
 	_, err = core.LoadCorpusTrace(dir, nil, nil)

@@ -67,16 +67,14 @@ type Snapshot struct {
 	Records []WalkRecord `json:"records"`
 }
 
-// Take walks fs producing a snapshot. The walk is deterministic
-// (children in sorted order).
+// Take walks fs producing a snapshot. The walk is deterministic: each
+// directory's children in their walk order (fsys.Node.Children), which a
+// directory sorts only when it changed since the last walk.
 func Take(machine, vol string, fs *fsys.FS, now sim.Time) *Snapshot {
 	snap := &Snapshot{
 		Machine: machine, Volume: vol, TakenAt: now,
 		Records: make([]WalkRecord, 0, fs.FileCount+fs.DirCount),
 	}
-	// kids holds the sorted children of every directory on the current
-	// path, each level appended above its parent's and cut off on return.
-	var kids []fsys.DirEntry
 	var rec func(n *fsys.Node, depth int)
 	rec = func(n *fsys.Node, depth int) {
 		snap.Records = append(snap.Records, WalkRecord{
@@ -91,21 +89,18 @@ func Take(machine, vol string, fs *fsys.FS, now sim.Time) *Snapshot {
 		if !n.IsDir() {
 			return
 		}
+		kids := n.Children()
 		w := &snap.Records[len(snap.Records)-1] // valid until rec appends
-		start := len(kids)
-		kids = n.AppendChildren(kids)
-		end := len(kids)
-		for _, k := range kids[start:end] {
-			if k.Node.IsDir() {
+		for _, k := range kids {
+			if k.IsDir() {
 				w.NumSubdirs++
 			} else {
 				w.NumFiles++
 			}
 		}
-		for i := start; i < end; i++ {
-			rec(kids[i].Node, depth+1)
+		for _, k := range kids {
+			rec(k, depth+1)
 		}
-		kids = kids[:start]
 	}
 	rec(fs.Root, 0)
 	return snap

@@ -229,6 +229,121 @@ func TestTakeMatchesChildNamesWalk(t *testing.T) {
 	}
 }
 
+// uncachedTake is Take as it walked before directories cached their walk
+// order: each directory listed afresh and sorted by key. It lists the
+// test's own record of every directory's children, keyed by lower-cased
+// name as fsys keys them, so no cached order is read.
+func uncachedTake(fs *fsys.FS, kids map[*fsys.Node]map[string]*fsys.Node) []WalkRecord {
+	var out []WalkRecord
+	var rec func(n *fsys.Node, depth int)
+	rec = func(n *fsys.Node, depth int) {
+		out = append(out, WalkRecord{Name: shortName(n.Name), Depth: depth, IsDir: n.IsDir(), Size: n.Size,
+			Created: n.Created, LastModified: n.LastModified, LastAccessed: n.LastAccessed})
+		if !n.IsDir() {
+			return
+		}
+		w := len(out) - 1
+		keys := make([]string, 0, len(kids[n]))
+		for k := range kids[n] {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		for _, k := range keys {
+			if kids[n][k].IsDir() {
+				out[w].NumSubdirs++
+			} else {
+				out[w].NumFiles++
+			}
+		}
+		for _, k := range keys {
+			rec(kids[n][k], depth+1)
+		}
+	}
+	rec(fs.Root, 0)
+	return out
+}
+
+// TestTakeMatchesUncachedWalk drives random creates (with case-colliding
+// names), removes, resizes and renames within and across directories,
+// and after every step compares Take with uncachedTake: the cached walk
+// order must give the records, and the order, of a walk that sorts every
+// directory afresh.
+func TestTakeMatchesUncachedWalk(t *testing.T) {
+	names := []string{"a", "A", "b.txt", "B.TXT", "c", "Cc", "cC", "d.dll"}
+	for seed := uint64(1); seed <= 20; seed++ {
+		rng := sim.NewRNG(seed)
+		fs := fsys.New(volume.FlavorNTFS, 1<<30)
+		kids := map[*fsys.Node]map[string]*fsys.Node{fs.Root: {}}
+		dirs := []*fsys.Node{fs.Root}
+		var files []*fsys.Node
+		path := func(d *fsys.Node, name string) string {
+			if d == fs.Root {
+				return `\` + name
+			}
+			return d.Path() + `\` + name
+		}
+		for op := 0; op < 150; op++ {
+			name := names[rng.Intn(len(names))]
+			d := dirs[rng.Intn(len(dirs))]
+			switch rng.Intn(6) {
+			case 0, 1: // create a file or a directory
+				var n *fsys.Node
+				var st types.Status
+				if rng.Bool(0.5) {
+					n, st = fs.CreateIn(d, name, rng.Int63n(5000), types.AttrNormal, sim.Time(op))
+				} else {
+					n, st = fs.Mkdir(path(d, name), sim.Time(op))
+				}
+				if st.IsError() {
+					break
+				}
+				kids[d][strings.ToLower(name)] = n
+				if n.IsDir() {
+					kids[n] = map[string]*fsys.Node{}
+					dirs = append(dirs, n)
+				} else {
+					files = append(files, n)
+				}
+			case 2: // remove a file
+				if len(files) == 0 {
+					break
+				}
+				i := rng.Intn(len(files))
+				n := files[i]
+				parent := n.Parent
+				if fs.Remove(n).IsError() {
+					t.Fatalf("seed %d op %d: remove failed", seed, op)
+				}
+				delete(kids[parent], strings.ToLower(n.Name))
+				files = append(files[:i], files[i+1:]...)
+			case 3: // resize a file
+				if len(files) > 0 {
+					fs.SetSize(files[rng.Intn(len(files))], rng.Int63n(5000), sim.Time(op))
+				}
+			case 4, 5: // rename a file within its directory or into another
+				if len(files) == 0 {
+					break
+				}
+				n := files[rng.Intn(len(files))]
+				to := d
+				if rng.Bool(0.5) {
+					to = n.Parent
+				}
+				from, oldKey := n.Parent, strings.ToLower(n.Name)
+				if fs.Rename(n, path(to, name)).IsError() {
+					break
+				}
+				delete(kids[from], oldKey)
+				kids[to][strings.ToLower(name)] = n
+			}
+			got := Take("m", `C:`, fs, sim.Time(op))
+			if want := uncachedTake(fs, kids); !reflect.DeepEqual(got.Records, want) {
+				t.Fatalf("seed %d op %d: Take differs from the uncached walk (%d vs %d records)", seed, op, len(got.Records), len(want))
+			}
+		}
+	}
+}
+
 func TestReadRejectsGarbage(t *testing.T) {
 	if _, err := Read(strings.NewReader("not json")); err == nil {
 		t.Error("garbage accepted")

@@ -1,6 +1,7 @@
 #!/usr/bin/env sh
-# bench.sh — run the study build and save, analysis-engine and query
-# benchmarks and emit the tracked perf baseline:
+# bench.sh — run the study build, snapshot walk and save,
+# analysis-engine and query benchmarks and emit the tracked perf
+# baseline:
 #
 #   BENCH_analysis.txt   raw `go test -bench` output (benchstat-ready:
 #                        feed two of these to benchstat old.txt new.txt)
@@ -19,7 +20,7 @@ TXT=BENCH_analysis.txt
 JSON=BENCH_analysis.json
 
 go test -run NONE \
-  -bench 'BenchmarkStudyBuild|BenchmarkStudySave|BenchmarkDataSetDecode|BenchmarkComputeResults|BenchmarkColumnarEncode|BenchmarkColumnarScan|BenchmarkColumnarCompute|BenchmarkQueryCold|BenchmarkQueryCacheHit|BenchmarkLoadCorpus|BenchmarkSection5Snapshots' \
+  -bench 'BenchmarkStudyBuild|BenchmarkStudySave|BenchmarkSnapshotWalk|BenchmarkDataSetDecode|BenchmarkComputeResults|BenchmarkColumnarEncode|BenchmarkColumnarScan|BenchmarkColumnarCompute|BenchmarkQueryCold|BenchmarkQueryCacheHit|BenchmarkLoadCorpus|BenchmarkSection5Snapshots' \
   -benchtime "$BENCHTIME" -count "$COUNT" . | tee "$TXT"
 
 # The obs and span hot paths are nanosecond-scale: at a small -benchtime
