@@ -40,11 +40,12 @@ type ContentCensus struct {
 
 // Census computes the §5 summary of one snapshot without sorting the
 // sample: the size percentiles are selected in place from the sizes
-// slice it owns and stats.Hill sorts only the values above its
-// threshold. Every field is the value stats.Summarize would give.
+// slice it owns, sized from the record count, and stats.Hill sorts only
+// the values above its threshold. Every field is the value
+// stats.Summarize would give.
 func Census(s *snapshot.Snapshot) ContentCensus {
 	c := ContentCensus{Machine: s.Machine}
-	var sizes []float64
+	sizes := make([]float64, 0, len(s.Records))
 	var dirFiles, dirSubs float64
 	inconsistent, timed := 0, 0
 	for _, r := range s.Records {

@@ -12,7 +12,19 @@ import (
 	"repro/internal/tracefmt"
 )
 
-func k(path string, page int64) key { return key{path, page} }
+// testPages numbers the (path, page) pairs the direct Touch tests use,
+// in first-use order as Sweep would.
+var testPages = map[Access]int32{}
+
+func k(path string, page int64) int32 {
+	a := Access{Path: path, Page: page}
+	p, ok := testPages[a]
+	if !ok {
+		p = int32(len(testPages))
+		testPages[a] = p
+	}
+	return p
+}
 
 func TestLRUBasics(t *testing.T) {
 	c := NewLRU(2)

@@ -53,7 +53,6 @@ type Stats struct {
 	ReadAheadBytes  uint64
 	LazyWriteBursts uint64
 	LazyWriteOps    uint64
-	LazyWritePages  uint64
 	FlushOps        uint64 // explicit application flushes
 
 	CleanupImmediate uint64 // closes released with no dirty data
@@ -522,7 +521,6 @@ func (m *Manager) writeDirty(cm *SharedCacheMap, maxPages int, procID uint32, la
 				written++
 			}
 		}
-		m.Stats.LazyWritePages += uint64(last - first + 1)
 		start = end + 1
 	}
 	// The runs wrote idxs[:start]; the rest stay dirty, still sorted.

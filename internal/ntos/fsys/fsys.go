@@ -17,6 +17,7 @@ import (
 	"path"
 	"slices"
 	"strings"
+	"sync"
 
 	"repro/internal/ntos/types"
 	"repro/internal/ntos/volume"
@@ -118,7 +119,8 @@ func (n *Node) Children() []*Node {
 		return nil
 	}
 	if d.order == nil {
-		es := make([]dirEntry, 0, len(d.children))
+		scratch := entryScratch.Get().(*[]dirEntry)
+		es := (*scratch)[:0]
 		for key, c := range d.children {
 			es = append(es, dirEntry{key, c})
 		}
@@ -128,9 +130,17 @@ func (n *Node) Children() []*Node {
 			order[i] = e.node
 		}
 		d.order = order
+		clear(es) // the pool must not keep the keys and nodes alive
+		*scratch = es[:0]
+		entryScratch.Put(scratch)
 	}
 	return d.order
 }
+
+// entryScratch holds the key-and-node slices Children sorts in, reused
+// across directories; a pool, because shards walk their volumes
+// concurrently.
+var entryScratch = sync.Pool{New: func() any { return new([]dirEntry) }}
 
 // ChildNames returns the sorted child keys, the lower-cased names, in
 // Children order (empty for a file).

@@ -3,6 +3,7 @@ package fsys
 import (
 	"fmt"
 	"slices"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -248,5 +249,50 @@ func TestWalkOrderTracksChanges(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestChildrenConcurrentVolumes lists the directories of several volumes
+// from one goroutine each, as the fleet's shards walk their machines, so
+// the sort scratch Children reuses through its pool passes between
+// goroutines. Each volume's order must equal the map order. Run it with
+// -race.
+func TestChildrenConcurrentVolumes(t *testing.T) {
+	const volumes = 4
+	fss := make([]*FS, volumes)
+	for v := range fss {
+		fs := New(volume.FlavorNTFS, 1<<30)
+		for d := 0; d < 20; d++ {
+			dir, st := fs.MkdirAllIn(fs.Root, fmt.Sprintf("d%02d", (d*7+v)%20), 0)
+			if st != types.StatusSuccess {
+				t.Fatalf("mkdir: %v", st)
+			}
+			for f := 0; f < 30+v*d; f++ {
+				if _, st := fs.CreateIn(dir, fmt.Sprintf("F%03d.TXT", (f*13)%97), 1, 0, 0); st != types.StatusSuccess && st != types.StatusObjectNameCollision {
+					t.Fatalf("create: %v", st)
+				}
+			}
+		}
+		fss[v] = fs
+	}
+	var wg sync.WaitGroup
+	errs := make([]string, volumes)
+	for v, fs := range fss {
+		wg.Add(1)
+		go func(v int, fs *FS) {
+			defer wg.Done()
+			fs.Walk(func(n *Node) bool {
+				if n.IsDir() && !slices.Equal(n.Children(), mapOrder(n)) && errs[v] == "" {
+					errs[v] = n.Path()
+				}
+				return true
+			})
+		}(v, fs)
+	}
+	wg.Wait()
+	for v, e := range errs {
+		if e != "" {
+			t.Errorf("volume %d: %s listed out of map order", v, e)
+		}
 	}
 }

@@ -2,10 +2,12 @@ package report
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 
 	"repro/internal/analysis"
 	"repro/internal/cachesim"
+	"repro/internal/par"
 	"repro/internal/snapshot"
 	"repro/internal/stats"
 )
@@ -13,6 +15,12 @@ import (
 // Section5 renders the file-system content analysis from snapshots: the
 // census, the type decomposition, and — given at least two snapshots of
 // one volume — the day-over-day change attribution.
+//
+// The census of each machine's first snapshot, the type decomposition of
+// the largest snapshot and the change attribution are independent, so
+// they run as slots of one par.For at GOMAXPROCS workers (the two single
+// analyses first, as they are the largest); the lines are then written
+// in order.
 func (r *Results) Section5(snaps []*snapshot.Snapshot) string {
 	var b strings.Builder
 	b.WriteString("Section 5. File system content\n")
@@ -20,40 +28,21 @@ func (r *Results) Section5(snaps []*snapshot.Snapshot) string {
 		b.WriteString("  (no snapshots collected)\n")
 		return b.String()
 	}
-	// Census of the first snapshot per machine.
+	// The first snapshot per machine, and the largest snapshot.
+	var firsts []*snapshot.Snapshot
 	seen := map[string]bool{}
-	for _, s := range snaps {
-		if seen[s.Machine] {
-			continue
-		}
-		seen[s.Machine] = true
-		c := analysis.Census(s)
-		fmt.Fprintf(&b, "  %-16s %6d files %5d dirs %6d MB  size p50=%.0fB p90=%.0fB α=%.2f  time-inconsistent %.1f%%\n",
-			c.Machine, c.Files, c.Dirs, c.Bytes>>20, c.SizeP50, c.SizeP90,
-			c.SizeTailAlpha, 100*c.TimeInconsistent)
-	}
-	// Type decomposition of the largest snapshot.
 	var biggest *snapshot.Snapshot
 	for _, s := range snaps {
+		if !seen[s.Machine] {
+			seen[s.Machine] = true
+			firsts = append(firsts, s)
+		}
 		if biggest == nil || len(s.Records) > len(biggest.Records) {
 			biggest = s
 		}
 	}
-	b.WriteString("  file-type decomposition by bytes (largest volume):\n")
-	files := 0
-	for i, t := range analysis.TypeCensus(biggest) {
-		files += t.Files
-		if i >= 8 {
-			continue
-		}
-		fmt.Fprintf(&b, "    %-24s %7d files %8d KB\n",
-			t.Category.Major+"/"+t.Category.Minor, t.Files, t.Bytes>>10)
-	}
-	fmt.Fprintf(&b, "  exe/dll/font share of the top-1%% sizes: %.0f%% (paper: dominant)\n",
-		100*analysis.ImageShareOfTail(biggest, files/100+1))
-
-	// Change attribution between the first and last snapshot of the first
-	// machine+volume, in snapshot order, that has at least two.
+	// The change-attribution exemplar: the first machine+volume, in
+	// snapshot order, that has at least two snapshots.
 	byVol := map[string][]*snapshot.Snapshot{}
 	var order []string
 	for _, s := range snaps {
@@ -63,15 +52,51 @@ func (r *Results) Section5(snaps []*snapshot.Snapshot) string {
 		}
 		byVol[k] = append(byVol[k], s)
 	}
+	exemplar := ""
 	for _, k := range order {
-		vs := byVol[k]
-		if len(vs) < 2 {
-			continue
+		if len(byVol[k]) >= 2 {
+			exemplar = k
+			break
 		}
-		ca := analysis.AttributeChanges(vs[0], vs[len(vs)-1])
+	}
+
+	census := make([]analysis.ContentCensus, len(firsts))
+	var types []analysis.TypeSlice
+	var files int
+	var imageShare float64
+	var ca analysis.ChangeAttribution
+	par.For(runtime.GOMAXPROCS(0), 2+len(firsts), func(i int) {
+		switch i {
+		case 0:
+			types = analysis.TypeCensus(biggest)
+			for _, t := range types {
+				files += t.Files
+			}
+			imageShare = analysis.ImageShareOfTail(biggest, files/100+1)
+		case 1:
+			if exemplar != "" {
+				vs := byVol[exemplar]
+				ca = analysis.AttributeChanges(vs[0], vs[len(vs)-1])
+			}
+		default:
+			census[i-2] = analysis.Census(firsts[i-2])
+		}
+	})
+
+	for _, c := range census {
+		fmt.Fprintf(&b, "  %-16s %6d files %5d dirs %6d MB  size p50=%.0fB p90=%.0fB α=%.2f  time-inconsistent %.1f%%\n",
+			c.Machine, c.Files, c.Dirs, c.Bytes>>20, c.SizeP50, c.SizeP90,
+			c.SizeTailAlpha, 100*c.TimeInconsistent)
+	}
+	b.WriteString("  file-type decomposition by bytes (largest volume):\n")
+	for _, t := range types[:min(8, len(types))] {
+		fmt.Fprintf(&b, "    %-24s %7d files %8d KB\n",
+			t.Category.Major+"/"+t.Category.Minor, t.Files, t.Bytes>>10)
+	}
+	fmt.Fprintf(&b, "  exe/dll/font share of the top-1%% sizes: %.0f%% (paper: dominant)\n", 100*imageShare)
+	if exemplar != "" {
 		fmt.Fprintf(&b, "  %s: +%d ~%d -%d files; profile share %.0f%% (paper: 94%%), WWW cache %.0f%% (paper: ≤93%%)\n",
-			k, ca.Added, ca.Changed, ca.Removed, 100*ca.ProfileShare, 100*ca.WebCacheShare)
-		break // one exemplar keeps the section readable
+			exemplar, ca.Added, ca.Changed, ca.Removed, 100*ca.ProfileShare, 100*ca.WebCacheShare)
 	}
 	return b.String()
 }

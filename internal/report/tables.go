@@ -88,9 +88,10 @@ func (r *Results) Figure1() string {
 	readRuns, writeRuns := analysis.RunLengths(r.All)
 	var b strings.Builder
 	b.WriteString("Figure 1. Sequential run length CDF, weighted by number of runs\n")
-	b.WriteString(cdfTable("read runs", "bytes", stats.NewCDF(readRuns), 16))
+	reads := stats.NewCDF(readRuns)
+	b.WriteString(cdfTable("read runs", "bytes", reads, 16))
 	b.WriteString(cdfTable("write runs", "bytes", stats.NewCDF(writeRuns), 16))
-	b.WriteString(quantileLine("read-run 80% mark", stats.NewCDF(readRuns), "B"))
+	b.WriteString(quantileLine("read-run 80% mark", reads, "B"))
 	return b.String()
 }
 
@@ -142,12 +143,13 @@ func (r *Results) Figure4() string {
 func (r *Results) Figure5() string {
 	var b strings.Builder
 	b.WriteString("Figure 5. File open time CDF (data sessions, ms)\n")
-	b.WriteString(cdfTable("all files", "ms", r.HoldCDF(analysis.DataSessions), 16))
+	data := r.HoldCDF(analysis.DataSessions)
+	b.WriteString(cdfTable("all files", "ms", data, 16))
 	b.WriteString(cdfTable("local file system", "ms",
 		r.HoldCDF(analysis.And(analysis.DataSessions, analysis.LocalSessions)), 16))
 	b.WriteString(cdfTable("network file server", "ms",
 		r.HoldCDF(analysis.And(analysis.DataSessions, analysis.RemoteSessions)), 16))
-	b.WriteString(quantileLine("all data sessions", r.HoldCDF(analysis.DataSessions), "ms"))
+	b.WriteString(quantileLine("all data sessions", data, "ms"))
 	return b.String()
 }
 
@@ -265,10 +267,10 @@ func (r *Results) Figure11() string {
 func (r *Results) Figure12() string {
 	var b strings.Builder
 	b.WriteString("Figure 12. File session lifetime CDF (ms)\n")
-	b.WriteString(cdfTable("all usage types", "ms", r.HoldCDF(nil), 16))
+	all := r.HoldCDF(nil)
+	b.WriteString(cdfTable("all usage types", "ms", all, 16))
 	b.WriteString(cdfTable("control operations", "ms", r.HoldCDF(analysis.ControlSessions), 16))
 	b.WriteString(cdfTable("data operations", "ms", r.HoldCDF(analysis.DataSessions), 16))
-	all := r.HoldCDF(nil)
 	fmt.Fprintf(&b, "  closed within 1 ms: %.0f%%; within 1 s: %.0f%%\n",
 		all.At(1)*100, all.At(1000)*100)
 	return b.String()
@@ -296,12 +298,13 @@ func (r *Results) Figure13() string {
 	s := r.requestClasses()
 	var b strings.Builder
 	b.WriteString("Figure 13. Request completion latency CDF (µs)\n")
-	b.WriteString(quantileLine("FastIO Read", stats.NewCDF(s.FastReadLatUS), "us"))
+	fastReads, irpReads := stats.NewCDF(s.FastReadLatUS), stats.NewCDF(s.IrpReadLatUS)
+	b.WriteString(quantileLine("FastIO Read", fastReads, "us"))
 	b.WriteString(quantileLine("FastIO Write", stats.NewCDF(s.FastWriteLatUS), "us"))
-	b.WriteString(quantileLine("IRP Read", stats.NewCDF(s.IrpReadLatUS), "us"))
+	b.WriteString(quantileLine("IRP Read", irpReads, "us"))
 	b.WriteString(quantileLine("IRP Write", stats.NewCDF(s.IrpWriteLatUS), "us"))
-	b.WriteString(cdfTable("FastIO Read", "us", stats.NewCDF(s.FastReadLatUS), 14))
-	b.WriteString(cdfTable("IRP Read", "us", stats.NewCDF(s.IrpReadLatUS), 14))
+	b.WriteString(cdfTable("FastIO Read", "us", fastReads, 14))
+	b.WriteString(cdfTable("IRP Read", "us", irpReads, 14))
 	return b.String()
 }
 

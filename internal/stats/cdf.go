@@ -1,7 +1,9 @@
 package stats
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -23,16 +25,23 @@ type CDF struct {
 
 // NewCDF builds an unweighted empirical CDF. The input is copied.
 func NewCDF(xs []float64) *CDF {
-	w := make([]float64, len(xs))
-	for i := range w {
-		w[i] = 1
+	c := &CDF{values: slices.Clone(xs), weights: make([]float64, len(xs)), total: float64(len(xs))}
+	slices.Sort(c.values)
+	for i := range c.weights {
+		c.weights[i] = float64(i + 1)
 	}
-	return NewWeightedCDF(xs, w)
+	return c
 }
 
 // NewWeightedCDF builds a CDF where sample xs[i] carries weight ws[i]; the
 // paper uses this for "weighted by bytes transferred" figures. Panics on
 // mismatched lengths; negative weights are treated as zero.
+//
+// The order among equal values is unspecified, so the cumulative weight
+// inside a run of equal values is too. At, Quantile and Points read only
+// the values and the cumulative weight at the end of each run, which
+// does not depend on that order when the weights are integers (every
+// caller's are) and their sum is below 2^53.
 func NewWeightedCDF(xs, ws []float64) *CDF {
 	if len(xs) != len(ws) {
 		panic("stats: CDF values/weights mismatch")
@@ -46,7 +55,7 @@ func NewWeightedCDF(xs, ws []float64) *CDF {
 		}
 		ps[i] = pair{xs[i], w}
 	}
-	sort.Slice(ps, func(i, j int) bool { return ps[i].v < ps[j].v })
+	slices.SortFunc(ps, func(a, b pair) int { return cmp.Compare(a.v, b.v) })
 	c := &CDF{values: make([]float64, len(ps)), weights: make([]float64, len(ps))}
 	acc := 0.0
 	for i, p := range ps {
