@@ -1,18 +1,14 @@
-// Command fscorpus manages columnar trace corpora (*.fsc, per-machine
-// colstore segments with zone maps): it imports legacy row corpora
-// (*.trz, per-machine DEFLATE record streams) into segments, inspects
-// segment layout and encoding statistics, verifies every segment's
-// logical-stream SHA-256 (and, where a converted corpus still holds its
-// row streams, that the two agree), and runs predicate-pushdown scans
-// with the pushdown ledger (blocks scanned vs skipped, bytes decoded per
-// column family) printed after the results.
+// Command fscorpus inspects columnar trace corpora (*.fsc, per-machine
+// colstore segments with zone maps): it prints segment layout and
+// encoding statistics, verifies every segment's logical-stream SHA-256,
+// and runs predicate-pushdown scans with the pushdown ledger (blocks
+// scanned vs skipped, bytes decoded per column family) printed after the
+// results.
 //
 // Usage:
 //
-//	fscorpus convert traces/                     # add *.fsc beside *.trz
-//	fscorpus convert -out segs/ traces/          # write the segments elsewhere
 //	fscorpus stats traces/                       # layout + per-column bytes
-//	fscorpus verify traces/                      # SHA-256 self-check (and row≡columnar)
+//	fscorpus verify traces/                      # SHA-256 self-check
 //	fscorpus scan -kinds read,write -min-h 1 -max-h 2 traces/
 package main
 
@@ -39,8 +35,6 @@ func main() {
 		usage()
 	}
 	switch os.Args[1] {
-	case "convert":
-		cmdConvert(os.Args[2:])
 	case "stats":
 		cmdStats(os.Args[2:])
 	case "verify":
@@ -53,8 +47,7 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, `usage: fscorpus <convert|stats|verify|scan> [flags] <corpus-dir>
-  convert [-out dir] [-block-records n] <dir>
+	fmt.Fprintln(os.Stderr, `usage: fscorpus <stats|verify|scan> [flags] <corpus-dir>
   stats   <dir>
   verify  [-q] <dir>
   scan    [-kinds k1,k2] [-min-h h] [-max-h h] <dir>`)
@@ -68,35 +61,6 @@ func dirArg(fs *flag.FlagSet) string {
 		os.Exit(2)
 	}
 	return fs.Arg(0)
-}
-
-func cmdConvert(args []string) {
-	fs := flag.NewFlagSet("convert", flag.ExitOnError)
-	out := fs.String("out", "", "output directory (default: write beside the source)")
-	blockRecs := fs.Int("block-records", 0, "records per columnar block (0 = default 65536)")
-	fs.Parse(args)
-	dir := dirArg(fs)
-	if *out == "" {
-		*out = dir
-	}
-	store, err := collect.LoadDir(dir)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if len(store.Machines()) == 0 {
-		log.Fatalf("no *.trz row streams in %s", dir)
-	}
-	sums, err := store.SaveColumnarDir(*out, colstore.Options{BlockRecords: *blockRecs})
-	if err != nil {
-		log.Fatal(err)
-	}
-	var recs, bytes int64
-	for _, s := range sums {
-		recs += int64(s.Records)
-		bytes += s.Bytes
-	}
-	fmt.Printf("encoded %d machines, %d records, %d KB columnar into %s\n",
-		len(sums), recs, bytes/1024, *out)
 }
 
 func cmdStats(args []string) {
@@ -151,14 +115,6 @@ func cmdVerify(args []string) {
 	if len(segs) == 0 {
 		log.Fatalf("no *%s segments in %s", collect.ColumnarExt, dir)
 	}
-	store, err := collect.LoadDir(dir)
-	if err != nil {
-		log.Fatal(err)
-	}
-	rows := map[string]bool{}
-	for _, m := range store.Machines() {
-		rows[m] = true
-	}
 	names := make([]string, 0, len(segs))
 	for n := range segs {
 		names = append(names, n)
@@ -167,31 +123,15 @@ func cmdVerify(args []string) {
 	failed := 0
 	for _, name := range names {
 		seg := segs[name]
-		// Internal proof: decode every record, re-encode, digest.
+		// Decode every record, re-encode, digest.
 		if err := seg.VerifySHA(); err != nil {
 			failed++
 			fmt.Printf("FAIL %-22s %v\n", name, err)
 			continue
 		}
-		// Cross-layout proof: the row stream's logical bytes must digest
-		// to the same value the segment's footer carries.
-		status := "ok (columnar self-check)"
-		if rows[name] {
-			recs, err := store.Records(name)
-			if err != nil {
-				log.Fatalf("%s: %v", name, err)
-			}
-			sum := colstore.RowStreamSHA(recs)
-			if sum != seg.SHA256() {
-				failed++
-				fmt.Printf("FAIL %-22s row stream digest %x != segment %x\n", name, sum, seg.SHA256())
-				continue
-			}
-			status = "ok (row ≡ columnar)"
-		}
 		if !*quiet {
 			sha := seg.SHA256()
-			fmt.Printf("%-22s %9d records  sha256 %x  %s\n", name, seg.Records(), sha[:8], status)
+			fmt.Printf("%-22s %9d records  sha256 %x  ok (columnar self-check)\n", name, seg.Records(), sha[:8])
 		}
 	}
 	if failed > 0 {

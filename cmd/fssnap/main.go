@@ -1,8 +1,7 @@
 // Command fssnap works with file-system snapshots: it summarises a saved
 // snapshot file and diffs two snapshots the way §5 analyses day-over-day
 // content change (profile-tree and WWW-cache shares). It reads the binary
-// *.snap files a saved corpus holds, and the JSON *.snap.json files of
-// corpora saved before that format.
+// *.snap files a saved corpus holds.
 //
 // Usage:
 //
@@ -21,12 +20,11 @@ import (
 )
 
 func load(path string) *snapshot.Snapshot {
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer f.Close()
-	s, err := snapshot.Read(f)
+	s, err := snapshot.Decode(data)
 	if err != nil {
 		log.Fatalf("%s: %v", path, err)
 	}

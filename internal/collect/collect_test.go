@@ -1,14 +1,13 @@
 package collect
 
 import (
-	"crypto/sha256"
-	"encoding/binary"
-	"encoding/hex"
+	"encoding/json"
 	"errors"
 	"net"
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -92,104 +91,9 @@ func TestStoreRecordsBeforeFinalize(t *testing.T) {
 	}
 }
 
-// saveRowDir writes each finalized stream as <dir>/<stem>.trz with the
-// stem manifest beside them: the legacy row layout that LoadDir reads.
-// The program no longer writes it, so the tests write it themselves;
-// TestSaveRowDirMatchesLegacyWriter pins the bytes to those of the
-// removed writer.
-func saveRowDir(t *testing.T, s *Store, dir string) {
-	t.Helper()
-	stems := s.fileStems()
-	for _, mf := range stems {
-		data, _, err := s.ExportStream(mf.machine)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(dir, mf.stem+".trz"), data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := writeStemManifest(dir, stems); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// dirDigest is the SHA-256 over a directory's files in name order: each
-// file's name, a zero byte, its length (u64, little-endian) and its bytes.
-func dirDigest(t *testing.T, dir string) string {
-	t.Helper()
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := sha256.New()
-	for _, e := range entries { // ReadDir sorts by name
-		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		h.Write([]byte(e.Name()))
-		h.Write([]byte{0})
-		binary.Write(h, binary.LittleEndian, uint64(len(data)))
-		h.Write(data)
-	}
-	return hex.EncodeToString(h.Sum(nil))
-}
-
-// TestSaveRowDirMatchesLegacyWriter pins saveRowDir's output, stream
-// files and stem manifest, to the digest that the program's own row
-// writer (Store.SaveDir, since removed) gave for the same store: the
-// legacy corpora the tests build are the ones the program used to save.
-func TestSaveRowDirMatchesLegacyWriter(t *testing.T) {
-	const legacy = "7cfdf6892b4f216ca7de089453ef07271bd24b7805ea1fb96a2b40d4ed494116"
-	s := NewStore()
-	for i, m := range []struct {
-		name string
-		n    int
-	}{{"pool/01", 10}, {"pool:01", 20}, {"pool_01", 30}, {"lab\\win\\nt-07", 40}, {"plain-node", 50}} {
-		if err := s.Append(m.name, mkRecs(m.n, uint64(i+1))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := s.Finalize(); err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	saveRowDir(t, s, dir)
-	if got := dirDigest(t, dir); got != legacy {
-		t.Errorf("row directory digest %s, want %s", got, legacy)
-	}
-}
-
-func TestStoreSaveLoadDir(t *testing.T) {
-	dir := t.TempDir()
-	s := NewStore()
-	s.Append("alpha", mkRecs(250, 7))
-	s.Append("beta-2", mkRecs(50, 8))
-	if err := s.Finalize(); err != nil {
-		t.Fatal(err)
-	}
-	saveRowDir(t, s, dir)
-	loaded, err := LoadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loaded.TotalRecords() != 300 {
-		t.Errorf("loaded %d records", loaded.TotalRecords())
-	}
-	recs, err := loaded.Records("alpha")
-	if err != nil || len(recs) != 250 {
-		t.Fatalf("alpha: %d records, err=%v", len(recs), err)
-	}
-	if recs[0].FileID != 7 {
-		t.Error("loaded record corrupt")
-	}
-}
-
 func TestSaveDirNameCollisions(t *testing.T) {
-	// "pool/01", "pool:01" and "pool_01" all flatten to "pool_01"; a row
-	// corpus keeps all three streams instead of silently overwriting.
-	dir := t.TempDir()
+	// "pool/01", "pool:01" and "pool_01" all flatten to "pool_01"; a
+	// corpus keeps all three segments instead of silently overwriting.
 	s := NewStore()
 	s.Append("pool/01", mkRecs(10, 1))
 	s.Append("pool:01", mkRecs(20, 2))
@@ -197,29 +101,34 @@ func TestSaveDirNameCollisions(t *testing.T) {
 	if err := s.Finalize(); err != nil {
 		t.Fatal(err)
 	}
-	saveRowDir(t, s, dir)
-	loaded, err := LoadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := len(loaded.Machines()); got != 3 {
-		t.Fatalf("loaded %d streams (%v), want 3", got, loaded.Machines())
-	}
-	if loaded.TotalRecords() != 60 {
-		t.Fatalf("loaded %d records, want 60", loaded.TotalRecords())
-	}
-	// The flattening is deterministic: saving twice yields the same names.
-	dir2 := t.TempDir()
-	saveRowDir(t, s, dir2)
-	loaded2, err := LoadDir(dir2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m1, m2 := loaded.Machines(), loaded2.Machines()
-	for i := range m1 {
-		if m1[i] != m2[i] {
-			t.Fatalf("non-deterministic names: %v vs %v", m1, m2)
+	var saved [2][]string
+	for i := range saved {
+		dir := t.TempDir()
+		if _, err := s.SaveColumnarDir(dir, colstore.Options{}); err != nil {
+			t.Fatal(err)
 		}
+		segs, err := LoadColumnarDir(dir, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs := 0
+		for _, seg := range segs {
+			recs += seg.Records()
+		}
+		if len(segs) != 3 || recs != 60 {
+			t.Fatalf("loaded %d segments with %d records, want 3 with 60", len(segs), recs)
+		}
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range entries {
+			saved[i] = append(saved[i], e.Name())
+		}
+	}
+	// The flattening is deterministic: saving twice yields the same files.
+	if !slices.Equal(saved[0], saved[1]) {
+		t.Fatalf("non-deterministic file names: %v vs %v", saved[0], saved[1])
 	}
 }
 
@@ -381,8 +290,8 @@ func TestFinalizeMachine(t *testing.T) {
 
 // TestSaveLoadDirExactNames pins the Save→Load rename fix: machine names
 // that SafeName rewrites (path separators, colons) or that collide onto
-// one flattened stem must round-trip exactly through both corpus
-// layouts, via the stem manifest written beside the streams.
+// one flattened stem must round-trip exactly, via the stem manifest
+// written beside the segments.
 func TestSaveLoadDirExactNames(t *testing.T) {
 	names := map[string]int{
 		"pool/01":         10, // rewritten: '/' → '_'
@@ -420,16 +329,6 @@ func TestSaveLoadDirExactNames(t *testing.T) {
 		}
 	}
 
-	t.Run("row", func(t *testing.T) {
-		dir := t.TempDir()
-		saveRowDir(t, s, dir)
-		loaded, err := LoadDir(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		check(t, loaded.Machines(), loaded.RecordCount)
-	})
-
 	t.Run("columnar", func(t *testing.T) {
 		dir := t.TempDir()
 		if _, err := s.SaveColumnarDir(dir, colstore.Options{}); err != nil {
@@ -447,9 +346,9 @@ func TestSaveLoadDirExactNames(t *testing.T) {
 	})
 }
 
-// TestLoadDirManifestMismatch pins the fail-closed contract: a stream
-// file whose stem the manifest does not list is a typed error, not a
-// silently stem-named machine.
+// TestLoadDirManifestMismatch pins the fail-closed contract: a segment
+// whose stem the manifest does not list is a typed error, not a silently
+// stem-named machine.
 func TestLoadDirManifestMismatch(t *testing.T) {
 	dir := t.TempDir()
 	s := NewStore()
@@ -457,34 +356,25 @@ func TestLoadDirManifestMismatch(t *testing.T) {
 	if err := s.Finalize(); err != nil {
 		t.Fatal(err)
 	}
-	saveRowDir(t, s, dir)
 	if _, err := s.SaveColumnarDir(dir, colstore.Options{}); err != nil {
 		t.Fatal(err)
 	}
-	// A stray stream from some other corpus appears in the directory.
-	for _, stray := range []string{"stray.trz", "stray.fsc"} {
-		src := "alpha.trz"
-		if stray == "stray.fsc" {
-			src = "alpha.fsc"
-		}
-		data, err := os.ReadFile(filepath.Join(dir, src))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(dir, stray), data, 0o644); err != nil {
-			t.Fatal(err)
-		}
+	// A stray segment from some other corpus appears in the directory.
+	data, err := os.ReadFile(filepath.Join(dir, "alpha.fsc"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := LoadDir(dir); !errors.Is(err, ErrManifestMismatch) {
-		t.Errorf("LoadDir with stray stream: err = %v, want ErrManifestMismatch", err)
+	if err := os.WriteFile(filepath.Join(dir, "stray.fsc"), data, 0o644); err != nil {
+		t.Fatal(err)
 	}
-	if _, err := LoadColumnarDir(dir, nil); !errors.Is(err, ErrManifestMismatch) {
-		t.Errorf("LoadColumnarDir with stray segment: err = %v, want ErrManifestMismatch", err)
+	if _, err := LoadColumnarDir(dir, nil); !errors.Is(err, ErrManifestMismatch) || !strings.Contains(err.Error(), "stray.fsc") {
+		t.Errorf("LoadColumnarDir with stray segment: err = %v, want ErrManifestMismatch naming stray.fsc", err)
 	}
 }
 
-// TestLoadDirLegacyNoManifest pins backward compatibility: a corpus
-// saved before the stem manifest existed loads with stem names.
+// TestLoadDirLegacyNoManifest pins that a corpus saved before the stem
+// manifest existed fails to load, naming the manifest, instead of
+// loading its machines under their flattened file stems.
 func TestLoadDirLegacyNoManifest(t *testing.T) {
 	dir := t.TempDir()
 	s := NewStore()
@@ -492,17 +382,113 @@ func TestLoadDirLegacyNoManifest(t *testing.T) {
 	if err := s.Finalize(); err != nil {
 		t.Fatal(err)
 	}
-	saveRowDir(t, s, dir)
+	if _, err := s.SaveColumnarDir(dir, colstore.Options{}); err != nil {
+		t.Fatal(err)
+	}
 	if err := os.Remove(filepath.Join(dir, StemManifestName)); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadDir(dir)
-	if err != nil {
+	segs, err := LoadColumnarDir(dir, nil)
+	if err == nil || !strings.Contains(err.Error(), StemManifestName) {
+		t.Errorf("load without %s: segments %v, err = %v, want an error naming it", StemManifestName, segs, err)
+	}
+}
+
+// manifestCorpus saves segments a (5 records), b (7) and c (9) into a
+// new directory and returns it.
+func manifestCorpus(t testing.TB) string {
+	t.Helper()
+	s := NewStore()
+	for i, name := range []string{"a", "b", "c"} {
+		if err := s.Append(name, mkRecs(5+2*i, uint64(i+1))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Finalize(); err != nil {
 		t.Fatal(err)
 	}
-	if got := loaded.Machines(); len(got) != 1 || got[0] != "node_a" {
-		t.Errorf("legacy load machines = %v, want [node_a]", got)
+	dir := t.TempDir()
+	if _, err := s.SaveColumnarDir(dir, colstore.Options{}); err != nil {
+		t.Fatal(err)
 	}
+	return dir
+}
+
+// TestLoadRejectsBadStemManifest pins that a manifest SaveColumnarDir
+// could not have written fails the load: before, one listing two stems
+// under one name loaded a single machine holding the second segment.
+func TestLoadRejectsBadStemManifest(t *testing.T) {
+	dir := manifestCorpus(t)
+	for what, man := range map[string]string{
+		"repeated name": `{"version":1,"stems":{"a":"x","b":"x","c":"y"}}`,
+		"version 7":     `{"version":7,"stems":{"a":"a","b":"b","c":"c"}}`,
+		"no version":    `{"stems":{"a":"a","b":"b","c":"c"}}`,
+		"null":          `null`,
+		"empty name":    `{"version":1,"stems":{"a":"","b":"b","c":"c"}}`,
+		"stems a list":  `{"version":1,"stems":["a","b","c"]}`,
+	} {
+		if err := os.WriteFile(filepath.Join(dir, StemManifestName), []byte(man), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if segs, err := LoadColumnarDir(dir, nil); err == nil || !strings.Contains(err.Error(), StemManifestName) {
+			t.Errorf("%s: loaded %d machines, err = %v, want an error naming %s", what, len(segs), err, StemManifestName)
+		}
+	}
+}
+
+// TestSaveRefusesEmptyName pins that the writer refuses, before writing
+// anything, the machine name the manifest reader refuses.
+func TestSaveRefusesEmptyName(t *testing.T) {
+	s := NewStore()
+	s.Append("", mkRecs(5, 1))
+	s.Append("b", mkRecs(5, 2))
+	if err := s.Finalize(); err != nil {
+		t.Fatal(err)
+	}
+	dir := filepath.Join(t.TempDir(), "corpus")
+	if _, err := s.SaveColumnarDir(dir, colstore.Options{}); err == nil {
+		t.Error("saved a machine with an empty name")
+	}
+	if _, err := os.Stat(dir); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("refused save created %s (%v)", dir, err)
+	}
+}
+
+// FuzzStemManifest feeds segmentNames arbitrary manifest bytes over the
+// fixed segment stems a, b and c. Every input must fail or give each
+// segment its own listed name: three distinct, non-empty names, each the
+// one the manifest lists for that stem.
+func FuzzStemManifest(f *testing.F) {
+	data, err := os.ReadFile(filepath.Join(manifestCorpus(f), StemManifestName))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(data)
+	f.Add([]byte(`{"version":1,"stems":{"a":"x","b":"x","c":"y"}}`))
+	f.Add([]byte(`{"version":1,"stems":{"a":"pool/01","b":"pool:01","c":"pool_01","d":"gone"}}`))
+	f.Add([]byte(`null`))
+	stems := []string{"a", "b", "c"}
+	f.Fuzz(func(t *testing.T, in []byte) {
+		names, err := segmentNames(in, stems)
+		if err != nil {
+			return
+		}
+		var listed struct{ Stems map[string]string }
+		if err := json.Unmarshal(in, &listed); err != nil {
+			t.Fatalf("accepted a manifest that does not parse: %v", err)
+		}
+		seen := map[string]bool{}
+		for _, stem := range stems {
+			name := names[stem]
+			if name == "" || seen[name] || name != listed.Stems[stem] {
+				t.Fatalf("stem %q loads as %q (listed %q); names so far %v", stem, name, listed.Stems[stem], seen)
+			}
+			seen[name] = true
+		}
+		if len(listed.Stems) != len(stems) {
+			t.Fatalf("accepted a manifest listing %d stems over %d segments", len(listed.Stems), len(stems))
+		}
+	})
 }
 
 // TestSaveColumnarDirFirstError puts a directory where two segments are

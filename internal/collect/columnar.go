@@ -5,7 +5,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"sort"
 	"strings"
 
 	"repro/internal/colstore"
@@ -13,9 +12,7 @@ import (
 )
 
 // ColumnarExt is the file suffix of a columnar segment on disk, the one
-// layout the program saves. A directory converted from a legacy row
-// corpus (fscorpus convert) also holds <stem>.trz files, which loaders
-// ignore once the segment of the same stem is present.
+// layout the program saves and loads.
 const ColumnarExt = ".fsc"
 
 // SaveColumnarDir encodes each finalized machine stream as a columnar
@@ -28,12 +25,17 @@ const ColumnarExt = ".fsc"
 //
 // Machines are encoded and written on GOMAXPROCS workers, each into its
 // own slot, so the files, the summaries and the error returned (the first
-// in stem order) are those of a serial save.
+// in stem order) are those of a serial save. A machine with an empty name
+// fails the save before anything is written, since the manifest cannot
+// list it.
 func (s *Store) SaveColumnarDir(dir string, opts colstore.Options) (map[string]colstore.Summary, error) {
+	stems := s.fileStems() // in sorted-name order: an empty name is first
+	if len(stems) > 0 && stems[0].machine == "" {
+		return nil, fmt.Errorf("collect: a machine with an empty name cannot be saved")
+	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	stems := s.fileStems()
 	slots := make([]colstore.Summary, len(stems))
 	errs := make([]error, len(stems))
 	par.For(runtime.GOMAXPROCS(0), len(stems), func(i int) {
@@ -68,65 +70,41 @@ func (s *Store) saveSegment(dir string, mf machineFile, opts colstore.Options) (
 // LoadColumnarDir opens every *.fsc segment in dir, keyed by true
 // machine name: the stem manifest written at save time resolves
 // SafeName-rewritten and collision-suffixed stems back to the names the
-// streams were collected under, and a corpus without a manifest keeps
-// the file stems. A stem the manifest lists without its segment in dir
-// fails the load with ErrManifestMismatch naming the file, as a segment
-// the manifest does not list does. Metrics m may be nil; when set, every
-// opened segment reports scans against it.
+// streams were collected under. A directory without the manifest fails
+// the load, as does one whose manifest disagrees with its segments
+// (segmentNames). Metrics m may be nil; when set, every opened segment
+// reports scans against it.
 func LoadColumnarDir(dir string, m *colstore.Metrics) (map[string]*colstore.Segment, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err
 	}
-	stems, err := readStemManifest(dir)
+	var stems []string
+	for _, e := range entries {
+		if stem, ok := strings.CutSuffix(e.Name(), ColumnarExt); ok && !e.IsDir() {
+			stems = append(stems, stem)
+		}
+	}
+	data, err := os.ReadFile(filepath.Join(dir, StemManifestName))
+	if err != nil {
+		return nil, fmt.Errorf("collect: %w", err)
+	}
+	names, err := segmentNames(data, stems)
 	if err != nil {
 		return nil, err
 	}
-	if err := checkSegmentsListed(stems, entries); err != nil {
-		return nil, err
-	}
-	segs := make(map[string]*colstore.Segment)
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ColumnarExt) {
-			continue
-		}
-		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+	segs := make(map[string]*colstore.Segment, len(stems))
+	for _, stem := range stems {
+		file := stem + ColumnarExt
+		data, err := os.ReadFile(filepath.Join(dir, file))
 		if err != nil {
 			return nil, err
 		}
 		seg, err := colstore.OpenSegment(data, m)
 		if err != nil {
-			return nil, fmt.Errorf("collect: %s: %w", e.Name(), err)
+			return nil, fmt.Errorf("collect: %s: %w", file, err)
 		}
-		name, err := machineForStem(stems, strings.TrimSuffix(e.Name(), ColumnarExt), e.Name())
-		if err != nil {
-			return nil, err
-		}
-		segs[name] = seg
+		segs[names[stem]] = seg
 	}
 	return segs, nil
-}
-
-// checkSegmentsListed fails on the first stem, in sorted order, that the
-// manifest lists but that has no segment in the directory: loading
-// without it would drop the machine from every measure. A directory
-// without a manifest (stems nil) lists nothing.
-func checkSegmentsListed(stems map[string]string, entries []os.DirEntry) error {
-	have := map[string]bool{}
-	for _, e := range entries {
-		if stem, ok := strings.CutSuffix(e.Name(), ColumnarExt); ok && !e.IsDir() {
-			have[stem] = true
-		}
-	}
-	var missing []string
-	for stem := range stems {
-		if !have[stem] {
-			missing = append(missing, stem)
-		}
-	}
-	if len(missing) == 0 {
-		return nil
-	}
-	sort.Strings(missing)
-	return fmt.Errorf("%w: %s lists machine %q but %s is missing", ErrManifestMismatch, StemManifestName, stems[missing[0]], missing[0]+ColumnarExt)
 }

@@ -20,7 +20,7 @@ import (
 // duplicated records. v2 makes truncation detectable and resends
 // idempotent:
 //
-//	client → server  "NTTRACE2" | u32 nameLen | machine name
+//	client → server  "NTTRACE2" | u32 nameLen (1..MaxNameLen) | machine name
 //	server → client  ack: "NTAK" | u64 lastSeq   (highest frame stored)
 //	client → server  frame: u32 count | u64 seq | count*RecordSize bytes
 //	server → client  ack after every frame (lastSeq after processing)
@@ -172,10 +172,6 @@ func (s *Server) lastSeq(machine string) uint64 {
 	return s.seen[machine]
 }
 
-// LastSeq reports the highest frame sequence stored for a machine — the
-// value acked at handshake, after every frame, and at clean close.
-func (s *Server) LastSeq(machine string) uint64 { return s.lastSeq(machine) }
-
 func writeAck(w io.Writer, last uint64) error {
 	var buf [ackSize]byte
 	copy(buf[:4], ackMagic)
@@ -200,6 +196,12 @@ func (s *Server) handle(conn net.Conn) error {
 	}
 	if nameLen > MaxNameLen {
 		return fmt.Errorf("collect: machine name too long (%d)", nameLen)
+	}
+	// A saved corpus lists every machine by name in machines.json, which
+	// has no entry for an empty one: refuse it here rather than fail the
+	// whole save later.
+	if nameLen == 0 {
+		return fmt.Errorf("collect: empty machine name from %v", conn.RemoteAddr())
 	}
 	nameBuf := make([]byte, nameLen)
 	if _, err := io.ReadFull(br, nameBuf); err != nil {

@@ -5,10 +5,13 @@ import (
 	"errors"
 	"io"
 	"net"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/colstore"
 	"repro/internal/sim"
 	"repro/internal/tracefmt"
 )
@@ -187,6 +190,50 @@ func TestCollectFaultsOverlongName(t *testing.T) {
 		t.Error("server acked an overlong name")
 	}
 	raw.Close()
+}
+
+// TestCollectFaultsEmptyName pins that the server refuses a machine with
+// an empty name at the handshake, since machines.json cannot list it:
+// the client's dial fails, nothing is stored under "", and the other
+// machines' records still save and load.
+func TestCollectFaultsEmptyName(t *testing.T) {
+	srv, store := startServer(t)
+	if c, err := Dial(srv.Addr(), ""); err == nil {
+		c.Send(mkRecs(10, 1))
+		c.Close()
+		t.Error("server acked an empty machine name")
+	}
+	c, err := Dial(srv.Addr(), "node")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Send(mkRecs(10, 2)); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	srv.Close()
+	if errs := srv.Errors(); len(errs) != 1 || !strings.Contains(errs[0].Error(), "empty machine name") {
+		t.Errorf("server errors = %v, want one empty-name refusal", errs)
+	}
+	if err := store.Finalize(); err != nil {
+		t.Fatal(err)
+	}
+	if got := store.Machines(); !slices.Equal(got, []string{"node"}) {
+		t.Errorf("stored machines %q, want [node]", got)
+	}
+	dir := t.TempDir()
+	if _, err := store.SaveColumnarDir(dir, colstore.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	segs, err := LoadColumnarDir(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(segs) != 1 || segs["node"] == nil {
+		t.Errorf("loaded %d machines, want node alone", len(segs))
+	}
 }
 
 func TestCollectFaultsOldMagicRejected(t *testing.T) {

@@ -305,19 +305,6 @@ func (s *Store) StreamSum(machine string) ([sha256.Size]byte, error) {
 	return sha256.Sum256(data), nil
 }
 
-// AllRecords returns every machine's records keyed by machine name.
-func (s *Store) AllRecords() (map[string][]tracefmt.Record, error) {
-	out := map[string][]tracefmt.Record{}
-	for _, m := range s.Machines() {
-		recs, err := s.Records(m)
-		if err != nil {
-			return nil, err
-		}
-		out[m] = recs
-	}
-	return out, nil
-}
-
 // SafeName flattens a machine name into a file name.
 func SafeName(machine string) string {
 	return strings.Map(func(r rune) rune {
@@ -338,9 +325,7 @@ type machineFile struct {
 // fileStems assigns each machine a unique file stem: SafeName-flattened,
 // with machines whose names flatten to the same stem disambiguated by a
 // deterministic numeric suffix (-2, -3, ...) in sorted-name order, so two
-// machines can never silently overwrite each other's file. Legacy row
-// corpora used the same assignment, so a converted <stem>.trz and its
-// <stem>.fsc refer to the same machine.
+// machines can never silently overwrite each other's file.
 func (s *Store) fileStems() []machineFile {
 	names := s.Machines()
 	out := make([]machineFile, 0, len(names))
@@ -360,19 +345,17 @@ func (s *Store) fileStems() []machineFile {
 // StemManifestName is the corpus-directory file recording the stem →
 // machine-name assignment. SafeName flattening is lossy ("pool/01" and
 // "pool:01" both land on "pool_01", with a numeric suffix breaking the
-// tie), so without this manifest a Save→Load round trip silently renames
-// any machine whose name was rewritten or collided. A legacy row corpus
-// carries the same manifest: <stem>.trz and <stem>.fsc name the same
-// machine.
+// tie), so without this manifest a Save→Load round trip would silently
+// rename any machine whose name was rewritten or collided. Every corpus
+// directory carries one; loading a directory without it fails.
 const StemManifestName = "machines.json"
 
 // ErrManifestMismatch reports a corpus directory whose stem manifest
-// disagrees with the files on disk — a stream file whose stem the
-// manifest does not mention, or (for segments) a stem the manifest lists
-// with no segment. That means the directory holds a mix of corpora, a
-// manifest from a different save, or a partial copy, so the true machine
-// names or the machine set cannot be trusted; callers test with
-// errors.Is.
+// disagrees with the files on disk — a segment whose stem the manifest
+// does not mention, or a stem the manifest lists with no segment. That
+// means the directory holds a mix of corpora, a manifest from a
+// different save, or a partial copy, so the true machine names or the
+// machine set cannot be trusted; callers test with errors.Is.
 var ErrManifestMismatch = errors.New("collect: stem manifest mismatch")
 
 // stemManifest is the on-disk schema of StemManifestName.
@@ -382,7 +365,7 @@ type stemManifest struct {
 	Stems map[string]string `json:"stems"`
 }
 
-// writeStemManifest persists the stem assignment beside the streams.
+// writeStemManifest persists the stem assignment beside the segments.
 func writeStemManifest(dir string, stems []machineFile) error {
 	man := stemManifest{Version: 1, Stems: make(map[string]string, len(stems))}
 	for _, mf := range stems {
@@ -395,84 +378,48 @@ func writeStemManifest(dir string, stems []machineFile) error {
 	return os.WriteFile(filepath.Join(dir, StemManifestName), append(data, '\n'), 0o644)
 }
 
-// readStemManifest loads the stem → machine map, or nil when the corpus
-// predates the manifest (names then fall back to the raw stems).
-func readStemManifest(dir string) (map[string]string, error) {
-	data, err := os.ReadFile(filepath.Join(dir, StemManifestName))
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, nil
-		}
-		return nil, err
-	}
+// segmentNames resolves each segment stem of a corpus directory to its
+// machine name under the stem manifest data. It fails closed on what
+// SaveColumnarDir never writes: malformed JSON, a version other than 1,
+// an empty machine name, one name listed under two stems (two segments
+// would load under one key), a segment the manifest does not list, or a
+// listed stem without its segment (the machine would drop out of every
+// measure). The last two are ErrManifestMismatch, naming the file.
+func segmentNames(data []byte, stems []string) (map[string]string, error) {
 	var man stemManifest
 	if err := json.Unmarshal(data, &man); err != nil {
 		return nil, fmt.Errorf("collect: %s: %w", StemManifestName, err)
 	}
+	if man.Version != 1 {
+		return nil, fmt.Errorf("collect: %s: version %d, want 1", StemManifestName, man.Version)
+	}
+	listed := make([]string, 0, len(man.Stems))
+	for stem := range man.Stems {
+		listed = append(listed, stem)
+	}
+	sort.Strings(listed)
+	owner := make(map[string]string, len(listed))
+	for _, stem := range listed {
+		name := man.Stems[stem]
+		if name == "" {
+			return nil, fmt.Errorf("collect: %s: stem %q has an empty machine name", StemManifestName, stem)
+		}
+		if prev, ok := owner[name]; ok {
+			return nil, fmt.Errorf("collect: %s: stems %q and %q both name machine %q", StemManifestName, prev, stem, name)
+		}
+		owner[name] = stem
+	}
+	have := make(map[string]bool, len(stems))
+	for _, stem := range stems {
+		if _, ok := man.Stems[stem]; !ok {
+			return nil, fmt.Errorf("%w: %s has no entry for %q", ErrManifestMismatch, StemManifestName, stem+ColumnarExt)
+		}
+		have[stem] = true
+	}
+	for _, stem := range listed {
+		if !have[stem] {
+			return nil, fmt.Errorf("%w: %s lists machine %q but %s is missing", ErrManifestMismatch, StemManifestName, man.Stems[stem], stem+ColumnarExt)
+		}
+	}
 	return man.Stems, nil
 }
-
-// machineForStem resolves a file stem to its true machine name under the
-// manifest (nil = legacy corpus, stem is the name).
-func machineForStem(stems map[string]string, stem, file string) (string, error) {
-	if stems == nil {
-		return stem, nil
-	}
-	name, ok := stems[stem]
-	if !ok {
-		return "", fmt.Errorf("%w: %s has no entry for %q", ErrManifestMismatch, StemManifestName, file)
-	}
-	return name, nil
-}
-
-// LoadDir reads every *.trz file in dir into a finalized Store: the
-// legacy row layout, which the program no longer writes and reads only
-// to import (fscorpus convert) or to check segments against (fscorpus
-// verify). Machine names come from the stem manifest when present
-// (including SafeName-rewritten and colliding names); a corpus without
-// one keeps the file stems as names.
-func LoadDir(dir string) (*Store, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	stems, err := readStemManifest(dir)
-	if err != nil {
-		return nil, err
-	}
-	s := NewStore()
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".trz") {
-			continue
-		}
-		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
-		if err != nil {
-			return nil, err
-		}
-		name, err := machineForStem(stems, strings.TrimSuffix(e.Name(), ".trz"), e.Name())
-		if err != nil {
-			return nil, err
-		}
-		// Count records by streaming through the stream once, without
-		// materializing it.
-		zr := flate.NewReader(bytes.NewReader(data))
-		rd := tracefmt.NewReader(zr)
-		var rec tracefmt.Record
-		for {
-			if err := rd.ReadInto(&rec); err != nil {
-				if err != io.EOF {
-					zr.Close()
-					return nil, fmt.Errorf("collect: %s: %w", e.Name(), err)
-				}
-				break
-			}
-		}
-		zr.Close()
-		if err := s.ImportStream(name, data, rd.Count()); err != nil {
-			return nil, err
-		}
-	}
-	return s, nil
-}
-
-var _ io.Writer = (*bytes.Buffer)(nil) // interface sanity

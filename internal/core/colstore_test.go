@@ -4,16 +4,17 @@ import (
 	"bytes"
 	"compress/flate"
 	"crypto/sha256"
+	"errors"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/analysis"
 	"repro/internal/collect"
-	"repro/internal/colstore"
 	"repro/internal/report"
 	"repro/internal/sim"
 )
@@ -53,23 +54,6 @@ func streamDigest(t *testing.T, s *Study, name string) [sha256.Size]byte {
 	var sum [sha256.Size]byte
 	h.Sum(sum[:0])
 	return sum
-}
-
-// writeRowStreams writes the named machines' stored streams as legacy
-// row files (<name>.trz) into dir, the layout the program saved before
-// segments were its only one. Study machine names are already safe file
-// stems, so no stem manifest is needed.
-func writeRowStreams(t *testing.T, s *Study, dir string, names []string) {
-	t.Helper()
-	for _, name := range names {
-		data, _, err := s.Store.ExportStream(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(dir, collect.SafeName(name)+".trz"), data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
 }
 
 // TestColstoreStudyByteIdentical is the end-to-end equivalence proof:
@@ -137,57 +121,54 @@ func TestColstoreStudyByteIdentical(t *testing.T) {
 	}
 }
 
-// TestColstoreLoadPrefersSegments pins how the loader treats legacy row
-// streams: a directory of *.trz files alone fails to load, naming a file
-// and the converter; once converted (collect.LoadDir, then
-// SaveColumnarDir beside the row files, as fscorpus convert does) it
-// holds every file of the study's own save byte for byte and loads
-// through those segments.
+// TestColstoreLoadPrefersSegments pins that the loader reads segments
+// and never row streams: a corpus holding a legacy *.trz beside every
+// segment, as an earlier build's fscorpus convert left it, loads exactly
+// as the study's own save does; with the segments removed, the rows
+// alone fail the load with ErrManifestMismatch naming the first missing
+// segment, instead of being read or leaving their machines out.
 func TestColstoreLoadPrefersSegments(t *testing.T) {
 	s := NewStudy(colstoreConfig(2))
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
-	ownDir, legacyDir := t.TempDir(), t.TempDir()
-	if err := s.Save(ownDir); err != nil {
-		t.Fatal(err)
-	}
-	// A legacy corpus: the same manifest and snapshots, row streams in
-	// place of segments.
-	for name, data := range readCorpusDir(t, ownDir) {
-		if strings.HasSuffix(name, collect.ColumnarExt) || name == collect.StemManifestName {
-			continue
-		}
-		if err := os.WriteFile(filepath.Join(legacyDir, name), data, 0o644); err != nil {
+	ownDir, dir := t.TempDir(), t.TempDir()
+	for _, d := range []string{ownDir, dir} {
+		if err := s.Save(d); err != nil {
 			t.Fatal(err)
 		}
 	}
 	machines := s.Store.Machines()
-	writeRowStreams(t, s, legacyDir, machines)
-	_, err := LoadCorpusTrace(legacyDir, nil, nil)
-	if err == nil || !strings.Contains(err.Error(), machines[0]+".trz") || !strings.Contains(err.Error(), "fscorpus convert") {
-		t.Fatalf("row-only corpus: err = %v, want an error naming %s.trz and fscorpus convert", err, machines[0])
-	}
-
-	store, err := collect.LoadDir(legacyDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := store.SaveColumnarDir(legacyDir, colstore.Options{}); err != nil {
-		t.Fatal(err)
-	}
-	own, converted := readCorpusDir(t, ownDir), readCorpusDir(t, legacyDir)
-	for name, data := range own {
-		if !bytes.Equal(converted[name], data) {
-			t.Errorf("%s: converted corpus differs from the study's own save", name)
+	for _, name := range machines {
+		data, _, err := s.Store.ExportStream(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, safe(name)+".trz"), data, 0o644); err != nil {
+			t.Fatal(err)
 		}
 	}
-	c, err := LoadCorpusTrace(legacyDir, nil, nil)
+	own, err := LoadCorpusTrace(ownDir, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(c.Segments) != len(machines) || len(c.DS.Machines) != len(machines) {
-		t.Fatalf("converted corpus loaded %d segments and %d traces for %d machines", len(c.Segments), len(c.DS.Machines), len(machines))
+	both, err := LoadCorpusTrace(dir, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(viewCorpus(t, both), viewCorpus(t, own)) {
+		t.Error("corpus with row streams beside its segments loads unlike the study's own save")
+	}
+
+	for _, name := range machines {
+		if err := os.Remove(filepath.Join(dir, safe(name)+collect.ColumnarExt)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := safe(machines[0]) + collect.ColumnarExt
+	c, err := LoadCorpusTrace(dir, nil, nil)
+	if !errors.Is(err, collect.ErrManifestMismatch) || !strings.Contains(err.Error(), want) {
+		t.Fatalf("row-only corpus: loaded %v, err = %v, want ErrManifestMismatch naming %s", c != nil, err, want)
 	}
 }
 

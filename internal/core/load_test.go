@@ -42,9 +42,10 @@ func loadStudy(t *testing.T) *Study {
 	return loadStudyRun
 }
 
-// saveConverted saves the study and adds legacy row streams beside every
-// other machine's segment, as a corpus converted by fscorpus convert
-// holds them: the load must read the segments and ignore the rows.
+// saveConverted saves the study and adds legacy row streams (*.trz)
+// beside every other machine's segment, as a corpus converted by an
+// earlier build's fscorpus convert holds them: the load must read the
+// segments and ignore the rows.
 func saveConverted(t *testing.T) string {
 	t.Helper()
 	s := loadStudy(t)
@@ -52,13 +53,18 @@ func saveConverted(t *testing.T) string {
 	if err := s.Save(dir); err != nil {
 		t.Fatal(err)
 	}
-	var rows []string
 	for i, name := range s.Store.Machines() {
-		if i%2 == 0 {
-			rows = append(rows, name)
+		if i%2 != 0 {
+			continue
+		}
+		data, _, err := s.Store.ExportStream(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, safe(name)+".trz"), data, 0o644); err != nil {
+			t.Fatal(err)
 		}
 	}
-	writeRowStreams(t, s, dir, rows)
 	return dir
 }
 

@@ -107,9 +107,10 @@ type Corpus struct {
 // decoded analyses and raw pushdown scans (the query service) load the
 // directory exactly once. Each machine's trace is built from its
 // segment (*.fsc) through the colstore scan engine, in sorted machine
-// order. A legacy row stream (*.trz) with no segment of the same stem
-// fails the load: such a corpus is imported once with fscorpus convert,
-// after which its segments load and the row streams are ignored.
+// order, under the true names the stem manifest (machines.json) gives;
+// a directory without one fails the load. So does a JSON snapshot
+// (*.snap.json), the format corpora held before *.snap: loading without
+// it would leave §5 silently empty.
 //
 // When reg is non-nil every opened segment counts blocks scanned and
 // skipped and bytes decoded per column family on the colstore bundle.
@@ -125,8 +126,15 @@ func LoadCorpusTrace(dir string, reg *obs.Registry, tr *trace.Tracer) (*Corpus, 
 	if err != nil {
 		return nil, err
 	}
-	if err := checkNoRowOnly(entries); err != nil {
-		return nil, err
+	// Snapshots in file-name order.
+	var files []string
+	for _, e := range entries {
+		switch name := e.Name(); {
+		case strings.HasSuffix(name, ".snap.json"):
+			return nil, fmt.Errorf("core: %s is a JSON snapshot, which this build no longer reads", name)
+		case strings.HasSuffix(name, ".snap"):
+			files = append(files, name)
+		}
 	}
 	segs, err := collect.LoadColumnarDir(dir, colstore.NewMetrics(reg))
 	if err != nil {
@@ -145,13 +153,6 @@ func LoadCorpusTrace(dir string, reg *obs.Registry, tr *trace.Tracer) (*Corpus, 
 	}
 	cats := map[string]machine.Category{}
 	procs := map[string]map[uint32]string{}
-	// Segments from a corpus without a stem manifest surface under their
-	// flattened file stems, so register those keys first and let the true
-	// names (the stem-manifest round trip) overwrite them.
-	for _, e := range man.Machines {
-		cats[safe(e.Name)] = e.Category
-		procs[safe(e.Name)] = e.ProcNames
-	}
 	for _, e := range man.Machines {
 		cats[e.Name] = e.Category
 		procs[e.Name] = e.ProcNames
@@ -177,14 +178,6 @@ func LoadCorpusTrace(dir string, reg *obs.Registry, tr *trace.Tracer) (*Corpus, 
 	if err := firstError(errs); err != nil {
 		return nil, err
 	}
-	// Snapshots in file-name order; corpora saved before the binary
-	// format hold legacy *.snap.json files, which Read still decodes.
-	var files []string
-	for _, e := range entries {
-		if strings.HasSuffix(e.Name(), ".snap") || strings.HasSuffix(e.Name(), ".snap.json") {
-			files = append(files, e.Name())
-		}
-	}
 	snaps := make([]*snapshot.Snapshot, len(files))
 	errs = make([]error, len(files))
 	par.For(workers, len(files), func(i int) {
@@ -196,32 +189,13 @@ func LoadCorpusTrace(dir string, reg *obs.Registry, tr *trace.Tracer) (*Corpus, 
 	return &Corpus{DS: &analysis.DataSet{Machines: mts}, Snaps: snaps, Segments: segs}, nil
 }
 
-// checkNoRowOnly fails on the first legacy row stream (*.trz) of a
-// corpus directory that has no segment of the same stem: loading without
-// it would drop the machine from every measure.
-func checkNoRowOnly(entries []fs.DirEntry) error {
-	segs := map[string]bool{}
-	for _, e := range entries {
-		if stem, ok := strings.CutSuffix(e.Name(), collect.ColumnarExt); ok && !e.IsDir() {
-			segs[stem] = true
-		}
-	}
-	for _, e := range entries {
-		if stem, ok := strings.CutSuffix(e.Name(), ".trz"); ok && !e.IsDir() && !segs[stem] {
-			return fmt.Errorf("core: %s is a row stream with no %s segment; import the corpus with fscorpus convert", e.Name(), stem+collect.ColumnarExt)
-		}
-	}
-	return nil
-}
-
 // readSnapshot decodes one snapshot file of a corpus directory.
 func readSnapshot(dir, name string) (*snapshot.Snapshot, error) {
-	f, err := os.Open(filepath.Join(dir, name))
+	data, err := os.ReadFile(filepath.Join(dir, name))
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	snap, err := snapshot.Read(f)
+	snap, err := snapshot.Decode(data)
 	if err != nil {
 		return nil, fmt.Errorf("core: %s: %w", name, err)
 	}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -71,30 +70,15 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 			t.Errorf("snapshot %d (%s) differs after Save/Load", i, name)
 		}
 	}
-	// A corpus saved before the binary format holds *.snap.json files;
-	// it loads to the same snapshots in the same order.
-	for _, name := range files {
-		path := filepath.Join(dir, name)
-		f, err := os.Create(path + ".json")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := json.NewEncoder(f).Encode(byFile[name]); err != nil {
-			t.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.Remove(path); err != nil {
-			t.Fatal(err)
-		}
-	}
-	legacy, err := LoadCorpusTrace(dir, nil, nil)
-	if err != nil {
+	// A corpus saved before the binary format holds *.snap.json files,
+	// which this build does not read: the load fails and names one,
+	// rather than loading with §5 silently empty.
+	legacyName := files[len(files)-1] + ".json"
+	if err := os.Rename(filepath.Join(dir, files[len(files)-1]), filepath.Join(dir, legacyName)); err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(legacy.Snaps, snaps) {
-		t.Error("legacy *.snap.json corpus loads different snapshots than the *.snap save")
+	if _, err := LoadCorpusTrace(dir, nil, nil); err == nil || !strings.Contains(err.Error(), legacyName) {
+		t.Errorf("corpus with %s: err = %v, want an error naming it", legacyName, err)
 	}
 	// Category survives for at least one machine.
 	foundCat := false
@@ -106,9 +90,9 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	_ = foundCat // fleet of 2 may be all walk-up after scaling; identity is what matters
 }
 
-// TestSnapshotCodecsEquivalent decodes a generated study's snapshots
-// through the binary codec and through the legacy JSON one: both must
-// give back exactly the snapshots the walk produced.
+// TestSnapshotCodecsEquivalent round-trips a generated study's snapshots
+// through the binary codec: each must decode to exactly the snapshot the
+// walk produced.
 func TestSnapshotCodecsEquivalent(t *testing.T) {
 	s := NewStudy(Config{Seed: 9, Machines: 3, Duration: sim.Minute, SnapshotAtStart: true})
 	if err := s.Run(); err != nil {
@@ -118,21 +102,16 @@ func TestSnapshotCodecsEquivalent(t *testing.T) {
 		t.Fatal("study took no snapshots")
 	}
 	for i, sn := range s.Snapshots {
-		var bin, js bytes.Buffer
+		var bin bytes.Buffer
 		if err := sn.Write(&bin); err != nil {
 			t.Fatal(err)
 		}
-		if err := json.NewEncoder(&js).Encode(sn); err != nil {
-			t.Fatal(err)
+		got, err := snapshot.Decode(bin.Bytes())
+		if err != nil {
+			t.Fatalf("snapshot %d: %v", i, err)
 		}
-		for codec, buf := range map[string]*bytes.Buffer{"binary": &bin, "json": &js} {
-			got, err := snapshot.Read(buf)
-			if err != nil {
-				t.Fatalf("snapshot %d, %s: %v", i, codec, err)
-			}
-			if !reflect.DeepEqual(got, sn) {
-				t.Errorf("snapshot %d (%s %s, %d records): %s decode differs", i, sn.Machine, sn.Volume, len(sn.Records), codec)
-			}
+		if !reflect.DeepEqual(got, sn) {
+			t.Errorf("snapshot %d (%s %s, %d records): decode differs", i, sn.Machine, sn.Volume, len(sn.Records))
 		}
 	}
 }

@@ -28,6 +28,7 @@ import (
 	"repro/internal/collect"
 	"repro/internal/obs"
 	"repro/internal/obs/trace"
+	"repro/internal/par"
 	"repro/internal/sim"
 	"repro/internal/snapshot"
 	"repro/internal/tracefmt"
@@ -334,10 +335,14 @@ func (e *Engine) ordered() []*shard {
 	return out
 }
 
-// Run executes every live shard across the worker pool. It returns the
-// first shard error, or ctx.Err() if cancelled — in which case completed
-// shards have already checkpointed (when a checkpoint dir is set) and a
-// fresh engine with Restore picks up where this one stopped.
+// Run executes every live shard on the worker pool, each worker claiming
+// the next shard in index order. A claimed shard returns at once, left
+// pending, when ctx is cancelled or a shard has already failed. Run
+// returns the first shard error in queue order, or ctx.Err() if cancelled
+// — in which case completed shards have already checkpointed (when a
+// checkpoint dir is set) and a fresh engine with Restore picks up where
+// this one stopped. A panic in a shard reaches the caller as par.For
+// raises it: a *par.Panic when more than one worker runs.
 func (e *Engine) Run(ctx context.Context) error {
 	var queue []*shard
 	for _, sh := range e.ordered() {
@@ -345,42 +350,24 @@ func (e *Engine) Run(ctx context.Context) error {
 			queue = append(queue, sh)
 		}
 	}
-	workers := e.cfg.Workers
-	if workers > len(queue) {
-		workers = len(queue)
-	}
-	var (
-		next    atomic.Int64
-		wg      sync.WaitGroup
-		errOnce sync.Once
-		runErr  error
-	)
-	next.Store(-1)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := next.Add(1)
-				if int(i) >= len(queue) || ctx.Err() != nil {
-					return
-				}
-				if err := e.runShard(ctx, queue[i]); err != nil {
-					errOnce.Do(func() { runErr = err })
-					if ctx.Err() == nil {
-						return // shard failure: stop this worker, surface the error
-					}
-				}
-			}
-		}()
-	}
-	wg.Wait()
+	errs := make([]error, len(queue))
+	var failed atomic.Bool
+	par.For(e.cfg.Workers, len(queue), func(i int) {
+		if ctx.Err() != nil || failed.Load() {
+			return
+		}
+		if errs[i] = e.runShard(ctx, queue[i]); errs[i] != nil {
+			failed.Store(true)
+		}
+	})
 	e.annotateStragglers()
 	// Interrupted and failed runs leave telemetry too — that is when it
 	// is most wanted.
 	e.writeObsSnapshot()
-	if runErr != nil {
-		return runErr
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
 	}
 	return ctx.Err()
 }

@@ -10,10 +10,12 @@ import (
 	"runtime"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/collect"
 	"repro/internal/ntos/types"
+	"repro/internal/par"
 	"repro/internal/sim"
 	"repro/internal/snapshot"
 	"repro/internal/tracefmt"
@@ -176,10 +178,10 @@ func TestRestoreRejectsCorruptCheckpoint(t *testing.T) {
 
 // FuzzLoadCheckpoint feeds the checkpoint parser arbitrary bytes, seeded
 // with a real checkpoint, the same checkpoint with a trailing section, a
-// header that claims 256 MiB, and 5,000 two-byte legacy JSON snapshots
-// (which the JSON decoder would expand ~90-fold). Every input must be
-// rejected or parsed, never panic, and never make the parser allocate
-// far beyond the input's own size.
+// header that claims 256 MiB, and 5,000 two-byte snapshot sections
+// holding "{}", the legacy JSON form that snapshot.Decode refuses.
+// Every input must be rejected or parsed, never panic, and never make
+// the parser allocate far beyond the input's own size.
 func FuzzLoadCheckpoint(f *testing.F) {
 	dir := f.TempDir()
 	runFleet(f, 1, 1, dir)
@@ -201,9 +203,14 @@ func FuzzLoadCheckpoint(f *testing.F) {
 		runtime.ReadMemStats(&before)
 		ck, err := parseCheckpoint(in, "fp-m00")
 		runtime.ReadMemStats(&after)
-		// Snapshots decode at up to 64 bytes per input byte (their own
-		// fuzz bound); the stream and header are copied once.
-		if grew := after.TotalAlloc - before.TotalAlloc; grew > 64*uint64(len(in))+1<<20 {
+		// Each part of the input is bounded on its own, and no input
+		// byte belongs to two: a snapshot section is copied once and
+		// decodes at up to 16 bytes per byte (FuzzSnapshotRead's
+		// bound), the stream is copied once, and the header's copy and
+		// JSON decode stay under 10 bytes per byte (a proc_names map of
+		// short keys comes to about 8). So 18 bytes per input byte bound
+		// the whole parse.
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 18*uint64(len(in))+1<<20 {
 			t.Fatalf("parse of %d bytes allocated %d bytes", len(in), grew)
 		}
 		if (err == nil) == (ck == nil) {
@@ -343,4 +350,74 @@ func TestCloseHookErrorFailsShard(t *testing.T) {
 	if !errors.Is(runErr, closeErr) {
 		t.Errorf("close cause not wrapped: %v", runErr)
 	}
+}
+
+// addHookShard registers an eventless shard with the given hooks.
+func addHookShard(t *testing.T, e *Engine, idx int, hooks Hooks) {
+	t.Helper()
+	if err := e.Add(Spec{Index: idx, Name: fmt.Sprintf("m%02d", idx), Fingerprint: "fp"}, sim.NewScheduler(), hooks); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRunReturnsFirstErrorInQueueOrder fails shards 1 and 3 in their
+// Close hooks: at one worker and at four, Run returns shard 1's error. At
+// four workers both failing shards start before either fails (their
+// Start hooks wait for each other), so queue order decides, not which
+// failure lands first.
+func TestRunReturnsFirstErrorInQueueOrder(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		e := New(Config{Duration: sim.Minute, Workers: workers}, collect.NewStore())
+		var met sync.WaitGroup
+		met.Add(2)
+		for i := 0; i < 4; i++ {
+			var hooks Hooks
+			if i == 1 || i == 3 {
+				err := fmt.Errorf("shard %d failed", i)
+				hooks.Close = func() error { return err }
+				if workers > 1 {
+					hooks.Start = func() { met.Done(); met.Wait() }
+				}
+			}
+			addHookShard(t, e, i, hooks)
+		}
+		if err := e.Run(context.Background()); err == nil || !strings.Contains(err.Error(), "shard 1 failed") {
+			t.Errorf("workers=%d: Run = %v, want shard 1's error", workers, err)
+		}
+	}
+}
+
+// TestRunStartsNoShardAfterFailure fails shard 1 at one worker: shard 2
+// never starts and stays pending, so a resume runs it.
+func TestRunStartsNoShardAfterFailure(t *testing.T) {
+	e := New(Config{Duration: sim.Minute, Workers: 1}, collect.NewStore())
+	var started [3]bool
+	for i := range started {
+		hooks := Hooks{Start: func() { started[i] = true }}
+		if i == 1 {
+			hooks.Close = func() error { return errors.New("drain failed") }
+		}
+		addHookShard(t, e, i, hooks)
+	}
+	if err := e.Run(context.Background()); err == nil {
+		t.Fatal("Run succeeded with a failing shard")
+	}
+	if st := e.Status(); started[2] || st.Done != 1 || st.Failed != 1 || st.Pending != 1 {
+		t.Errorf("after the failure: shard 2 started %v, status %+v", started[2], st)
+	}
+}
+
+// TestRunShardPanicReachesCaller panics in a shard's Start hook at two
+// workers: Run's caller recovers it as a *par.Panic holding the value.
+func TestRunShardPanicReachesCaller(t *testing.T) {
+	e := New(Config{Duration: sim.Minute, Workers: 2}, collect.NewStore())
+	addHookShard(t, e, 0, Hooks{})
+	addHookShard(t, e, 1, Hooks{Start: func() { panic("start hook") }})
+	defer func() {
+		if p, ok := recover().(*par.Panic); !ok || p.Value != "start hook" {
+			t.Errorf("recovered %v, want a *par.Panic with value \"start hook\"", p)
+		}
+	}()
+	e.Run(context.Background())
+	t.Error("Run returned after a shard panicked")
 }

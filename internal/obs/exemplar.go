@@ -3,8 +3,6 @@ package obs
 import (
 	"sync"
 	"time"
-
-	"repro/internal/sim"
 )
 
 // exemplarTable records, per histogram bucket, the trace ID of the
@@ -67,12 +65,6 @@ func (h *Histogram) ObserveExemplar(v int64, id uint64) {
 // (microseconds), pairing with ObserveWall.
 func (h *Histogram) ObserveWallExemplar(d time.Duration, id uint64) {
 	h.ObserveExemplar(d.Microseconds(), id)
-}
-
-// ObserveDurationExemplar is ObserveExemplar in the virtual-time unit
-// (ticks), pairing with ObserveDuration.
-func (h *Histogram) ObserveDurationExemplar(d sim.Duration, id uint64) {
-	h.ObserveExemplar(int64(d), id)
 }
 
 // Exemplars snapshots the occupied exemplar slots in bucket order

@@ -40,9 +40,8 @@ type cacheKey [sha256.Size]byte
 type Corpus struct {
 	Dir string
 	// SHA identifies the corpus content: a digest over the sorted
-	// (machine name, logical record-stream SHA-256) pairs. The colstore
-	// footer SHA is defined over the logical record stream, so a corpus
-	// converted from legacy row streams digests as the study's own save.
+	// (machine name, logical record-stream SHA-256) pairs, each the
+	// footer digest of the machine's segment.
 	SHA [sha256.Size]byte
 
 	machines []string // sorted true machine names

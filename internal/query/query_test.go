@@ -28,18 +28,15 @@ import (
 	"repro/internal/tracefmt"
 )
 
-// The package's tests share one small study, saved once (the primary
-// fixture) and once more as a legacy row corpus imported the way
-// fscorpus convert does it, which proves the import equivalent.
+// The package's tests share one small study, saved once.
 var (
 	studyOnce sync.Once
 	study     *core.Study
 	ownDir    string
-	convDir   string
 	studyErr  error
 )
 
-func corpusDirs(t *testing.T) (own, converted string) {
+func corpusDir(t *testing.T) string {
 	t.Helper()
 	studyOnce.Do(func() {
 		study = core.NewStudy(core.Config{
@@ -54,29 +51,19 @@ func corpusDirs(t *testing.T) (own, converted string) {
 		if ownDir, studyErr = mkTempDir(); studyErr != nil {
 			return
 		}
-		if studyErr = study.Save(ownDir); studyErr != nil {
-			return
-		}
-		if convDir, studyErr = legacyCopy(study, ownDir, study.Store.Machines()); studyErr != nil {
-			return
-		}
-		var store *collect.Store
-		if store, studyErr = collect.LoadDir(convDir); studyErr != nil {
-			return
-		}
-		_, studyErr = store.SaveColumnarDir(convDir, colstore.Options{})
+		studyErr = study.Save(ownDir)
 	})
 	if studyErr != nil {
 		t.Fatal(studyErr)
 	}
-	return ownDir, convDir
+	return ownDir
 }
 
 // legacyCopy copies the corpus in src to a new directory, replacing the
 // segments of the machines in rows by their legacy row streams
 // (<name>.trz), the layout the program saved before segments became its
 // only one. Study machine names are already safe file stems, so the
-// stem manifest still holds.
+// stem manifest still lists each row stream's stem.
 func legacyCopy(s *core.Study, src string, rows []string) (string, error) {
 	dst, err := mkTempDir()
 	if err != nil {
@@ -165,7 +152,7 @@ const scanPath = "/v1/scan?kinds=Read,Write,Create,Close&cols=kind,start,length,
 // query answers with byte-identical bodies cold, cached, and at every
 // worker count.
 func TestQueryDeterministic(t *testing.T) {
-	dir, _ := corpusDirs(t)
+	dir := corpusDir(t)
 	paths := []string{
 		scanPath,
 		"/v1/scan?limit=25",
@@ -207,55 +194,20 @@ func TestQueryDeterministic(t *testing.T) {
 	}
 }
 
-// TestRowColumnarEquivalent pins the import of legacy row corpora: a
-// row corpus converted with collect.LoadDir and SaveColumnarDir, as
-// fscorpus convert does it, carries the segment digests and the corpus
-// identity of the study's own save and answers scans, machine listings
-// and report artifacts byte-identically, so cache keys survive the
-// import.
-func TestRowColumnarEquivalent(t *testing.T) {
-	own, conv := corpusDirs(t)
-	oSvc, _ := newTestService(t, own, Config{Workers: 4})
-	cSvc, _ := newTestService(t, conv, Config{Workers: 4})
-	if oSvc.Corpus().SHAHex() != cSvc.Corpus().SHAHex() {
-		t.Fatalf("corpus identity differs after import: %s vs %s",
-			oSvc.Corpus().SHAHex(), cSvc.Corpus().SHAHex())
-	}
-	oSegs, cSegs := oSvc.Corpus().Parts().Segments, cSvc.Corpus().Parts().Segments
-	if len(cSegs) != len(oSegs) {
-		t.Fatalf("imported corpus has %d segments, own save %d", len(cSegs), len(oSegs))
-	}
-	for name, seg := range oSegs {
-		if cSegs[name] == nil || cSegs[name].SHA256() != seg.SHA256() {
-			t.Errorf("%s: imported segment digest differs from the own save's", name)
-		}
-	}
-	for _, p := range []string{
-		scanPath, "/v1/scan?limit=10&kinds=3,5", "/v1/machines",
-		"/v1/report?artifact=table2", "/v1/report?artifact=section5",
-	} {
-		code, _, oBody := get(t, oSvc.Handler(), p)
-		_, _, cBody := get(t, cSvc.Handler(), p)
-		if code != http.StatusOK || !bytes.Equal(oBody, cBody) {
-			t.Fatalf("%s: imported corpus answers differently (status %d)\nown:      %s\nimported: %s", p, code, oBody, cBody)
-		}
-	}
-}
-
 // TestRowOnlyMachineFailsClosed pins that a machine saved only as a
 // legacy row stream, with no segment of the same stem, fails the load —
-// in core.LoadCorpusTrace and in OpenCorpusTrace — with an error naming
-// the file and the converter, instead of leaving the machine out.
+// in core.LoadCorpusTrace and in OpenCorpusTrace — with
+// ErrManifestMismatch naming the missing segment, instead of leaving the
+// machine out.
 func TestRowOnlyMachineFailsClosed(t *testing.T) {
-	own, _ := corpusDirs(t)
 	name := study.Store.Machines()[1]
-	dir, err := legacyCopy(study, own, []string{name})
+	dir, err := legacyCopy(study, corpusDir(t), []string{name})
 	if err != nil {
 		t.Fatal(err)
 	}
 	check := func(what string, err error) {
-		if err == nil || !strings.Contains(err.Error(), name+".trz") || !strings.Contains(err.Error(), "fscorpus convert") {
-			t.Errorf("%s: err = %v, want an error naming %s.trz and fscorpus convert", what, err, name)
+		if !errors.Is(err, collect.ErrManifestMismatch) || !strings.Contains(err.Error(), name+collect.ColumnarExt) {
+			t.Errorf("%s: err = %v, want ErrManifestMismatch naming %s%s", what, err, name, collect.ColumnarExt)
 		}
 	}
 	_, err = core.LoadCorpusTrace(dir, nil, nil)
@@ -269,8 +221,7 @@ func TestRowOnlyMachineFailsClosed(t *testing.T) {
 // core.LoadCorpusTrace and in OpenCorpusTrace — with an error naming the
 // file, instead of loading the other machines.
 func TestMissingSegmentFailsClosed(t *testing.T) {
-	own, _ := corpusDirs(t)
-	dir, err := legacyCopy(study, own, nil)
+	dir, err := legacyCopy(study, corpusDir(t), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,6 +238,64 @@ func TestMissingSegmentFailsClosed(t *testing.T) {
 	check("core.LoadCorpusTrace", err)
 	_, err = OpenCorpusTrace(dir, nil, nil)
 	check("OpenCorpusTrace", err)
+}
+
+// TestCorpusContractFailsClosed pins that a corpus directory outside the
+// one contract (machines.json, *.fsc, *.snap, optional manifest.json)
+// fails the load — in core.LoadCorpusTrace and in OpenCorpusTrace — with
+// an error naming the file at fault: a directory saved before the stem
+// manifest, one holding a JSON snapshot (the format before *.snap),
+// and a stem manifest with a repeated machine name or another version.
+func TestCorpusContractFailsClosed(t *testing.T) {
+	own := corpusDir(t)
+	names := study.Store.Machines() // already safe file stems
+	writeStems := func(version int, second string) func(dir string) (string, error) {
+		return func(dir string) (string, error) {
+			stems := map[string]string{}
+			for _, n := range names {
+				stems[n] = n
+			}
+			stems[names[1]] = second
+			data, err := json.Marshal(map[string]any{"version": version, "stems": stems})
+			if err != nil {
+				return "", err
+			}
+			return collect.StemManifestName, os.WriteFile(filepath.Join(dir, collect.StemManifestName), data, 0o644)
+		}
+	}
+	for _, tc := range []struct {
+		what string
+		edit func(dir string) (file string, err error)
+	}{
+		{"no stem manifest", func(dir string) (string, error) {
+			return collect.StemManifestName, os.Remove(filepath.Join(dir, collect.StemManifestName))
+		}},
+		{"JSON snapshot", func(dir string) (string, error) {
+			snaps, err := filepath.Glob(filepath.Join(dir, "*.snap"))
+			if err != nil || len(snaps) == 0 {
+				return "", fmt.Errorf("corpus holds %d snapshots (%v)", len(snaps), err)
+			}
+			file := filepath.Base(snaps[0]) + ".json"
+			return file, os.Rename(snaps[0], filepath.Join(dir, file))
+		}},
+		{"repeated name", writeStems(1, names[0])},
+		{"version 2", writeStems(2, names[1])},
+	} {
+		dir, err := legacyCopy(study, own, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		file, err := tc.edit(dir)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.what, err)
+		}
+		if _, err := core.LoadCorpusTrace(dir, nil, nil); err == nil || !strings.Contains(err.Error(), file) {
+			t.Errorf("%s: core.LoadCorpusTrace err = %v, want an error naming %s", tc.what, err, file)
+		}
+		if _, err := OpenCorpusTrace(dir, nil, nil); err == nil || !strings.Contains(err.Error(), file) {
+			t.Errorf("%s: OpenCorpusTrace err = %v, want an error naming %s", tc.what, err, file)
+		}
+	}
 }
 
 // TestCorruptNameColumnFailsClosed pins that a segment whose blocks
@@ -319,12 +328,19 @@ func TestCorruptNameColumnFailsClosed(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "m"+collect.ColumnarExt), data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := core.LoadCorpusTrace(dir, nil, nil); err == nil {
-		t.Error("core.LoadCorpusTrace accepted a segment whose name column does not decode")
+	man := []byte(`{"version":1,"stems":{"m":"m"}}`)
+	if err := os.WriteFile(filepath.Join(dir, collect.StemManifestName), man, 0o644); err != nil {
+		t.Fatal(err)
 	}
-	if _, err := OpenCorpusTrace(dir, nil, nil); err == nil {
-		t.Error("OpenCorpusTrace accepted a segment whose name column does not decode")
+	check := func(what string, err error) {
+		if !errors.Is(err, colstore.ErrCorrupt) || !strings.Contains(err.Error(), "name column") {
+			t.Errorf("%s: err = %v, want colstore.ErrCorrupt in the name column", what, err)
+		}
 	}
+	_, err = core.LoadCorpusTrace(dir, nil, nil)
+	check("core.LoadCorpusTrace", err)
+	_, err = OpenCorpusTrace(dir, nil, nil)
+	check("OpenCorpusTrace", err)
 }
 
 // corruptNameColumn rewrites the encoding tag of every block's name
@@ -358,7 +374,7 @@ func corruptNameColumn(t *testing.T, data []byte) {
 // TestCanonicalization pins that equivalent request spellings share one
 // cache entry.
 func TestCanonicalization(t *testing.T) {
-	dir, _ := corpusDirs(t)
+	dir := corpusDir(t)
 	svc, _ := newTestService(t, dir, Config{})
 	c := svc.Corpus()
 	cases := [][2]string{
@@ -409,7 +425,7 @@ func kindNumber(t *testing.T, name string) int {
 // refusal path: over-limit requests get 429 + Retry-After immediately,
 // admitted requests complete once capacity frees up.
 func TestBackpressure429(t *testing.T) {
-	dir, _ := corpusDirs(t)
+	dir := corpusDir(t)
 	svc, reg := newTestService(t, dir, Config{MaxInflight: 1, MaxQueue: 1, Timeout: 10 * time.Second})
 	h := svc.Handler()
 
@@ -460,7 +476,7 @@ func TestBackpressure429(t *testing.T) {
 // TestRequestTimeout pins the deadline path: a request that cannot get
 // an execution slot within its deadline answers 504.
 func TestRequestTimeout(t *testing.T) {
-	dir, _ := corpusDirs(t)
+	dir := corpusDir(t)
 	svc, reg := newTestService(t, dir, Config{MaxInflight: 1, MaxQueue: 4, Timeout: 50 * time.Millisecond})
 	svc.slots <- struct{}{} // wedge the pool
 	start := time.Now()
@@ -479,7 +495,7 @@ func TestRequestTimeout(t *testing.T) {
 // TestDrain pins graceful shutdown: Drain waits for admitted work and
 // flips subsequent requests to 503.
 func TestDrain(t *testing.T) {
-	dir, _ := corpusDirs(t)
+	dir := corpusDir(t)
 	svc, _ := newTestService(t, dir, Config{})
 	h := svc.Handler()
 	if code, _, _ := get(t, h, "/v1/machines"); code != http.StatusOK {
@@ -535,7 +551,7 @@ func TestCacheLRU(t *testing.T) {
 // TestScanLimit pins the truncation contract: matched counts the full
 // predicate hits, returned counts the projected rows.
 func TestScanLimit(t *testing.T) {
-	dir, _ := corpusDirs(t)
+	dir := corpusDir(t)
 	svc, _ := newTestService(t, dir, Config{})
 	_, _, full := get(t, svc.Handler(), "/v1/scan?cols=kind")
 	_, _, limited := get(t, svc.Handler(), "/v1/scan?cols=kind&limit=5")
@@ -569,7 +585,7 @@ func TestScanLimit(t *testing.T) {
 // tiny admission pool and checks both outcomes appear: successes and
 // 429 rejections, with no transport errors.
 func TestLoadGenerator(t *testing.T) {
-	dir, _ := corpusDirs(t)
+	dir := corpusDir(t)
 	svc, _ := newTestService(t, dir, Config{MaxInflight: 1, MaxQueue: 1, Workers: 2})
 	mux := http.NewServeMux()
 	mux.Handle("/", svc.Handler())

@@ -17,7 +17,7 @@ import (
 // span tree covering admission → cache probe → per-machine fan-out
 // (with the colstore block ledger) → merge → encode.
 func TestScanTraceSpans(t *testing.T) {
-	dir, _ := corpusDirs(t)
+	dir := corpusDir(t)
 	tr := trace.New(trace.Config{})
 	svc, _ := newTestService(t, dir, Config{Workers: 2, Tracer: tr})
 	h := svc.Handler()
@@ -95,7 +95,7 @@ func TestScanTraceSpans(t *testing.T) {
 // fresh services over the same corpus given the same request sequence
 // hand out identical trace IDs.
 func TestTraceIDsReproducible(t *testing.T) {
-	dir, _ := corpusDirs(t)
+	dir := corpusDir(t)
 	run := func() []string {
 		svc, _ := newTestService(t, dir, Config{Workers: 2, Tracer: trace.New(trace.Config{})})
 		h := svc.Handler()
@@ -120,7 +120,7 @@ func TestTraceIDsReproducible(t *testing.T) {
 // TestUntracedServiceHasNoHeader pins the nil contract end to end: no
 // tracer, no header, no recorder, identical response bodies.
 func TestUntracedServiceHasNoHeader(t *testing.T) {
-	dir, _ := corpusDirs(t)
+	dir := corpusDir(t)
 	svc, _ := newTestService(t, dir, Config{Workers: 2})
 	code, hdr, bodyOff := get(t, svc.Handler(), scanPath)
 	if code != http.StatusOK {
@@ -140,7 +140,7 @@ func TestUntracedServiceHasNoHeader(t *testing.T) {
 // a traced request, the Prometheus text output carries an exemplar
 // comment whose trace ID resolves in the flight recorder.
 func TestLatencyExemplarResolvable(t *testing.T) {
-	dir, _ := corpusDirs(t)
+	dir := corpusDir(t)
 	reg := obs.NewRegistry()
 	tr := trace.New(trace.Config{})
 	svc, _ := newTestService(t, dir, Config{Workers: 2, Obs: reg, Tracer: tr})
@@ -173,7 +173,7 @@ func TestLatencyExemplarResolvable(t *testing.T) {
 // TestSlowQueryLog pins the slow-log view: the stage breakdown is read
 // back from the request's own spans, one line per offending request.
 func TestSlowQueryLog(t *testing.T) {
-	dir, _ := corpusDirs(t)
+	dir := corpusDir(t)
 	var lines []string
 	tr := trace.New(trace.Config{})
 	svc, _ := newTestService(t, dir, Config{

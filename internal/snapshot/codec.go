@@ -1,15 +1,12 @@
 package snapshot
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"math"
-	"os"
 	"strings"
 
 	"repro/internal/sim"
@@ -26,9 +23,6 @@ import (
 //	         directories only: files, subdirectories (varints);
 //	         name (uvarint length + bytes)
 //	trailer  CRC-32 (IEEE) of every preceding byte
-//
-// Snapshots written before this format are one JSON object; Read still
-// accepts them, nothing writes them.
 const magic = "FSSNAP01"
 
 // flagDir marks a directory record; every other flag bit must be zero.
@@ -102,58 +96,11 @@ func (s *Snapshot) validate() error {
 	return nil
 }
 
-// Read deserialises a snapshot written by Write, or a legacy JSON one.
-func Read(r io.Reader) (*Snapshot, error) {
-	data, err := readAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("snapshot: read: %w", err)
-	}
-	// Anything that starts like the magic is binary, so another version
-	// fails as such rather than as malformed JSON.
-	if bytes.HasPrefix(data, []byte(magic[:len(magic)-2])) {
-		return decode(data)
-	}
-	var s Snapshot
-	if err := json.Unmarshal(data, &s); err != nil {
-		return nil, fmt.Errorf("snapshot: decode: %w", err)
-	}
-	if len(s.Records) == 0 {
-		s.Records = nil // as decode leaves an empty snapshot
-	}
-	if err := s.validate(); err != nil {
-		return nil, err
-	}
-	return &s, nil
-}
-
-// readAll reads r to the end, sizing the buffer up front when r knows its
-// length (a file, an in-memory reader), so a snapshot is read in one call.
-func readAll(r io.Reader) ([]byte, error) {
-	var size int64
-	switch v := r.(type) {
-	case interface{ Len() int }:
-		size = int64(v.Len())
-	case interface{ Stat() (os.FileInfo, error) }:
-		if fi, err := v.Stat(); err == nil && fi.Mode().IsRegular() {
-			size = fi.Size()
-		}
-	}
-	buf := bytes.NewBuffer(make([]byte, 0, size+bytes.MinRead))
-	_, err := buf.ReadFrom(r)
-	return buf.Bytes(), err
-}
-
 // Decode parses one snapshot in the binary format, as Write produces it.
-// Unlike Read it refuses the legacy JSON form, whose decoder allocates
-// several hundred bytes even for a two-byte object, so a container that
-// only ever holds Write's output (a fleet checkpoint) can bound what its
-// snapshots cost by their size.
-func Decode(data []byte) (*Snapshot, error) { return decode(data) }
-
-// decode parses the binary format. Every count is checked against the
-// input still unread before anything is allocated for it, so a corrupt
-// file cannot ask for more memory than its own size implies.
-func decode(data []byte) (*Snapshot, error) {
+// Every count is checked against the input still unread before anything
+// is allocated for it, so a corrupt file cannot ask for more memory than
+// its own size implies.
+func Decode(data []byte) (*Snapshot, error) {
 	if len(data) < len(magic)+4 || string(data[:len(magic)]) != magic {
 		return nil, fmt.Errorf("%w: not an %s snapshot", ErrCorrupt, magic)
 	}

@@ -19,22 +19,22 @@ import (
 // reconstruction from the pre-order sequence, per §3.1.
 type WalkRecord struct {
 	// Name is the short-form entry name (base name, truncated).
-	Name string `json:"n"`
+	Name string
 	// Depth in the tree; the root is 0. Pre-order traversal plus depth
 	// recovers the tree.
-	Depth int   `json:"d"`
-	IsDir bool  `json:"dir,omitempty"`
-	Size  int64 `json:"s,omitempty"`
+	Depth int
+	IsDir bool
+	Size  int64
 
 	// The three time attributes (ticks; 0 where the FS does not maintain
 	// them). §5 warns these are unreliable — the analysis checks that.
-	Created      sim.Time `json:"ct,omitempty"`
-	LastModified sim.Time `json:"mt,omitempty"`
-	LastAccessed sim.Time `json:"at,omitempty"`
+	Created      sim.Time
+	LastModified sim.Time
+	LastAccessed sim.Time
 
 	// Directory fan-out (directories only).
-	NumFiles   int `json:"nf,omitempty"`
-	NumSubdirs int `json:"nd,omitempty"`
+	NumFiles   int
+	NumSubdirs int
 }
 
 // Ext returns the lower-case extension of the record's name.
@@ -61,10 +61,10 @@ func shortName(name string) string {
 
 // Snapshot is one volume's walk at a point in time.
 type Snapshot struct {
-	Machine string       `json:"machine"`
-	Volume  string       `json:"volume"`
-	TakenAt sim.Time     `json:"taken_at"`
-	Records []WalkRecord `json:"records"`
+	Machine string
+	Volume  string
+	TakenAt sim.Time
+	Records []WalkRecord
 }
 
 // Take walks fs producing a snapshot. The walk is deterministic: each

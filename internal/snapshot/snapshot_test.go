@@ -3,7 +3,6 @@ package snapshot
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"hash/crc32"
 	"io"
@@ -165,34 +164,12 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	if !bytes.HasPrefix(buf.Bytes(), []byte(magic)) {
 		t.Fatalf("Write did not produce the %s format", magic)
 	}
-	got, err := Read(&buf)
+	got, err := Decode(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, snap) {
 		t.Errorf("round trip differs:\n got %+v\nwant %+v", got, snap)
-	}
-}
-
-// legacyJSON encodes a snapshot the way Write did before the binary
-// format: one JSON object and a newline.
-func legacyJSON(t testing.TB, s *Snapshot) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := json.NewEncoder(&buf).Encode(s); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
-func TestReadLegacyJSON(t *testing.T) {
-	snap := Take("m1", `C:`, buildFS(t), 100)
-	got, err := Read(bytes.NewReader(legacyJSON(t, snap)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, snap) {
-		t.Errorf("legacy JSON decode differs:\n got %+v\nwant %+v", got, snap)
 	}
 }
 
@@ -345,19 +322,17 @@ func TestTakeMatchesUncachedWalk(t *testing.T) {
 }
 
 func TestReadRejectsGarbage(t *testing.T) {
-	if _, err := Read(strings.NewReader("not json")); err == nil {
+	if _, err := Decode([]byte("not a snapshot")); err == nil {
 		t.Error("garbage accepted")
 	}
 }
 
 // TestReadRejectsBadDepth is the regression for a negative depth, which
-// Read used to accept and Entries then panicked on (slice bounds out of
-// range) — reachable from a served corpus through Section 5's Compare.
+// the reader used to accept and Entries then panicked on (slice bounds
+// out of range) — reachable from a served corpus through Section 5's
+// Compare. Write refuses one; the binary format cannot encode one that
+// fits an int.
 func TestReadRejectsBadDepth(t *testing.T) {
-	legacy := `{"machine":"m","volume":"C:","taken_at":0,"records":[{"n":"","d":0,"dir":true,"nf":1},{"n":"x","d":-1}]}`
-	if _, err := Read(strings.NewReader(legacy)); !errors.Is(err, ErrCorrupt) {
-		t.Errorf("JSON depth -1: err = %v, want ErrCorrupt", err)
-	}
 	bad := &Snapshot{Machine: "m", Records: []WalkRecord{{IsDir: true, NumFiles: 1}, {Name: "x", Depth: -1}}}
 	if err := bad.Write(io.Discard); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("Write depth -1: err = %v, want ErrCorrupt", err)
@@ -365,17 +340,17 @@ func TestReadRejectsBadDepth(t *testing.T) {
 	// A binary depth of 2^63 does not fit an int.
 	b := binary.AppendUvarint(binaryHeader(1, 1), 1<<63)
 	b = append(b, 0, 0, 0, 0, 0, 1, 'x')
-	if _, err := Read(bytes.NewReader(withCRC(b))); !errors.Is(err, ErrCorrupt) {
+	if _, err := Decode(withCRC(b)); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("binary depth 2^63: err = %v, want ErrCorrupt", err)
 	}
 }
 
-// The binary format has no place for fan-out on a file; a legacy JSON
-// file record carrying it is rejected rather than silently dropped.
+// The binary format has no place for fan-out on a file, so Write refuses
+// a file record carrying it rather than silently dropping it.
 func TestReadRejectsFileFanOut(t *testing.T) {
-	fanout := `{"machine":"m","volume":"C:","taken_at":0,"records":[{"n":"x","d":0,"nf":2}]}`
-	if _, err := Read(strings.NewReader(fanout)); !errors.Is(err, ErrCorrupt) {
-		t.Errorf("JSON file with fan-out: err = %v, want ErrCorrupt", err)
+	fanout := &Snapshot{Machine: "m", Volume: "C:", Records: []WalkRecord{{Name: "x", NumFiles: 2}}}
+	if err := fanout.Write(io.Discard); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("Write file with fan-out: err = %v, want ErrCorrupt", err)
 	}
 }
 
@@ -415,36 +390,37 @@ func TestReadRejectsCorruptBinary(t *testing.T) {
 		"name bytes long":    withCRC(append(binaryHeader(1, 2), file...)),
 		"unknown flag":       withCRC(append(binaryHeader(1, 1), 0, 2, 0, 0, 0, 0, 1, 'x')),
 	} {
-		if _, err := Read(bytes.NewReader(in)); !errors.Is(err, ErrCorrupt) {
+		if _, err := Decode(in); !errors.Is(err, ErrCorrupt) {
 			t.Errorf("%s: err = %v, want ErrCorrupt", name, err)
 		}
 	}
-	if _, err := Read(bytes.NewReader(withCRC(append(binaryHeader(1, 1), file...)))); err != nil {
+	if _, err := Decode(withCRC(append(binaryHeader(1, 1), file...))); err != nil {
 		t.Errorf("hand-made valid snapshot rejected: %v", err)
 	}
 }
 
-// FuzzSnapshotRead feeds Read arbitrary bytes, seeded with one real
-// snapshot in each codec. Every input must be rejected or decode to a
-// snapshot whose binary re-encoding decodes deep-equal, and no input may
-// make Read allocate far beyond its own size.
+// FuzzSnapshotRead feeds Decode arbitrary bytes, seeded with a real
+// snapshot and an empty one. Every input must be rejected or decode to a
+// snapshot whose re-encoding decodes deep-equal, and no input may make
+// Decode allocate far beyond its own size.
 func FuzzSnapshotRead(f *testing.F) {
-	snap := Take("m1", `C:`, buildFS(f), 100)
-	var bin bytes.Buffer
-	if err := snap.Write(&bin); err != nil {
-		f.Fatal(err)
+	for _, snap := range []*Snapshot{Take("m1", `C:`, buildFS(f), 100), {Machine: "m1", Volume: `C:`}} {
+		var bin bytes.Buffer
+		if err := snap.Write(&bin); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(bin.Bytes())
 	}
-	f.Add(bin.Bytes())
-	f.Add(legacyJSON(f, snap))
 	f.Fuzz(func(t *testing.T, in []byte) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		got, err := Read(bytes.NewReader(in))
+		got, err := Decode(in)
 		runtime.ReadMemStats(&after)
-		// A record is 80 bytes in memory and at least 7 encoded (3 as
-		// JSON); allow that expansion, slice growth and a fixed margin.
-		if grew := after.TotalAlloc - before.TotalAlloc; grew > 64*uint64(len(in))+1<<20 {
-			t.Fatalf("Read of %d bytes allocated %d bytes", len(in), grew)
+		// A record is 80 bytes in memory and at least 7 encoded (11.4x);
+		// the name arena and the header strings each hold at most the
+		// input's size. That is about 13.5x, plus a fixed margin.
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 16*uint64(len(in))+1<<20 {
+			t.Fatalf("Decode of %d bytes allocated %d bytes", len(in), grew)
 		}
 		if err != nil {
 			return
@@ -453,7 +429,7 @@ func FuzzSnapshotRead(f *testing.F) {
 		if err := got.Write(&re); err != nil {
 			t.Fatalf("decoded snapshot does not re-encode: %v", err)
 		}
-		again, err := Read(&re)
+		again, err := Decode(re.Bytes())
 		if err != nil {
 			t.Fatalf("re-encoded snapshot does not decode: %v", err)
 		}

@@ -271,9 +271,6 @@ func (d *Driver) burstLoop(s *sim.Scheduler, a App) {
 	s.After(gap, func(s2 *sim.Scheduler) { d.burstLoop(s2, a) })
 }
 
-// Active reports whether a session is in progress.
-func (d *Driver) Active() bool { return d.active }
-
 func (d *Driver) String() string {
 	return fmt.Sprintf("Driver(%s, %d apps)", d.M.Name, len(d.Apps))
 }
