@@ -403,6 +403,26 @@ func BenchmarkSection5Snapshots(b *testing.B) {
 	b.ReportMetric(float64(len(s.Snapshots)), "snapshots")
 }
 
+// BenchmarkSection5Loaded renders §5 from the same snapshot set loaded
+// back from the saved corpus (the load outside the timer), as fsreport
+// -in renders it: the walks §5 reads are parsed from their file bytes.
+func BenchmarkSection5Loaded(b *testing.B) {
+	dir, _ := snapCorpus(b)
+	c, err := core.LoadCorpusTrace(dir, nil, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	r := &report.Results{}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if section5Sink, err = r.RenderSection5(c.Snaps); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(len(c.Snaps)), "snapshots")
+}
+
 var section5Sink string
 
 // BenchmarkRenderReport renders every section of the report perfbench
@@ -492,7 +512,7 @@ func BenchmarkStudyBuild(b *testing.B) {
 func BenchmarkSnapshotWalk(b *testing.B) {
 	walk := func(s *core.Study) (records int) {
 		for _, n := range s.Nodes {
-			records += len(snapshot.Take(n.M.Name, `C:`, n.M.SystemVolume().FS, 0).Records)
+			records += snapshot.Take(n.M.Name, `C:`, n.M.SystemVolume().FS, 0).Len()
 		}
 		return records
 	}

@@ -44,7 +44,13 @@ func main() {
 		"fig13": r.Figure13, "fig14": r.Figure14,
 		"sec6": r.Section6Lifetimes, "sec8": r.Section8,
 		"sec9": r.Section9, "sec10": r.Section10,
-		"sec5":      func() string { return r.Section5(snaps) },
+		"sec5": func() string {
+			text, err := r.RenderSection5(snaps)
+			if err != nil {
+				log.Fatal(err)
+			}
+			return text
+		},
 		"sec7x":     r.Section7SelfSim,
 		"procs":     r.ProcessView,
 		"types":     r.TypeView,

@@ -1,14 +1,14 @@
 // Command fscorpus inspects columnar trace corpora (*.fsc, per-machine
 // colstore segments with zone maps): it prints segment layout and
-// encoding statistics, verifies every segment's logical-stream SHA-256,
-// and runs predicate-pushdown scans with the pushdown ledger (blocks
-// scanned vs skipped, bytes decoded per column family) printed after the
-// results.
+// encoding statistics, verifies every segment's logical-stream SHA-256
+// and every snapshot record, and runs predicate-pushdown scans with the
+// pushdown ledger (blocks scanned vs skipped, bytes decoded per column
+// family) printed after the results.
 //
 // Usage:
 //
 //	fscorpus stats traces/                       # layout + per-column bytes
-//	fscorpus verify traces/                      # SHA-256 self-check
+//	fscorpus verify traces/                      # SHA-256 self-check + snapshot records
 //	fscorpus scan -kinds read,write -min-h 1 -max-h 2 traces/
 package main
 
@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
@@ -25,6 +26,7 @@ import (
 	"repro/internal/colstore"
 	"repro/internal/obs"
 	"repro/internal/sim"
+	"repro/internal/snapshot"
 	"repro/internal/tracefmt"
 )
 
@@ -105,7 +107,7 @@ func cmdStats(args []string) {
 
 func cmdVerify(args []string) {
 	fs := flag.NewFlagSet("verify", flag.ExitOnError)
-	quiet := fs.Bool("q", false, "print only failures and the final verdict")
+	quiet := fs.Bool("q", false, "print only failures and the final verdicts")
 	fs.Parse(args)
 	dir := dirArg(fs)
 	segs, err := collect.LoadColumnarDir(dir, nil)
@@ -134,10 +136,45 @@ func cmdVerify(args []string) {
 			fmt.Printf("%-22s %9d records  sha256 %x  ok (columnar self-check)\n", name, seg.Records(), sha[:8])
 		}
 	}
+	snaps, records, bad := verifySnapshots(dir)
 	if failed > 0 {
 		log.Fatalf("%d of %d machines FAILED verification", failed, len(names))
 	}
+	if bad != "" {
+		log.Fatalf("snapshot %s FAILED verification", bad)
+	}
 	fmt.Printf("verified %d machines: columnar segments are digest-identical to their record streams\n", len(names))
+	fmt.Printf("verified %d snapshots: %d walk records pass every check\n", snaps, records)
+}
+
+// verifySnapshots reads every *.snap of dir in file-name order and
+// parses every record, which a corpus load leaves to the renders that
+// read them. It prints a FAIL line for each bad file and returns the
+// snapshot and record counts and the name of the first bad file ("" when
+// every file passes).
+func verifySnapshots(dir string) (snaps, records int, bad string) {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		log.Fatal(err)
+	}
+	for _, e := range entries { // ReadDir sorts by file name
+		name := e.Name()
+		if !strings.HasSuffix(name, ".snap") {
+			continue
+		}
+		snaps++
+		s, err := snapshot.ReadFile(filepath.Join(dir, name))
+		if err == nil {
+			err = s.Each(func(*snapshot.WalkRecord) { records++ })
+		}
+		if err != nil {
+			fmt.Printf("FAIL %v\n", err) // the error names the file
+			if bad == "" {
+				bad = name
+			}
+		}
+	}
+	return snaps, records, bad
 }
 
 // parseKinds accepts event-kind names (as printed by EventKind.String)

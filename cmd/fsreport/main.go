@@ -63,12 +63,19 @@ func main() {
 			r.TotalRecords(), len(r.DS.Machines))
 	}
 
+	// §5 is the one section that reads snapshot records, which a loaded
+	// corpus checks only when they are read: render it first, so a bad
+	// record fails the run, naming its file, before anything is printed.
+	section5, err := r.RenderSection5(snaps)
+	if err != nil {
+		log.Fatal(err)
+	}
 	sections := []func() string{
 		r.Table1, r.Table2, r.Table3,
 		r.Figure1, r.Figure2, r.Figure3, r.Figure4, r.Figure5,
 		r.Figure6, r.Figure7, r.Figure8, r.Figure9, r.Figure10,
 		r.Figure11, r.Figure12, r.Figure13, r.Figure14,
-		func() string { return r.Section5(snaps) },
+		func() string { return section5 },
 		r.Section6Lifetimes, r.Section8, r.Section9, r.Section10,
 		r.Section7SelfSim, r.ProcessView, r.TypeView, r.FollowUps,
 		func() string { return r.CacheSweep([]float64{1, 4, 16}) },

@@ -20,13 +20,9 @@ import (
 )
 
 func load(path string) *snapshot.Snapshot {
-	data, err := os.ReadFile(path)
+	s, err := snapshot.ReadFile(path)
 	if err != nil {
 		log.Fatal(err)
-	}
-	s, err := snapshot.Decode(data)
-	if err != nil {
-		log.Fatalf("%s: %v", path, err)
 	}
 	return s
 }
@@ -43,14 +39,22 @@ func main() {
 	switch args[0] {
 	case "info":
 		s := load(args[1])
-		files := s.Files()
-		fmt.Printf("machine %s volume %s taken %v\n", s.Machine, s.Volume, s.TakenAt)
-		fmt.Printf("  %d files, %d directories, %d MB\n",
-			len(files), len(s.Dirs()), s.TotalBytes()>>20)
-		sizes := make([]float64, len(files))
-		for i, f := range files {
-			sizes[i] = float64(f.Size)
+		var sizes []float64
+		var dirs int
+		var total int64
+		err := s.Each(func(r *snapshot.WalkRecord) {
+			if r.IsDir {
+				dirs++
+				return
+			}
+			sizes = append(sizes, float64(r.Size))
+			total += r.Size
+		})
+		if err != nil {
+			log.Fatal(err)
 		}
+		fmt.Printf("machine %s volume %s taken %v\n", s.Machine, s.Volume, s.TakenAt)
+		fmt.Printf("  %d files, %d directories, %d MB\n", len(sizes), dirs, total>>20)
 		sm := stats.Summarize(sizes)
 		fmt.Printf("  file sizes: p50=%.0fB p90=%.0fB max=%.0fB\n", sm.P50, sm.P90, sm.Max)
 		fmt.Printf("  size tail: Hill α = %.2f\n", stats.Hill(sizes, len(sizes)/50+2))
@@ -59,13 +63,21 @@ func main() {
 			log.Fatal("diff needs two snapshot files")
 		}
 		oldS, newS := load(args[1]), load(args[2])
-		d := snapshot.Compare(oldS, newS)
+		oldEntries, err := oldS.Entries()
+		if err != nil {
+			log.Fatal(err)
+		}
+		newEntries, err := newS.Entries()
+		if err != nil {
+			log.Fatal(err)
+		}
+		d := snapshot.CompareEntries(oldEntries, newEntries)
 		fmt.Printf("added %d, changed %d, removed %d entries\n",
 			len(d.Added), len(d.Changed), len(d.Removed))
 		fmt.Printf("  share under \\winnt\\profiles: %.0f%% (paper: 94%%)\n",
 			100*d.FractionUnder(`\winnt\profiles`))
 		// Locate the WWW cache under any profile.
-		for _, e := range newS.Entries() {
+		for _, e := range newEntries {
 			if e.Rec.IsDir && e.Rec.Name == "Temporary Internet Files" {
 				fmt.Printf("  share under %s: %.0f%% (paper: up to 90%%)\n",
 					e.Path, 100*d.FractionUnder(e.Path))

@@ -39,7 +39,10 @@ func main() {
 	if first == nil || last == first {
 		log.Fatal("need at least two snapshots of C:")
 	}
-	d := snapshot.Compare(first, last)
+	d, err := snapshot.Compare(first, last)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("content change over %.0f simulated hours:\n",
 		last.TakenAt.Sub(first.TakenAt).Seconds()/3600)
 	fmt.Printf("  %d added, %d changed, %d removed files\n",

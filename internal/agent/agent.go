@@ -128,11 +128,11 @@ func (a *Agent) TakeSnapshots() {
 		start := a.sched.Now()
 		sp := a.walkSpan(v.Mount.Prefix)
 		snap := snapshot.Take(a.m.Name, v.Mount.Prefix, v.FS, start)
-		sp.AnnotateInt("records", int64(len(snap.Records)))
+		sp.AnnotateInt("records", int64(snap.Len()))
 		sp.Finish()
 		// Walk cost: ~1.5 ms per record puts a 30k-file volume at ~45 s,
 		// inside the paper's 30–90 s envelope.
-		a.sched.Advance(sim.Duration(len(snap.Records)) * sim.FromMicroseconds(1500))
+		a.sched.Advance(sim.Duration(snap.Len()) * sim.FromMicroseconds(1500))
 		a.Stats.LastWalk = a.sched.Now().Sub(start)
 		a.Stats.SnapshotsTaken++
 		if a.connected && a.sink != nil {

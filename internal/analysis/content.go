@@ -38,17 +38,18 @@ type ContentCensus struct {
 	TimeInconsistent float64
 }
 
-// Census computes the §5 summary of one snapshot without sorting the
-// sample: the size percentiles are selected in place from the sizes
-// slice it owns, sized from the record count, and stats.Hill sorts only
-// the values above its threshold. Every field is the value
-// stats.Summarize would give.
-func Census(s *snapshot.Snapshot) ContentCensus {
+// Census computes the §5 summary of one snapshot in one pass over its
+// records, without sorting the sample: the size percentiles are selected
+// in place from the sizes slice it owns, sized from the record count (P90
+// within the part P50's selection left), and stats.Hill sorts only the
+// values above its threshold. Every field is the value stats.Summarize
+// would give. A record error fails the census.
+func Census(s *snapshot.Snapshot) (ContentCensus, error) {
 	c := ContentCensus{Machine: s.Machine}
-	sizes := make([]float64, 0, len(s.Records))
+	sizes := make([]float64, 0, s.Len())
 	var dirFiles, dirSubs float64
 	inconsistent, timed := 0, 0
-	for _, r := range s.Records {
+	err := s.Each(func(r *snapshot.WalkRecord) {
 		if r.Depth > c.MaxDepth {
 			c.MaxDepth = r.Depth
 		}
@@ -56,7 +57,7 @@ func Census(s *snapshot.Snapshot) ContentCensus {
 			c.Dirs++
 			dirFiles += float64(r.NumFiles)
 			dirSubs += float64(r.NumSubdirs)
-			continue
+			return
 		}
 		c.Files++
 		c.Bytes += r.Size
@@ -71,12 +72,15 @@ func Census(s *snapshot.Snapshot) ContentCensus {
 				inconsistent++
 			}
 		}
+	})
+	if err != nil {
+		return ContentCensus{}, err
 	}
 	if len(sizes) > 100 {
 		c.SizeTailAlpha = stats.Hill(sizes, len(sizes)/50+2)
 	}
-	c.SizeP50 = stats.SelectPercentile(sizes, 50)
-	c.SizeP90 = stats.SelectPercentile(sizes, 90)
+	p := stats.SelectPercentiles(sizes, 50, 90)
+	c.SizeP50, c.SizeP90 = p[0], p[1]
 	if c.Dirs > 0 {
 		c.MeanDirFiles = dirFiles / float64(c.Dirs)
 		c.MeanDirSubs = dirSubs / float64(c.Dirs)
@@ -84,7 +88,7 @@ func Census(s *snapshot.Snapshot) ContentCensus {
 	if timed > 0 {
 		c.TimeInconsistent = float64(inconsistent) / float64(timed)
 	}
-	return c
+	return c, nil
 }
 
 // TypeSlice is one file-type row of the §5 decomposition.
@@ -96,12 +100,13 @@ type TypeSlice struct {
 
 // TypeCensus decomposes a snapshot by file-type category, sorted by
 // descending bytes — the view in which "executables, dynamic loadable
-// libraries and fonts dominate the file size distribution".
-func TypeCensus(s *snapshot.Snapshot) []TypeSlice {
+// libraries and fonts dominate the file size distribution". A record
+// error fails it.
+func TypeCensus(s *snapshot.Snapshot) ([]TypeSlice, error) {
 	agg := map[TypeCategory]*TypeSlice{}
-	for _, r := range s.Records {
+	err := s.Each(func(r *snapshot.WalkRecord) {
 		if r.IsDir {
-			continue
+			return
 		}
 		cat := ClassifyExt(r.Ext())
 		t := agg[cat]
@@ -111,6 +116,9 @@ func TypeCensus(s *snapshot.Snapshot) []TypeSlice {
 		}
 		t.Files++
 		t.Bytes += r.Size
+	})
+	if err != nil {
+		return nil, err
 	}
 	out := make([]TypeSlice, 0, len(agg))
 	for _, t := range agg {
@@ -122,28 +130,34 @@ func TypeCensus(s *snapshot.Snapshot) []TypeSlice {
 		}
 		return out[i].Category.Minor < out[j].Category.Minor
 	})
-	return out
+	return out, nil
 }
 
 // ImageShareOfTail returns the byte share of executables/libraries/fonts
-// among the largest `topN` files — the §5 size-tail domination check.
-func ImageShareOfTail(s *snapshot.Snapshot, topN int) float64 {
+// among the largest `topN` files — the §5 size-tail domination check. It
+// collects the files in one pass in walk order and sorts them with
+// sort.Slice, so equal sizes at the cut fall as they always have. A
+// record error fails it.
+func ImageShareOfTail(s *snapshot.Snapshot, topN int) (float64, error) {
 	type f struct {
 		size int64
 		ext  string
 	}
 	var files []f
-	for _, r := range s.Records {
+	err := s.Each(func(r *snapshot.WalkRecord) {
 		if !r.IsDir {
 			files = append(files, f{r.Size, r.Ext()})
 		}
+	})
+	if err != nil {
+		return 0, err
 	}
 	sort.Slice(files, func(i, j int) bool { return files[i].size > files[j].size })
 	if topN > len(files) {
 		topN = len(files)
 	}
 	if topN == 0 {
-		return 0
+		return 0, nil
 	}
 	var imgBytes, total int64
 	for _, x := range files[:topN] {
@@ -154,9 +168,9 @@ func ImageShareOfTail(s *snapshot.Snapshot, topN int) float64 {
 		}
 	}
 	if total == 0 {
-		return 0
+		return 0, nil
 	}
-	return float64(imgBytes) / float64(total)
+	return float64(imgBytes) / float64(total), nil
 }
 
 // ChangeAttribution summarises a day-over-day diff the §5 way.
@@ -171,10 +185,17 @@ type ChangeAttribution struct {
 }
 
 // AttributeChanges computes the §5 change shares between two snapshots of
-// the same volume.
-func AttributeChanges(oldSnap, newSnap *snapshot.Snapshot) ChangeAttribution {
-	newEntries := newSnap.Entries()
-	d := snapshot.CompareEntries(oldSnap.Entries(), newEntries)
+// the same volume. A record error in either fails it.
+func AttributeChanges(oldSnap, newSnap *snapshot.Snapshot) (ChangeAttribution, error) {
+	oldEntries, err := oldSnap.Entries()
+	if err != nil {
+		return ChangeAttribution{}, err
+	}
+	newEntries, err := newSnap.Entries()
+	if err != nil {
+		return ChangeAttribution{}, err
+	}
+	d := snapshot.CompareEntries(oldEntries, newEntries)
 	ca := ChangeAttribution{
 		Added:   len(d.Added),
 		Changed: len(d.Changed),
@@ -188,5 +209,5 @@ func AttributeChanges(oldSnap, newSnap *snapshot.Snapshot) ChangeAttribution {
 			break
 		}
 	}
-	return ca
+	return ca, nil
 }

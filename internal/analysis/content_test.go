@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"bytes"
 	"math"
 	"slices"
 	"testing"
@@ -25,9 +26,19 @@ func genSnapshot(t *testing.T) *snapshot.Snapshot {
 	return snapshot.Take("m1", `C:`, fs, sim.Time(60*sim.Day))
 }
 
+// census is Census for a snapshot whose records are valid.
+func census(t *testing.T, s *snapshot.Snapshot) ContentCensus {
+	t.Helper()
+	c, err := Census(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
 func TestCensusBasics(t *testing.T) {
 	s := genSnapshot(t)
-	c := Census(s)
+	c := census(t, s)
 	if c.Files < 5000 {
 		t.Fatalf("census files = %d", c.Files)
 	}
@@ -48,7 +59,10 @@ func TestCensusBasics(t *testing.T) {
 
 func TestTypeCensusOrdering(t *testing.T) {
 	s := genSnapshot(t)
-	slices := TypeCensus(s)
+	slices, err := TypeCensus(s)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(slices) < 4 {
 		t.Fatalf("type slices = %d", len(slices))
 	}
@@ -67,12 +81,12 @@ func TestTypeCensusOrdering(t *testing.T) {
 
 func TestImageShareOfTail(t *testing.T) {
 	s := genSnapshot(t)
-	share := ImageShareOfTail(s, len(s.Files())/100+1)
-	if share < 0.5 {
-		t.Errorf("image share of top-1%% sizes = %.2f, want dominant (>0.5)", share)
+	share, err := ImageShareOfTail(s, census(t, s).Files/100+1)
+	if err != nil || share < 0.5 {
+		t.Errorf("image share of top-1%% sizes = %.2f (err %v), want dominant (>0.5)", share, err)
 	}
-	if got := ImageShareOfTail(&snapshot.Snapshot{}, 10); got != 0 {
-		t.Errorf("empty snapshot share = %v", got)
+	if got, err := ImageShareOfTail(&snapshot.Snapshot{}, 10); got != 0 || err != nil {
+		t.Errorf("empty snapshot share = %v (err %v)", got, err)
 	}
 }
 
@@ -89,7 +103,10 @@ func TestAttributeChanges(t *testing.T) {
 	}
 	fs.CreateFile(lay.DocsDir+`\edited.doc`, 9000, types.AttrNormal, sim.Time(sim.Hour))
 	day1 := snapshot.Take("m", `C:`, fs, sim.Time(24*sim.Hour))
-	ca := AttributeChanges(day0, day1)
+	ca, err := AttributeChanges(day0, day1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if ca.Added != 51 {
 		t.Errorf("added = %d", ca.Added)
 	}
@@ -117,14 +134,24 @@ func itoa(i int) string {
 	return string(b[n:])
 }
 
+// walk streams every record of s into a slice.
+func walk(t *testing.T, s *snapshot.Snapshot) []snapshot.WalkRecord {
+	t.Helper()
+	var out []snapshot.WalkRecord
+	if err := s.Each(func(r *snapshot.WalkRecord) { out = append(out, *r) }); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 // sortCensus is Census as written before selection: stats.Summarize for
 // the sizes and directory means, and a full-sort Hill estimate.
-func sortCensus(s *snapshot.Snapshot) ContentCensus {
+func sortCensus(t *testing.T, s *snapshot.Snapshot) ContentCensus {
 	c := ContentCensus{Machine: s.Machine}
 	var sizes []float64
 	var dirFiles, dirSubs []float64
 	inconsistent, timed := 0, 0
-	for _, r := range s.Records {
+	for _, r := range walk(t, s) {
 		if r.Depth > c.MaxDepth {
 			c.MaxDepth = r.Depth
 		}
@@ -185,7 +212,7 @@ func sortHill(xs []float64, k int) float64 {
 
 // TestCensusMatchesSortCensus pins the selecting Census to the sorting
 // one on generated volumes of every machine category, NTFS and FAT, and
-// on small and empty snapshots.
+// on small and empty snapshots, each taken and decoded from its encoding.
 func TestCensusMatchesSortCensus(t *testing.T) {
 	var snaps []*snapshot.Snapshot
 	cats := []machine.Category{machine.WalkUp, machine.Pool, machine.Personal, machine.Administrative, machine.Scientific}
@@ -198,12 +225,23 @@ func TestCensusMatchesSortCensus(t *testing.T) {
 			snaps = append(snaps, snapshot.Take(cat.String(), `C:`, fs, sim.Time(30*sim.Day)))
 		}
 	}
-	small := *snaps[0]
-	small.Records = small.Records[:90]
-	snaps = append(snaps, &small, &snapshot.Snapshot{Machine: "empty"})
+	small := snapshot.New(snaps[0].Machine, snaps[0].Volume, snaps[0].TakenAt, walk(t, snaps[0])[:90])
+	snaps = append(snaps, small, &snapshot.Snapshot{Machine: "empty"})
 	for _, s := range snaps {
-		if got, want := Census(s), sortCensus(s); got != want {
-			t.Errorf("%s (%d records): Census %+v, sort-based %+v", s.Machine, len(s.Records), got, want)
+		want := sortCensus(t, s)
+		if got := census(t, s); got != want {
+			t.Errorf("%s (%d records): Census %+v, sort-based %+v", s.Machine, s.Len(), got, want)
+		}
+		var enc bytes.Buffer
+		if err := s.Write(&enc); err != nil {
+			t.Fatal(err)
+		}
+		loaded, err := snapshot.Decode(enc.Bytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := census(t, loaded); got != want {
+			t.Errorf("%s decoded (%d records): Census %+v, sort-based %+v", s.Machine, s.Len(), got, want)
 		}
 	}
 }

@@ -175,7 +175,9 @@ func TestColstoreLoadPrefersSegments(t *testing.T) {
 // TestColstoreCheckpointResume pins resume through the one saved layout:
 // a study restored from checkpoints (each holding a machine's stream and
 // snapshots) saves a directory byte-identical to the uninterrupted
-// run's: segments, snapshots and both manifests.
+// run's: segments, snapshots (a restored one writes the bytes it was
+// read from) and both manifests; and its restored snapshots render §5
+// as the taken ones do.
 func TestColstoreCheckpointResume(t *testing.T) {
 	ckpt := t.TempDir()
 	cfg := colstoreConfig(2)
@@ -224,6 +226,12 @@ func TestColstoreCheckpointResume(t *testing.T) {
 	}
 	if segFiles == 0 {
 		t.Fatal("study saved no segments")
+	}
+	r := &report.Results{}
+	taken, errTaken := r.RenderSection5(one.Snapshots)
+	restoredS5, errRestored := r.RenderSection5(two.Snapshots)
+	if errTaken != nil || errRestored != nil || restoredS5 != taken {
+		t.Errorf("§5 from restored snapshots (err %v) differs from the taken ones' (err %v):\n%s\nvs\n%s", errRestored, errTaken, restoredS5, taken)
 	}
 }
 

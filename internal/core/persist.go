@@ -93,7 +93,8 @@ func safe(s string) string { return collect.SafeName(s) }
 
 // Corpus is a loaded study directory with every layer kept accessible:
 // the analysis DataSet (what the report pipeline consumes), the columnar
-// segments (what the pushdown scan engine serves) and the snapshots. The
+// segments (what the pushdown scan engine serves) and the snapshots, each
+// held as its checked file bytes until a render streams its records. The
 // query service holds one of these for its whole lifetime.
 type Corpus struct {
 	DS    *analysis.DataSet
@@ -118,9 +119,12 @@ type Corpus struct {
 // (nil tr loads identically and traces nothing).
 //
 // The load runs in two phases, each spread over GOMAXPROCS workers:
-// first every machine's trace, then every snapshot. Results land in
-// slot-indexed entries, so the machines, the snapshots and the error
-// returned come out in the order a serial load gives.
+// first every machine's trace, then every snapshot. A snapshot's load
+// checks its CRC and reads its header only (snapshot.ReadFile); its
+// records are parsed, and checked, by the analyses that read them, so a
+// record error fails the render that reaches it, naming the file.
+// Results land in slot-indexed entries, so the machines, the snapshots
+// and the error returned come out in the order a serial load gives.
 func LoadCorpusTrace(dir string, reg *obs.Registry, tr *trace.Tracer) (*Corpus, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -181,25 +185,12 @@ func LoadCorpusTrace(dir string, reg *obs.Registry, tr *trace.Tracer) (*Corpus, 
 	snaps := make([]*snapshot.Snapshot, len(files))
 	errs = make([]error, len(files))
 	par.For(workers, len(files), func(i int) {
-		snaps[i], errs[i] = readSnapshot(dir, files[i])
+		snaps[i], errs[i] = snapshot.ReadFile(filepath.Join(dir, files[i]))
 	})
 	if err := firstError(errs); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("core: %w", err)
 	}
 	return &Corpus{DS: &analysis.DataSet{Machines: mts}, Snaps: snaps, Segments: segs}, nil
-}
-
-// readSnapshot decodes one snapshot file of a corpus directory.
-func readSnapshot(dir, name string) (*snapshot.Snapshot, error) {
-	data, err := os.ReadFile(filepath.Join(dir, name))
-	if err != nil {
-		return nil, err
-	}
-	snap, err := snapshot.Decode(data)
-	if err != nil {
-		return nil, fmt.Errorf("core: %s: %w", name, err)
-	}
-	return snap, nil
 }
 
 // firstError returns the first non-nil error in slot order.

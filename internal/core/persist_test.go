@@ -66,7 +66,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		t.Fatalf("snapshots: saved %d, loaded %d", len(files), len(snaps))
 	}
 	for i, name := range files {
-		if !reflect.DeepEqual(snaps[i], byFile[name]) {
+		if !reflect.DeepEqual(viewSnap(t, snaps[i]), viewSnap(t, byFile[name])) {
 			t.Errorf("snapshot %d (%s) differs after Save/Load", i, name)
 		}
 	}
@@ -110,8 +110,8 @@ func TestSnapshotCodecsEquivalent(t *testing.T) {
 		if err != nil {
 			t.Fatalf("snapshot %d: %v", i, err)
 		}
-		if !reflect.DeepEqual(got, sn) {
-			t.Errorf("snapshot %d (%s %s, %d records): decode differs", i, sn.Machine, sn.Volume, len(sn.Records))
+		if !reflect.DeepEqual(viewSnap(t, got), viewSnap(t, sn)) {
+			t.Errorf("snapshot %d (%s %s, %d records): decode differs", i, sn.Machine, sn.Volume, sn.Len())
 		}
 	}
 }

@@ -191,8 +191,8 @@ func TestStudySnapshots(t *testing.T) {
 		t.Errorf("snapshots = %d, want >= 6", len(s.Snapshots))
 	}
 	for _, snap := range s.Snapshots {
-		if len(snap.Records) < 1000 {
-			t.Errorf("snapshot of %s has %d records", snap.Machine, len(snap.Records))
+		if snap.Len() < 1000 {
+			t.Errorf("snapshot of %s has %d records", snap.Machine, snap.Len())
 		}
 	}
 }

@@ -96,7 +96,7 @@ func TestTraceDeterminism(t *testing.T) {
 	}
 	var snapRecords, spanRecords int64
 	for _, snap := range traced.Snapshots {
-		snapRecords += int64(len(snap.Records))
+		snapRecords += int64(snap.Len())
 	}
 	for _, n := range walkRecords {
 		spanRecords += n

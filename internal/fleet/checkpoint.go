@@ -27,7 +27,8 @@ import (
 //	| per snapshot: u64 len + binary snapshot (snapshot.Write)
 //
 // The file ends after the last snapshot; any byte after it makes the
-// checkpoint malformed. (Checkpoints from before segments became the
+// checkpoint malformed, as does a snapshot whose CRC, header or any
+// record fails its checks. (Checkpoints from before segments became the
 // only saved layout could carry a columnar segment there; they re-run
 // their machine, which collects the same stream.)
 //
@@ -174,7 +175,13 @@ func parseCheckpoint(data []byte, fingerprint string) (*checkpoint, error) {
 		if _, err := io.ReadFull(r, raw); err != nil {
 			return nil, err
 		}
+		// A restored snapshot is saved as these bytes and read by §5
+		// later, so every record is checked now: a bad one makes the
+		// checkpoint malformed and its machine re-runs.
 		snap, err := snapshot.Decode(raw)
+		if err == nil {
+			err = snap.Each(func(*snapshot.WalkRecord) {})
+		}
 		if err != nil {
 			return nil, fmt.Errorf("snapshot %d: %w", i, err)
 		}

@@ -1,10 +1,12 @@
 package fleet
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -138,9 +140,10 @@ func TestRestoreRejectsFingerprintMismatch(t *testing.T) {
 }
 
 // TestRestoreRejectsCorruptCheckpoint pins that a malformed checkpoint
-// is not restored, so its machine re-runs: a truncated file, and one
-// with a section after the snapshots, which checkpoints carried while
-// they could hold a columnar segment.
+// is not restored, so its machine re-runs: a truncated file, one with a
+// section after the snapshots, which checkpoints carried while they
+// could hold a columnar segment, and one whose snapshot passes its CRC
+// and header checks but holds a bad record.
 func TestRestoreRejectsCorruptCheckpoint(t *testing.T) {
 	dir := t.TempDir()
 	want := runFleet(t, 1, 1, dir)
@@ -152,8 +155,9 @@ func TestRestoreRejectsCorruptCheckpoint(t *testing.T) {
 	trailing := binary.LittleEndian.AppendUint64(slices.Clone(data), 4)
 	trailing = append(trailing, "FSC1"...)
 	for name, bad := range map[string][]byte{
-		"truncated":        data[:len(data)/2],
-		"trailing section": trailing,
+		"truncated":           data[:len(data)/2],
+		"trailing section":    trailing,
+		"bad snapshot record": withSnapshot(t, data, badRecordSnapshot(t)),
 	} {
 		if err := os.WriteFile(path, bad, 0o644); err != nil {
 			t.Fatal(err)
@@ -176,10 +180,48 @@ func TestRestoreRejectsCorruptCheckpoint(t *testing.T) {
 	}
 }
 
+// withSnapshot returns the checkpoint ckpt with its snapshots replaced
+// by the one encoded snapshot snap.
+func withSnapshot(t testing.TB, ckpt, snap []byte) []byte {
+	t.Helper()
+	le := binary.LittleEndian
+	off := len(ckptMagic) + 4 + int(le.Uint32(ckpt[len(ckptMagic):]))
+	off += 8 + int(le.Uint64(ckpt[off:]))
+	out := le.AppendUint32(slices.Clone(ckpt[:off]), 1)
+	return append(le.AppendUint64(out, uint64(len(snap))), snap...)
+}
+
+// badRecordSnapshot encodes a two-record walk, then sets an unknown flag
+// bit on its last record and seals the CRC again: the file passes
+// snapshot.Decode, and its records fail.
+func badRecordSnapshot(t testing.TB) []byte {
+	t.Helper()
+	var b bytes.Buffer
+	walk := []snapshot.WalkRecord{{IsDir: true, NumFiles: 1}, {Name: "x", Depth: 1}}
+	if err := snapshot.New("m00", `C:`, 0, walk).Write(&b); err != nil {
+		t.Fatal(err)
+	}
+	bad := b.Bytes()
+	// The file record is depth, flags, size, three times, name length
+	// and "x", one byte each, just before the CRC.
+	bad[len(bad)-4-7] = 2
+	binary.LittleEndian.PutUint32(bad[len(bad)-4:], crc32.ChecksumIEEE(bad[:len(bad)-4]))
+	s, err := snapshot.Decode(bad)
+	if err != nil {
+		t.Fatalf("the bad-record snapshot fails its header checks: %v", err)
+	}
+	if err := s.Each(func(*snapshot.WalkRecord) {}); !errors.Is(err, snapshot.ErrCorrupt) {
+		t.Fatalf("the bad-record snapshot streams with err = %v, want ErrCorrupt", err)
+	}
+	return bad
+}
+
 // FuzzLoadCheckpoint feeds the checkpoint parser arbitrary bytes, seeded
 // with a real checkpoint, the same checkpoint with a trailing section, a
-// header that claims 256 MiB, and 5,000 two-byte snapshot sections
-// holding "{}", the legacy JSON form that snapshot.Decode refuses.
+// header that claims 256 MiB, 5,000 two-byte snapshot sections holding
+// "{}", the legacy JSON form that snapshot.Decode refuses, and the real
+// checkpoint with a snapshot whose one bad record only a pass over the
+// records finds.
 // Every input must be rejected or parsed, never panic, and never make
 // the parser allocate far beyond the input's own size.
 func FuzzLoadCheckpoint(f *testing.F) {
@@ -198,6 +240,7 @@ func FuzzLoadCheckpoint(f *testing.F) {
 		tiny = append(binary.LittleEndian.AppendUint64(tiny, 2), "{}"...)
 	}
 	f.Add(tiny)
+	f.Add(withSnapshot(f, ckpt, badRecordSnapshot(f)))
 	f.Fuzz(func(t *testing.T, in []byte) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -205,7 +248,7 @@ func FuzzLoadCheckpoint(f *testing.F) {
 		runtime.ReadMemStats(&after)
 		// Each part of the input is bounded on its own, and no input
 		// byte belongs to two: a snapshot section is copied once and
-		// decodes at up to 16 bytes per byte (FuzzSnapshotRead's
+		// its records stream within 16 bytes per byte (FuzzSnapshotRead's
 		// bound), the stream is copied once, and the header's copy and
 		// JSON decode stay under 10 bytes per byte (a proc_names map of
 		// short keys comes to about 8). So 18 bytes per input byte bound

@@ -3,6 +3,7 @@ package query
 import (
 	"crypto/sha256"
 	"fmt"
+	"math"
 	"net/url"
 	"sort"
 	"strconv"
@@ -158,7 +159,9 @@ func parseScanQuery(c *Corpus, vals url.Values) (*scanQuery, error) {
 		}
 		if s := vals.Get(hours); s != "" {
 			h, err := strconv.ParseFloat(s, 64)
-			if err != nil || h < 0 {
+			// The bound must come to ticks an int64 holds: NaN, +Inf or
+			// 1e300 hours would convert to a negative one.
+			if err != nil || !(h >= 0 && h*3600*float64(sim.Second) < math.MaxInt64) {
 				return 0, fmt.Errorf("bad %s %q", hours, s)
 			}
 			return sim.Time(sim.FromSeconds(h * 3600)), nil

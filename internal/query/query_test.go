@@ -14,6 +14,8 @@ import (
 	"net/url"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -24,7 +26,9 @@ import (
 	"repro/internal/core"
 	"repro/internal/ntos/types"
 	"repro/internal/obs"
+	"repro/internal/report"
 	"repro/internal/sim"
+	"repro/internal/snapshot"
 	"repro/internal/tracefmt"
 )
 
@@ -191,6 +195,99 @@ func TestQueryDeterministic(t *testing.T) {
 				t.Fatalf("%s: body differs between worker counts 1 and %d", p, workers)
 			}
 		}
+	}
+}
+
+// corruptSnapshotRecord rewrites the snapshot file at path with an
+// unknown flag bit on its first record, the root directory, and its CRC
+// sealed again: the file passes the load's CRC and header checks, and
+// its records fail.
+func corruptSnapshotRecord(t *testing.T, path string) {
+	t.Helper()
+	s, err := snapshot.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nameBytes := 0
+	if err := s.Each(func(r *snapshot.WalkRecord) { nameBytes += len(r.Name) }); err != nil {
+		t.Fatal(err)
+	}
+	head := []byte("FSSNAP01")
+	for _, str := range []string{s.Machine, s.Volume} {
+		head = append(binary.AppendUvarint(head, uint64(len(str))), str...)
+	}
+	head = binary.AppendVarint(head, int64(s.TakenAt))
+	head = binary.AppendUvarint(head, uint64(s.Len()))
+	head = binary.AppendUvarint(head, uint64(nameBytes))
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The root record opens with depth 0 and the directory flag.
+	if data[len(head)] != 0 || data[len(head)+1] != 1 {
+		t.Fatalf("%s: no root record after the header", path)
+	}
+	data[len(head)+1] = 2
+	binary.LittleEndian.PutUint32(data[len(data)-4:], crc32.ChecksumIEEE(data[:len(data)-4]))
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestBadSnapshotRecordFailsSection5 gives the snapshot that §5's first
+// census line reads a bad record under a valid CRC. The corpus loads, as
+// the load checks each snapshot's CRC and header only. §5 then fails on
+// fsreport's path (load, compute, RenderSection5) at GOMAXPROCS 1 and 4
+// with an error naming the file; /v1/report?artifact=section5 answers
+// 500 naming it, caches nothing, so a second request renders again and
+// fails the same way, and the other artifacts are still served.
+func TestBadSnapshotRecordFailsSection5(t *testing.T) {
+	s := core.NewStudy(core.Config{
+		Seed: 13, Machines: 3, Duration: 5 * sim.Minute,
+		WithNetwork: true, SnapshotAtStart: true,
+	})
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := s.Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	files, err := filepath.Glob(filepath.Join(dir, "*.snap"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("saved %d snapshots (%v)", len(files), err)
+	}
+	bad := filepath.Base(files[0]) // the first machine's first walk
+	corruptSnapshotRecord(t, files[0])
+
+	c, err := core.LoadCorpusTrace(dir, nil, nil)
+	if err != nil {
+		t.Fatalf("a corpus whose snapshot has a bad record under a valid CRC fails the load: %v", err)
+	}
+	res := report.ComputeWorkers(c.DS, 2)
+	for _, procs := range []int{1, 4} {
+		prev := runtime.GOMAXPROCS(procs)
+		_, err := res.RenderSection5(c.Snaps)
+		runtime.GOMAXPROCS(prev)
+		if !errors.Is(err, snapshot.ErrCorrupt) || !strings.Contains(err.Error(), bad) {
+			t.Errorf("GOMAXPROCS=%d: RenderSection5 err = %v, want ErrCorrupt naming %s", procs, err, bad)
+		}
+	}
+
+	svc, _ := newTestService(t, dir, Config{})
+	h := svc.Handler()
+	const path = "/v1/report?artifact=section5"
+	for i := 0; i < 2; i++ {
+		code, _, body := get(t, h, path)
+		if code != http.StatusInternalServerError || !bytes.Contains(body, []byte(bad)) {
+			t.Errorf("request %d: status %d, body %s; want 500 naming %s", i+1, code, body, bad)
+		}
+		if _, ok := svc.cache.Get(keyFor(svc.corpus.SHA, "report|artifact=section5")); ok {
+			t.Errorf("request %d: the failed render was cached", i+1)
+		}
+	}
+	if code, _, body := get(t, h, "/v1/report?artifact=table2"); code != http.StatusOK {
+		t.Errorf("table2 after the failed §5: status %d: %s", code, body)
 	}
 }
 
@@ -401,6 +498,65 @@ func TestCanonicalization(t *testing.T) {
 	if a.canonical() == b.canonical() {
 		t.Error("different queries share a canonical form")
 	}
+}
+
+// canonicalValues spells a resolved scan query as the request parameters
+// of its canonical form: explicit machines, column names, kind numbers,
+// the limit and both bounds in ticks.
+func canonicalValues(q *scanQuery) url.Values {
+	kinds := make([]string, len(q.pred.Kinds))
+	for i, k := range q.pred.Kinds {
+		kinds[i] = strconv.Itoa(int(k))
+	}
+	return url.Values{
+		"machine": {strings.Join(q.machines, ",")},
+		"cols":    {strings.Join(columnNames(q.cols), ",")},
+		"kinds":   {strings.Join(kinds, ",")},
+		"limit":   {strconv.Itoa(q.limit)},
+		"min":     {strconv.FormatInt(int64(q.pred.MinStart), 10)},
+		"max":     {strconv.FormatInt(int64(q.pred.MaxStart), 10)},
+	}
+}
+
+// FuzzScanQueryCanonical feeds parseScanQuery arbitrary query strings
+// over a corpus of three machines. Every accepted query must re-parse
+// from its canonical form to the same canonical string and cache key,
+// so equivalent spellings can share one cache entry and a cached query
+// names itself.
+func FuzzScanQueryCanonical(f *testing.F) {
+	c := &Corpus{machines: []string{"m1", "m2", "walk-up-01"}}
+	for _, seed := range []string{
+		"",
+		"kinds=Read,Write&cols=kind,start&min_h=0.5&max_h=1.5&limit=8",
+		"machine=m2,m1,m2&kinds=read,1,read&cols=start,kind,start",
+		"min=100&max=50",
+		"min_h=1e300",
+		"max_h=NaN",
+		"cols=annot,flags,status&limit=0&machine=walk-up-01",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, raw string) {
+		vals, err := url.ParseQuery(raw)
+		if err != nil {
+			return
+		}
+		q, err := parseScanQuery(c, vals)
+		if err != nil {
+			return
+		}
+		canon := q.canonical()
+		again, err := parseScanQuery(c, canonicalValues(q))
+		if err != nil {
+			t.Fatalf("%q canonicalizes to %q, whose parameters %v fail: %v", raw, canon, canonicalValues(q), err)
+		}
+		if got := again.canonical(); got != canon {
+			t.Fatalf("%q canonicalizes to %q, which re-parses to %q", raw, canon, got)
+		}
+		if keyFor(c.SHA, again.canonical()) != keyFor(c.SHA, canon) {
+			t.Fatalf("%q: canonical form re-parses to another cache key", raw)
+		}
+	})
 }
 
 func parseVals(t *testing.T, query string) url.Values {

@@ -78,6 +78,7 @@ type Service struct {
 	resOnce sync.Once // report.Results is computed at most once per process
 	res     *report.Results
 	resErr  error
+	reports map[string]func(*report.Results) (string, error) // artifacts()
 
 	requests     map[string]*obs.Counter   // per endpoint
 	latency      map[string]*obs.Histogram // per endpoint, wall microseconds
@@ -108,6 +109,7 @@ func NewService(c *Corpus, cfg Config) *Service {
 		latency:   map[string]*obs.Histogram{},
 		startedAt: time.Now(),
 	}
+	s.reports = s.artifacts()
 	reg := cfg.Obs
 	s.tracer = cfg.Tracer
 	for _, ep := range endpoints {
@@ -575,9 +577,11 @@ func (s *Service) results() (*report.Results, error) {
 	return s.res, s.resErr
 }
 
-// artifacts is the /v1/report registry: name → renderer.
-func (s *Service) artifacts() map[string]func(*report.Results) string {
-	return map[string]func(*report.Results) string{
+// artifacts is the /v1/report registry: name → renderer. Section 5 is
+// the one renderer that can fail: it reads snapshot records, which the
+// corpus load checks only as far as each file's CRC and header.
+func (s *Service) artifacts() map[string]func(*report.Results) (string, error) {
+	text := map[string]func(*report.Results) string{
 		"table1":   (*report.Results).Table1,
 		"table2":   (*report.Results).Table2,
 		"table3":   (*report.Results).Table3,
@@ -595,7 +599,6 @@ func (s *Service) artifacts() map[string]func(*report.Results) string {
 		"figure12": (*report.Results).Figure12,
 		"figure13": (*report.Results).Figure13,
 		"figure14": (*report.Results).Figure14,
-		"section5": func(r *report.Results) string { return r.Section5(s.corpus.Parts().Snaps) },
 		"section6": (*report.Results).Section6Lifetimes,
 		"section7": (*report.Results).Section7SelfSim,
 		"section8": (*report.Results).Section8,
@@ -608,6 +611,12 @@ func (s *Service) artifacts() map[string]func(*report.Results) string {
 		"followups":  (*report.Results).FollowUps,
 		"cachesweep": func(r *report.Results) string { return r.CacheSweep([]float64{1, 4, 16, 64}) },
 	}
+	reg := make(map[string]func(*report.Results) (string, error), len(text)+1)
+	for name, render := range text {
+		reg[name] = func(r *report.Results) (string, error) { return render(r), nil }
+	}
+	reg["section5"] = func(r *report.Results) (string, error) { return r.RenderSection5(s.corpus.Parts().Snaps) }
+	return reg
 }
 
 // reportBody is the /v1/report response.
@@ -619,7 +628,7 @@ type reportBody struct {
 }
 
 func (s *Service) handleReport(ctx context.Context, w http.ResponseWriter, r *http.Request, sp *trace.Span) {
-	reg := s.artifacts()
+	reg := s.reports
 	name := strings.ToLower(strings.TrimSpace(r.URL.Query().Get("artifact")))
 	if name == "" {
 		// The artifact index never depends on the corpus content, but
@@ -666,7 +675,13 @@ func (s *Service) handleReport(ctx context.Context, w http.ResponseWriter, r *ht
 		writeError(w, http.StatusGatewayTimeout, "report exceeded the request deadline")
 		return
 	}
-	body, err := json.Marshal(reportBody{Corpus: s.corpus.SHAHex(), Artifact: name, Text: render(res)})
+	text, err := render(res)
+	if err != nil {
+		// Nothing is cached, so the next request renders again.
+		writeError(w, http.StatusInternalServerError, err.Error())
+		return
+	}
+	body, err := json.Marshal(reportBody{Corpus: s.corpus.SHAHex(), Artifact: name, Text: text})
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, err.Error())
 		return

@@ -14,19 +14,36 @@ import (
 
 // Section5 renders the file-system content analysis from snapshots: the
 // census, the type decomposition, and — given at least two snapshots of
-// one volume — the day-over-day change attribution.
-//
-// The census of each machine's first snapshot, the type decomposition of
-// the largest snapshot and the change attribution are independent, so
-// they run as slots of one par.For at GOMAXPROCS workers (the two single
-// analyses first, as they are the largest); the lines are then written
-// in order.
+// one volume — the day-over-day change attribution. A snapshot record
+// that fails its checks renders as an error line under the heading;
+// RenderSection5 returns that error instead, for callers that must fail
+// on it.
 func (r *Results) Section5(snaps []*snapshot.Snapshot) string {
+	text, err := r.RenderSection5(snaps)
+	if err != nil {
+		return section5Heading + fmt.Sprintf("  (error: %v)\n", err)
+	}
+	return text
+}
+
+const section5Heading = "Section 5. File system content\n"
+
+// RenderSection5 is Section5 that fails with the first record error, in
+// the slot order below, of the snapshots it reads.
+//
+// It picks from the snapshots' headers alone what to read: each
+// machine's first snapshot (the census), the largest snapshot by record
+// count (the type decomposition and the top-1% image share) and the
+// change-attribution pair. Only those snapshots' records are read, in
+// independent analyses that run as slots of one par.For at GOMAXPROCS
+// workers (the two single analyses first, as they are the largest); the
+// lines are then written in order.
+func (r *Results) RenderSection5(snaps []*snapshot.Snapshot) (string, error) {
 	var b strings.Builder
-	b.WriteString("Section 5. File system content\n")
+	b.WriteString(section5Heading)
 	if len(snaps) == 0 {
 		b.WriteString("  (no snapshots collected)\n")
-		return b.String()
+		return b.String(), nil
 	}
 	// The first snapshot per machine, and the largest snapshot.
 	var firsts []*snapshot.Snapshot
@@ -37,7 +54,7 @@ func (r *Results) Section5(snaps []*snapshot.Snapshot) string {
 			seen[s.Machine] = true
 			firsts = append(firsts, s)
 		}
-		if biggest == nil || len(s.Records) > len(biggest.Records) {
+		if biggest == nil || s.Len() > biggest.Len() {
 			biggest = s
 		}
 	}
@@ -62,26 +79,34 @@ func (r *Results) Section5(snaps []*snapshot.Snapshot) string {
 
 	census := make([]analysis.ContentCensus, len(firsts))
 	var types []analysis.TypeSlice
-	var files int
 	var imageShare float64
 	var ca analysis.ChangeAttribution
+	errs := make([]error, 2+len(firsts))
 	par.For(runtime.GOMAXPROCS(0), 2+len(firsts), func(i int) {
 		switch i {
 		case 0:
-			types = analysis.TypeCensus(biggest)
+			if types, errs[0] = analysis.TypeCensus(biggest); errs[0] != nil {
+				return
+			}
+			files := 0
 			for _, t := range types {
 				files += t.Files
 			}
-			imageShare = analysis.ImageShareOfTail(biggest, files/100+1)
+			imageShare, errs[0] = analysis.ImageShareOfTail(biggest, files/100+1)
 		case 1:
 			if exemplar != "" {
 				vs := byVol[exemplar]
-				ca = analysis.AttributeChanges(vs[0], vs[len(vs)-1])
+				ca, errs[1] = analysis.AttributeChanges(vs[0], vs[len(vs)-1])
 			}
 		default:
-			census[i-2] = analysis.Census(firsts[i-2])
+			census[i-2], errs[i] = analysis.Census(firsts[i-2])
 		}
 	})
+	for _, err := range errs {
+		if err != nil {
+			return "", fmt.Errorf("report: section 5: %w", err)
+		}
+	}
 
 	for _, c := range census {
 		fmt.Fprintf(&b, "  %-16s %6d files %5d dirs %6d MB  size p50=%.0fB p90=%.0fB α=%.2f  time-inconsistent %.1f%%\n",
@@ -98,7 +123,7 @@ func (r *Results) Section5(snaps []*snapshot.Snapshot) string {
 		fmt.Fprintf(&b, "  %s: +%d ~%d -%d files; profile share %.0f%% (paper: 94%%), WWW cache %.0f%% (paper: ≤93%%)\n",
 			exemplar, ca.Added, ca.Changed, ca.Removed, 100*ca.ProfileShare, 100*ca.WebCacheShare)
 	}
-	return b.String()
+	return b.String(), nil
 }
 
 // Section7SelfSim renders the self-similarity diagnostics (§7 conclusion

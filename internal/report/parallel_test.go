@@ -3,6 +3,7 @@ package report_test
 import (
 	"fmt"
 	"runtime"
+	"sort"
 	"strings"
 	"testing"
 
@@ -54,6 +55,58 @@ func TestFanOutRendersMatchSerial(t *testing.T) {
 	}
 }
 
+// TestLoadedSection5MatchesTaken renders §5 from a saved study's
+// snapshots loaded back, whose records are parsed from their file bytes
+// as each slot reads them, and from the study's own taken snapshots in
+// the order the load gives (file-name order): at GOMAXPROCS 1 and 4 the
+// bytes must be identical.
+func TestLoadedSection5MatchesTaken(t *testing.T) {
+	s := core.NewStudy(core.Config{
+		Seed: 31, Machines: 5, Duration: 5 * sim.Minute,
+		WithNetwork: true, SnapshotAtStart: true, Workers: 2,
+	})
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := s.Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	c, err := core.LoadCorpusTrace(dir, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Study.Save names snapshot i of machine m "<m>-<i>.snap".
+	byFile := map[string]*snapshot.Snapshot{}
+	var files []string
+	for i, sn := range s.Snapshots {
+		name := fmt.Sprintf("%s-%03d.snap", sn.Machine, i)
+		byFile[name] = sn
+		files = append(files, name)
+	}
+	sort.Strings(files)
+	var ordered []*snapshot.Snapshot
+	for _, name := range files {
+		ordered = append(ordered, byFile[name])
+	}
+	r := &report.Results{}
+	for _, procs := range []int{1, 4} {
+		prev := runtime.GOMAXPROCS(procs)
+		taken, errTaken := r.RenderSection5(ordered)
+		loaded, errLoaded := r.RenderSection5(c.Snaps)
+		runtime.GOMAXPROCS(prev)
+		if errTaken != nil || errLoaded != nil {
+			t.Fatalf("GOMAXPROCS=%d: taken err %v, loaded err %v", procs, errTaken, errLoaded)
+		}
+		if !strings.Contains(taken, "profile share") || strings.Count(taken, " files ") < 5 {
+			t.Fatalf("GOMAXPROCS=%d: §5 lacks a census line per machine or the change attribution:\n%s", procs, taken)
+		}
+		if loaded != taken {
+			t.Errorf("GOMAXPROCS=%d: §5 from the loaded corpus differs from the taken snapshots':\n%s\nvs\n%s", procs, loaded, taken)
+		}
+	}
+}
+
 // TestSection5EdgeCases checks the two shapes with a missing slot: no
 // snapshots at all, and snapshots with no volume walked twice.
 func TestSection5EdgeCases(t *testing.T) {
@@ -62,12 +115,11 @@ func TestSection5EdgeCases(t *testing.T) {
 		t.Errorf("empty snapshot set rendered:\n%s", got)
 	}
 	snap := func(machine, vol string, files int) *snapshot.Snapshot {
-		s := &snapshot.Snapshot{Machine: machine, Volume: vol,
-			Records: []snapshot.WalkRecord{{IsDir: true, NumFiles: files}}}
+		recs := []snapshot.WalkRecord{{IsDir: true, NumFiles: files}}
 		for i := 0; i < files; i++ {
-			s.Records = append(s.Records, snapshot.WalkRecord{Name: fmt.Sprintf("f%d.exe", i), Depth: 1, Size: int64(100 * (i + 1))})
+			recs = append(recs, snapshot.WalkRecord{Name: fmt.Sprintf("f%d.exe", i), Depth: 1, Size: int64(100 * (i + 1))})
 		}
-		return s
+		return snapshot.New(machine, vol, 0, recs)
 	}
 	// One walk per volume; m1 has two volumes, so two snapshots but no
 	// volume walked twice.

@@ -194,12 +194,11 @@ func TestEmptyResultsDoNotPanic(t *testing.T) {
 // least two snapshots, on every render.
 func TestSection5ExemplarDeterministic(t *testing.T) {
 	snap := func(machine, vol string, day int, files int) *snapshot.Snapshot {
-		s := &snapshot.Snapshot{Machine: machine, Volume: vol, TakenAt: sim.Time(day) * sim.Time(sim.Day),
-			Records: []snapshot.WalkRecord{{IsDir: true, NumFiles: files}}}
+		recs := []snapshot.WalkRecord{{IsDir: true, NumFiles: files}}
 		for i := 0; i < files; i++ {
-			s.Records = append(s.Records, snapshot.WalkRecord{Name: fmt.Sprintf("f%d.txt", i), Depth: 1, Size: 10})
+			recs = append(recs, snapshot.WalkRecord{Name: fmt.Sprintf("f%d.txt", i), Depth: 1, Size: 10})
 		}
-		return s
+		return snapshot.New(machine, vol, sim.Time(day)*sim.Time(sim.Day), recs)
 	}
 	snaps := []*snapshot.Snapshot{
 		snap("solo", `C:`, 0, 1),

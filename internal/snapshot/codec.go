@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"os"
 	"strings"
 
 	"repro/internal/sim"
@@ -36,25 +37,30 @@ const minRecordBytes = 7
 var ErrCorrupt = errors.New("snapshot: corrupt")
 
 // Write serialises the snapshot in the binary format in one call to w.
+// A decoded snapshot writes the bytes it was decoded from, unchanged.
 func (s *Snapshot) Write(w io.Writer) error {
+	if s.file != nil {
+		_, err := w.Write(s.file)
+		return err
+	}
 	if err := s.validate(); err != nil {
 		return err
 	}
 	nameBytes := 0
-	for i := range s.Records {
-		nameBytes += len(s.Records[i].Name)
+	for i := range s.walk {
+		nameBytes += len(s.walk[i].Name)
 	}
 	// A record takes about 27 bytes besides its name: three times of
 	// about 7 bytes each dominate.
-	b := make([]byte, 0, 64+len(s.Machine)+len(s.Volume)+nameBytes+32*len(s.Records))
+	b := make([]byte, 0, 64+len(s.Machine)+len(s.Volume)+nameBytes+32*len(s.walk))
 	b = append(b, magic...)
 	b = appendString(b, s.Machine)
 	b = appendString(b, s.Volume)
 	b = binary.AppendVarint(b, int64(s.TakenAt))
-	b = binary.AppendUvarint(b, uint64(len(s.Records)))
+	b = binary.AppendUvarint(b, uint64(len(s.walk)))
 	b = binary.AppendUvarint(b, uint64(nameBytes))
-	for i := range s.Records {
-		r := &s.Records[i]
+	for i := range s.walk {
+		r := &s.walk[i]
 		b = binary.AppendUvarint(b, uint64(r.Depth))
 		if r.IsDir {
 			b = append(b, flagDir)
@@ -84,8 +90,8 @@ func appendString(b []byte, s string) []byte {
 // (Entries would cut its ancestor stack at a negative index) and
 // directory fan-out on a file (the binary format has no place for it).
 func (s *Snapshot) validate() error {
-	for i := range s.Records {
-		r := &s.Records[i]
+	for i := range s.walk {
+		r := &s.walk[i]
 		if r.Depth < 0 {
 			return fmt.Errorf("%w: record %d has negative depth %d", ErrCorrupt, i, r.Depth)
 		}
@@ -96,10 +102,12 @@ func (s *Snapshot) validate() error {
 	return nil
 }
 
-// Decode parses one snapshot in the binary format, as Write produces it.
-// Every count is checked against the input still unread before anything
-// is allocated for it, so a corrupt file cannot ask for more memory than
-// its own size implies.
+// Decode checks one snapshot in the binary format, as Write produces
+// it, and reads its header: the magic, the CRC and the header's counts,
+// each bounded by the input still unread, so a corrupt file cannot ask
+// for more memory than its own size implies. The records stay encoded
+// in data, which the snapshot keeps (the caller must not modify it), and
+// Each parses them.
 func Decode(data []byte) (*Snapshot, error) {
 	if len(data) < len(magic)+4 || string(data[:len(magic)]) != magic {
 		return nil, fmt.Errorf("%w: not an %s snapshot", ErrCorrupt, magic)
@@ -114,17 +122,40 @@ func Decode(data []byte) (*Snapshot, error) {
 		Volume:  string(d.bytes("volume")),
 		TakenAt: sim.Time(d.varint("taken_at")),
 	}
-	n := d.count(minRecordBytes, "record count")
-	nameBytes := d.count(1, "name bytes")
-	if n > 0 {
-		s.Records = make([]WalkRecord, n)
+	s.count = d.count(minRecordBytes, "record count")
+	s.nameBytes = d.count(1, "name bytes")
+	if d.err != nil {
+		return nil, d.err
 	}
-	// Every name is a slice of one arena string: one allocation a
-	// snapshot instead of one a record.
+	s.file, s.recs = data, d.buf
+	return s, nil
+}
+
+// ReadFile reads and decodes the snapshot file at path. Its errors, and
+// those Each finds later in its records, name the path.
+func ReadFile(path string) (*Snapshot, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	s, err := Decode(data)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	s.source = path
+	return s, nil
+}
+
+// eachEncoded is Each over a decoded snapshot: the one parser of the
+// record section. It passes one reused record and slices every name from
+// one arena string of the header's name bytes, so a walk costs two
+// allocations however many records it holds.
+func (s *Snapshot) eachEncoded(fn func(*WalkRecord)) error {
+	d := decoder{buf: s.recs}
 	var arena strings.Builder
-	arena.Grow(nameBytes)
-	for i := range s.Records {
-		r := &s.Records[i]
+	arena.Grow(s.nameBytes)
+	var r WalkRecord
+	for i := 0; i < s.count; i++ {
 		if depth := d.uvarint("depth"); depth <= math.MaxInt {
 			r.Depth = int(depth)
 		} else {
@@ -132,6 +163,7 @@ func Decode(data []byte) (*Snapshot, error) {
 		}
 		switch flags := d.byte("flags"); flags {
 		case 0:
+			r.IsDir = false
 		case flagDir:
 			r.IsDir = true
 		default:
@@ -141,30 +173,35 @@ func Decode(data []byte) (*Snapshot, error) {
 		r.Created = sim.Time(d.varint("created"))
 		r.LastModified = sim.Time(d.varint("modified"))
 		r.LastAccessed = sim.Time(d.varint("accessed"))
+		r.NumFiles, r.NumSubdirs = 0, 0
 		if r.IsDir {
 			r.NumFiles = d.int("files")
 			r.NumSubdirs = d.int("subdirectories")
 		}
 		name := d.bytes("name")
-		if arena.Len()+len(name) > nameBytes {
+		if arena.Len()+len(name) > s.nameBytes {
 			d.fail("name length")
 		}
 		if d.err != nil {
-			return nil, d.err
+			break
 		}
 		start := arena.Len()
 		arena.Write(name)
 		r.Name = arena.String()[start:]
+		fn(&r)
 	}
+	err := d.err
 	switch {
-	case d.err != nil:
-		return nil, d.err
-	case arena.Len() != nameBytes:
-		return nil, fmt.Errorf("%w: names hold %d bytes, header says %d", ErrCorrupt, arena.Len(), nameBytes)
+	case err != nil:
+	case arena.Len() != s.nameBytes:
+		err = fmt.Errorf("%w: names hold %d bytes, header says %d", ErrCorrupt, arena.Len(), s.nameBytes)
 	case len(d.buf) != 0:
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(d.buf))
+		err = fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(d.buf))
 	}
-	return s, nil
+	if err != nil && s.source != "" {
+		err = fmt.Errorf("%s: %w", s.source, err)
+	}
+	return err
 }
 
 // decoder reads the binary format's fields; the first failure sticks,

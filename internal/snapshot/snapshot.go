@@ -59,25 +59,41 @@ func shortName(name string) string {
 	return name[:max]
 }
 
-// Snapshot is one volume's walk at a point in time.
+// Snapshot is one volume's walk at a point in time. Its header (machine,
+// volume, time and record count) is always in memory; its records are
+// read through Each, from the walk Take made or from the file Decode
+// checked. So a loaded corpus holds each file's bytes, not its decoded
+// records, and parses only the walks an analysis reads.
 type Snapshot struct {
 	Machine string
 	Volume  string
 	TakenAt sim.Time
-	Records []WalkRecord
+
+	// walk holds the records of a taken walk (Take, New); nil for a
+	// decoded snapshot.
+	walk []WalkRecord
+	// A decoded snapshot keeps its whole input (Write copies it out
+	// unchanged), the record section of it, the header's record and name
+	// byte counts, and the file it was read from, which its errors name.
+	file, recs       []byte
+	count, nameBytes int
+	source           string
+}
+
+// New returns a snapshot of the given records, as Take returns one of a
+// volume's walk. Write refuses records no walk produces.
+func New(machine, vol string, takenAt sim.Time, records []WalkRecord) *Snapshot {
+	return &Snapshot{Machine: machine, Volume: vol, TakenAt: takenAt, walk: records}
 }
 
 // Take walks fs producing a snapshot. The walk is deterministic: each
 // directory's children in their walk order (fsys.Node.Children), which a
 // directory sorts only when it changed since the last walk.
 func Take(machine, vol string, fs *fsys.FS, now sim.Time) *Snapshot {
-	snap := &Snapshot{
-		Machine: machine, Volume: vol, TakenAt: now,
-		Records: make([]WalkRecord, 0, fs.FileCount+fs.DirCount),
-	}
+	walk := make([]WalkRecord, 0, fs.FileCount+fs.DirCount)
 	var rec func(n *fsys.Node, depth int)
 	rec = func(n *fsys.Node, depth int) {
-		snap.Records = append(snap.Records, WalkRecord{
+		walk = append(walk, WalkRecord{
 			Name:         shortName(n.Name),
 			Depth:        depth,
 			IsDir:        n.IsDir(),
@@ -90,7 +106,7 @@ func Take(machine, vol string, fs *fsys.FS, now sim.Time) *Snapshot {
 			return
 		}
 		kids := n.Children()
-		w := &snap.Records[len(snap.Records)-1] // valid until rec appends
+		w := &walk[len(walk)-1] // valid until rec appends
 		for _, k := range kids {
 			if k.IsDir() {
 				w.NumSubdirs++
@@ -103,67 +119,36 @@ func Take(machine, vol string, fs *fsys.FS, now sim.Time) *Snapshot {
 		}
 	}
 	rec(fs.Root, 0)
-	return snap
+	return New(machine, vol, now, walk)
 }
 
-// Files returns the non-directory records.
-func (s *Snapshot) Files() []WalkRecord {
-	out := make([]WalkRecord, 0, len(s.Records))
-	for _, r := range s.Records {
-		if !r.IsDir {
-			out = append(out, r)
-		}
+// Len returns the number of records: the header's count for a decoded
+// snapshot, which Each checks against the records it parses.
+func (s *Snapshot) Len() int {
+	if s.file != nil {
+		return s.count
 	}
-	return out
+	return len(s.walk)
 }
 
-// Dirs returns the directory records.
-func (s *Snapshot) Dirs() []WalkRecord {
-	out := make([]WalkRecord, 0, len(s.Records))
-	for _, r := range s.Records {
-		if r.IsDir {
-			out = append(out, r)
-		}
+// Each calls fn with every record in walk order. The record passed is
+// reused from one call to the next, so fn must copy what it keeps past
+// its return (a Name it keeps stays valid). A taken snapshot serves its
+// walk; a decoded one parses its records from the checked bytes, running
+// every record-level check of the format. The first failure stops the
+// walk and is returned, naming the file the snapshot was read from; fn
+// has then seen only the records before it, so a caller discards what
+// it built.
+func (s *Snapshot) Each(fn func(*WalkRecord)) error {
+	if s.file != nil {
+		return s.eachEncoded(fn)
 	}
-	return out
-}
-
-// TotalBytes sums file sizes.
-func (s *Snapshot) TotalBytes() int64 {
-	var total int64
-	for _, r := range s.Records {
-		if !r.IsDir {
-			total += r.Size
-		}
+	var r WalkRecord
+	for i := range s.walk {
+		r = s.walk[i]
+		fn(&r)
 	}
-	return total
-}
-
-// paths reconstructs full paths from the pre-order/depth sequence —
-// the §3.1 "in such a way that the original tree can be recovered". Each
-// path is its parent directory's path + `\` + name.
-func (s *Snapshot) paths() []string {
-	out := make([]string, len(s.Records))
-	stack := make([]string, 0, 16) // paths of the ancestors at depths 1..k
-	for i, r := range s.Records {
-		if r.Depth == 0 {
-			out[i] = `\`
-			stack = stack[:0]
-			continue
-		}
-		if r.Depth-1 < len(stack) {
-			stack = stack[:r.Depth-1]
-		}
-		parent := ""
-		if len(stack) > 0 {
-			parent = stack[len(stack)-1]
-		}
-		out[i] = parent + `\` + r.Name
-		if r.IsDir {
-			stack = append(stack, out[i])
-		}
-	}
-	return out
+	return nil
 }
 
 // Entry pairs a reconstructed path with its record.
@@ -172,14 +157,36 @@ type Entry struct {
 	Rec  WalkRecord
 }
 
-// Entries returns path-resolved records.
-func (s *Snapshot) Entries() []Entry {
-	ps := s.paths()
-	out := make([]Entry, len(ps))
-	for i := range ps {
-		out[i] = Entry{Path: ps[i], Rec: s.Records[i]}
+// Entries returns path-resolved records, reconstructing full paths from
+// the pre-order/depth sequence — the §3.1 "in such a way that the
+// original tree can be recovered". Each path is its parent directory's
+// path + `\` + name.
+func (s *Snapshot) Entries() ([]Entry, error) {
+	out := make([]Entry, 0, s.Len())
+	stack := make([]string, 0, 16) // paths of the ancestors at depths 1..k
+	err := s.Each(func(r *WalkRecord) {
+		if r.Depth == 0 {
+			out = append(out, Entry{Path: `\`, Rec: *r})
+			stack = stack[:0]
+			return
+		}
+		if r.Depth-1 < len(stack) {
+			stack = stack[:r.Depth-1]
+		}
+		parent := ""
+		if len(stack) > 0 {
+			parent = stack[len(stack)-1]
+		}
+		path := parent + `\` + r.Name
+		out = append(out, Entry{Path: path, Rec: *r})
+		if r.IsDir {
+			stack = append(stack, path)
+		}
+	})
+	if err != nil {
+		return nil, err
 	}
-	return out
+	return out, nil
 }
 
 // Diff summarises day-over-day change between two snapshots of the same
@@ -191,9 +198,18 @@ type Diff struct {
 	Changed []Entry // same path, different size or times
 }
 
-// Compare computes the Diff from old to new.
-func Compare(oldSnap, newSnap *Snapshot) Diff {
-	return CompareEntries(oldSnap.Entries(), newSnap.Entries())
+// Compare computes the Diff from old to new. It fails with the first
+// record error of either snapshot.
+func Compare(oldSnap, newSnap *Snapshot) (Diff, error) {
+	oldEntries, err := oldSnap.Entries()
+	if err != nil {
+		return Diff{}, err
+	}
+	newEntries, err := newSnap.Entries()
+	if err != nil {
+		return Diff{}, err
+	}
+	return CompareEntries(oldEntries, newEntries), nil
 }
 
 // CompareEntries is Compare over the Entries of the two snapshots, for a

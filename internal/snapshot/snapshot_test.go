@@ -32,30 +32,88 @@ func buildFS(t testing.TB) *fsys.FS {
 	return fs
 }
 
+// records streams every record of s into a slice.
+func records(t testing.TB, s *Snapshot) []WalkRecord {
+	t.Helper()
+	var out []WalkRecord
+	if err := s.Each(func(r *WalkRecord) { out = append(out, *r) }); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// files returns the non-directory records of s.
+func files(t testing.TB, s *Snapshot) []WalkRecord {
+	t.Helper()
+	var out []WalkRecord
+	for _, r := range records(t, s) {
+		if !r.IsDir {
+			out = append(out, r)
+		}
+	}
+	return out
+}
+
+// entries is Entries for a snapshot whose records are valid.
+func entries(t testing.TB, s *Snapshot) []Entry {
+	t.Helper()
+	es, err := s.Entries()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return es
+}
+
+// compare is Compare for snapshots whose records are valid.
+func compare(t testing.TB, oldSnap, newSnap *Snapshot) Diff {
+	t.Helper()
+	d, err := Compare(oldSnap, newSnap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
+// decodeAll is Decode followed by a pass over every record: the checks
+// a corpus load and a render of the snapshot make between them.
+func decodeAll(data []byte) (*Snapshot, error) {
+	s, err := Decode(data)
+	if err != nil {
+		return nil, err
+	}
+	if err := s.Each(func(*WalkRecord) {}); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
 func TestTakeCountsAndBytes(t *testing.T) {
 	fs := buildFS(t)
 	snap := Take("m1", `C:`, fs, 100)
 	if snap.Machine != "m1" || snap.TakenAt != 100 {
 		t.Errorf("header: %+v", snap)
 	}
-	files := snap.Files()
-	if len(files) != 3 {
-		t.Fatalf("files = %d", len(files))
+	fl := files(t, snap)
+	if len(fl) != 3 {
+		t.Fatalf("files = %d", len(fl))
 	}
-	if got := snap.TotalBytes(); got != 2600 {
-		t.Errorf("TotalBytes = %d", got)
+	var total int64
+	for _, f := range fl {
+		total += f.Size
 	}
-	dirs := snap.Dirs()
+	if total != 2600 {
+		t.Errorf("file bytes = %d", total)
+	}
 	// root, winnt, profiles, alice, TIF, docs.
-	if len(dirs) != 6 {
-		t.Errorf("dirs = %d", len(dirs))
+	if dirs := snap.Len() - len(fl); dirs != 6 {
+		t.Errorf("dirs = %d", dirs)
 	}
 }
 
 func TestDirectoryFanOutRecorded(t *testing.T) {
 	fs := buildFS(t)
 	snap := Take("m1", `C:`, fs, 100)
-	for _, e := range snap.Entries() {
+	for _, e := range entries(t, snap) {
 		if e.Path == `\docs` {
 			if e.Rec.NumFiles != 2 || e.Rec.NumSubdirs != 0 {
 				t.Errorf("docs fan-out: %+v", e.Rec)
@@ -71,7 +129,7 @@ func TestTreeRecoverable(t *testing.T) {
 	fs := buildFS(t)
 	snap := Take("m1", `C:`, fs, 100)
 	paths := map[string]bool{}
-	for _, e := range snap.Entries() {
+	for _, e := range entries(t, snap) {
 		paths[e.Path] = true
 	}
 	for _, want := range []string{
@@ -89,7 +147,7 @@ func TestShortNamesKeepExtension(t *testing.T) {
 	long := strings.Repeat("verylongname", 6) + ".html"
 	fs.CreateFile(`\`+long, 10, types.AttrNormal, 0)
 	snap := Take("m", `C:`, fs, 0)
-	for _, f := range snap.Files() {
+	for _, f := range files(t, snap) {
 		if len(f.Name) > 40 {
 			t.Errorf("name not shortened: %q (%d chars)", f.Name, len(f.Name))
 		}
@@ -111,7 +169,7 @@ func TestCompareDiff(t *testing.T) {
 	fs.Remove(b)
 
 	cur := Take("m1", `C:`, fs, 300)
-	d := Compare(old, cur)
+	d := compare(t, old, cur)
 	if len(d.Added) != 1 || d.Added[0].Path != `\docs\new.txt` {
 		t.Errorf("Added = %+v", d.Added)
 	}
@@ -131,7 +189,7 @@ func TestFractionUnder(t *testing.T) {
 	fs.CreateFile(`\winnt\profiles\alice\z.dat`, 10, types.AttrNormal, 200)
 	fs.CreateFile(`\docs\out.txt`, 10, types.AttrNormal, 200)
 	cur := Take("m1", `C:`, fs, 300)
-	d := Compare(old, cur)
+	d := compare(t, old, cur)
 	if got := d.FractionUnder(`\winnt\profiles`); got < 0.66 || got > 0.67 {
 		t.Errorf("FractionUnder(profiles) = %v, want 2/3", got)
 	}
@@ -144,7 +202,7 @@ func TestFATTimesZeroInSnapshot(t *testing.T) {
 	fs := fsys.New(volume.FlavorFAT, 1<<30)
 	fs.CreateFile(`\f.dat`, 10, types.AttrNormal, sim.Time(5*sim.Second))
 	snap := Take("m", `C:`, fs, sim.Time(10*sim.Second))
-	for _, f := range snap.Files() {
+	for _, f := range files(t, snap) {
 		if f.Created != 0 || f.LastAccessed != 0 {
 			t.Errorf("FAT snapshot carries created/accessed times: %+v", f)
 		}
@@ -168,14 +226,23 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got, snap) {
-		t.Errorf("round trip differs:\n got %+v\nwant %+v", got, snap)
+	if got.Machine != snap.Machine || got.Volume != snap.Volume || got.TakenAt != snap.TakenAt || got.Len() != snap.Len() {
+		t.Errorf("header differs: got %s %s %d (%d records), want %s %s %d (%d)",
+			got.Machine, got.Volume, got.TakenAt, got.Len(), snap.Machine, snap.Volume, snap.TakenAt, snap.Len())
+	}
+	if recs := records(t, got); !reflect.DeepEqual(recs, snap.walk) {
+		t.Errorf("round trip differs:\n got %+v\nwant %+v", recs, snap.walk)
+	}
+	// A decoded snapshot writes the bytes it was decoded from.
+	var again bytes.Buffer
+	if err := got.Write(&again); err != nil || !bytes.Equal(again.Bytes(), buf.Bytes()) {
+		t.Errorf("decoded snapshot rewrote %d bytes (err %v), read %d", again.Len(), err, buf.Len())
 	}
 }
 
 // TestTakeMatchesChildNamesWalk checks the one-listing walk against the
 // plain ChildNames/Child recursion on a generated volume: same records,
-// same order, and Records allocated at its exact size.
+// same order, and the walk allocated at its exact size.
 func TestTakeMatchesChildNamesWalk(t *testing.T) {
 	fs := fsys.New(volume.FlavorNTFS, 4<<30)
 	fsgen.PopulateLocal(fs, sim.NewRNG(3), fsgen.Config{User: "alice", Category: machine.Personal, Now: sim.Time(30 * sim.Day)})
@@ -198,11 +265,11 @@ func TestTakeMatchesChildNamesWalk(t *testing.T) {
 	}
 	rec(fs.Root, 0)
 	got := Take("m", `C:`, fs, 0)
-	if !reflect.DeepEqual(got.Records, want) {
-		t.Fatalf("Take differs from the ChildNames walk (%d vs %d records)", len(got.Records), len(want))
+	if !reflect.DeepEqual(got.walk, want) {
+		t.Fatalf("Take differs from the ChildNames walk (%d vs %d records)", len(got.walk), len(want))
 	}
-	if cap(got.Records) != len(got.Records) {
-		t.Errorf("Records cap %d, len %d: not sized from the volume's counts", cap(got.Records), len(got.Records))
+	if cap(got.walk) != len(got.walk) {
+		t.Errorf("walk cap %d, len %d: not sized from the volume's counts", cap(got.walk), len(got.walk))
 	}
 }
 
@@ -314,8 +381,8 @@ func TestTakeMatchesUncachedWalk(t *testing.T) {
 				kids[to][strings.ToLower(name)] = n
 			}
 			got := Take("m", `C:`, fs, sim.Time(op))
-			if want := uncachedTake(fs, kids); !reflect.DeepEqual(got.Records, want) {
-				t.Fatalf("seed %d op %d: Take differs from the uncached walk (%d vs %d records)", seed, op, len(got.Records), len(want))
+			if want := uncachedTake(fs, kids); !reflect.DeepEqual(got.walk, want) {
+				t.Fatalf("seed %d op %d: Take differs from the uncached walk (%d vs %d records)", seed, op, len(got.walk), len(want))
 			}
 		}
 	}
@@ -333,14 +400,14 @@ func TestReadRejectsGarbage(t *testing.T) {
 // Compare. Write refuses one; the binary format cannot encode one that
 // fits an int.
 func TestReadRejectsBadDepth(t *testing.T) {
-	bad := &Snapshot{Machine: "m", Records: []WalkRecord{{IsDir: true, NumFiles: 1}, {Name: "x", Depth: -1}}}
+	bad := New("m", "", 0, []WalkRecord{{IsDir: true, NumFiles: 1}, {Name: "x", Depth: -1}})
 	if err := bad.Write(io.Discard); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("Write depth -1: err = %v, want ErrCorrupt", err)
 	}
 	// A binary depth of 2^63 does not fit an int.
 	b := binary.AppendUvarint(binaryHeader(1, 1), 1<<63)
 	b = append(b, 0, 0, 0, 0, 0, 1, 'x')
-	if _, err := Decode(withCRC(b)); !errors.Is(err, ErrCorrupt) {
+	if _, err := decodeAll(withCRC(b)); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("binary depth 2^63: err = %v, want ErrCorrupt", err)
 	}
 }
@@ -348,7 +415,7 @@ func TestReadRejectsBadDepth(t *testing.T) {
 // The binary format has no place for fan-out on a file, so Write refuses
 // a file record carrying it rather than silently dropping it.
 func TestReadRejectsFileFanOut(t *testing.T) {
-	fanout := &Snapshot{Machine: "m", Volume: "C:", Records: []WalkRecord{{Name: "x", NumFiles: 2}}}
+	fanout := New("m", "C:", 0, []WalkRecord{{Name: "x", NumFiles: 2}})
 	if err := fanout.Write(io.Discard); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("Write file with fan-out: err = %v, want ErrCorrupt", err)
 	}
@@ -379,7 +446,7 @@ func TestReadRejectsCorruptBinary(t *testing.T) {
 	flipped := append([]byte(nil), good...)
 	flipped[len(flipped)/2] ^= 0x40
 	file := []byte{0, 0, 0, 0, 0, 0, 1, 'x'} // depth 0, a file, zero size and times, name "x"
-	for name, in := range map[string][]byte{
+	cases := map[string][]byte{
 		"truncated":          good[:len(good)-1],
 		"bit flip":           flipped,
 		"trailing byte":      append(append([]byte(nil), good...), 0),
@@ -389,22 +456,35 @@ func TestReadRejectsCorruptBinary(t *testing.T) {
 		"name bytes short":   withCRC(append(binaryHeader(1, 0), file...)),
 		"name bytes long":    withCRC(append(binaryHeader(1, 2), file...)),
 		"unknown flag":       withCRC(append(binaryHeader(1, 1), 0, 2, 0, 0, 0, 0, 1, 'x')),
-	} {
-		if _, err := Decode(in); !errors.Is(err, ErrCorrupt) {
+	}
+	for name, in := range cases {
+		if _, err := decodeAll(in); !errors.Is(err, ErrCorrupt) {
 			t.Errorf("%s: err = %v, want ErrCorrupt", name, err)
 		}
 	}
-	if _, err := Decode(withCRC(append(binaryHeader(1, 1), file...))); err != nil {
+	// What the header step sees fails Decode itself, so a corpus load
+	// fails on it; the rest fails the first pass over the records.
+	for _, name := range []string{"truncated", "bit flip", "trailing byte", "other version", "count beyond input"} {
+		if _, err := Decode(cases[name]); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: Decode err = %v, want ErrCorrupt", name, err)
+		}
+	}
+	if _, err := decodeAll(withCRC(append(binaryHeader(1, 1), file...))); err != nil {
 		t.Errorf("hand-made valid snapshot rejected: %v", err)
 	}
 }
 
-// FuzzSnapshotRead feeds Decode arbitrary bytes, seeded with a real
-// snapshot and an empty one. Every input must be rejected or decode to a
-// snapshot whose re-encoding decodes deep-equal, and no input may make
-// Decode allocate far beyond its own size.
+// FuzzSnapshotRead feeds Decode arbitrary bytes, then streams every
+// record of what it accepts, seeded with a real snapshot, an empty one
+// and a generated volume's (about a megabyte). The header step must
+// allocate O(header) whatever the record count; streaming must stay
+// within 16× the input; and every input must be rejected or decode to
+// records whose re-encoding decodes deep-equal, while the decoded
+// snapshot writes its input back unchanged.
 func FuzzSnapshotRead(f *testing.F) {
-	for _, snap := range []*Snapshot{Take("m1", `C:`, buildFS(f), 100), {Machine: "m1", Volume: `C:`}} {
+	vol := fsys.New(volume.FlavorNTFS, 4<<30)
+	fsgen.PopulateLocal(vol, sim.NewRNG(3), fsgen.Config{User: "alice", Category: machine.Personal, Now: sim.Time(30 * sim.Day)})
+	for _, snap := range []*Snapshot{Take("m1", `C:`, buildFS(f), 100), {Machine: "m1", Volume: `C:`}, Take("m2", `C:`, vol, 0)} {
 		var bin bytes.Buffer
 		if err := snap.Write(&bin); err != nil {
 			f.Fatal(err)
@@ -416,25 +496,45 @@ func FuzzSnapshotRead(f *testing.F) {
 		runtime.ReadMemStats(&before)
 		got, err := Decode(in)
 		runtime.ReadMemStats(&after)
-		// A record is 80 bytes in memory and at least 7 encoded (11.4x);
-		// the name arena and the header strings each hold at most the
-		// input's size. That is about 13.5x, plus a fixed margin.
-		if grew := after.TotalAlloc - before.TotalAlloc; grew > 16*uint64(len(in))+1<<20 {
+		// The header step allocates the snapshot and its machine and
+		// volume strings (a rejected input's are bounded by its size),
+		// plus a fixed margin.
+		header := uint64(len(in))
+		if err == nil {
+			header = uint64(len(got.Machine) + len(got.Volume))
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > header+64<<10 {
 			t.Fatalf("Decode of %d bytes allocated %d bytes", len(in), grew)
 		}
 		if err != nil {
 			return
 		}
+		// Streaming passes one reused record and slices every name from
+		// one arena of at most the input's size.
+		runtime.ReadMemStats(&before)
+		err = got.Each(func(*WalkRecord) {})
+		runtime.ReadMemStats(&after)
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 16*uint64(len(in))+1<<20 {
+			t.Fatalf("streaming %d bytes allocated %d bytes", len(in), grew)
+		}
+		if err != nil {
+			return
+		}
+		recs := records(t, got)
 		var re bytes.Buffer
-		if err := got.Write(&re); err != nil {
+		if err := New(got.Machine, got.Volume, got.TakenAt, recs).Write(&re); err != nil {
 			t.Fatalf("decoded snapshot does not re-encode: %v", err)
 		}
-		again, err := Decode(re.Bytes())
+		again, err := decodeAll(re.Bytes())
 		if err != nil {
 			t.Fatalf("re-encoded snapshot does not decode: %v", err)
 		}
-		if !reflect.DeepEqual(again, got) {
-			t.Fatalf("re-encoding changed the snapshot:\n got %+v\nwant %+v", again, got)
+		if again.Machine != got.Machine || again.Volume != got.Volume || again.TakenAt != got.TakenAt || !reflect.DeepEqual(records(t, again), recs) {
+			t.Fatalf("re-encoding changed the snapshot:\n got %+v\nwant %+v", records(t, again), recs)
+		}
+		var same bytes.Buffer
+		if err := got.Write(&same); err != nil || !bytes.Equal(same.Bytes(), in) {
+			t.Fatalf("decoded snapshot wrote %d bytes (err %v), not its %d-byte input", same.Len(), err, len(in))
 		}
 		got.Entries() // must not panic on any accepted input
 	})
@@ -443,9 +543,9 @@ func FuzzSnapshotRead(f *testing.F) {
 // joinedPaths is the path reconstruction Compare used before each path
 // was built from its parent's: every ancestor name joined afresh.
 func joinedPaths(s *Snapshot) []string {
-	out := make([]string, len(s.Records))
+	out := make([]string, len(s.walk))
 	stack := make([]string, 0, 16)
-	for i, r := range s.Records {
+	for i, r := range s.walk {
 		if r.Depth == 0 {
 			out[i] = `\`
 			stack = stack[:0]
@@ -469,7 +569,7 @@ func mapCompare(oldSnap, newSnap *Snapshot) Diff {
 	entries := func(s *Snapshot) []Entry {
 		var out []Entry
 		for i, p := range joinedPaths(s) {
-			out = append(out, Entry{Path: p, Rec: s.Records[i]})
+			out = append(out, Entry{Path: p, Rec: s.walk[i]})
 		}
 		return out
 	}
@@ -507,7 +607,7 @@ func mapCompare(oldSnap, newSnap *Snapshot) Diff {
 // lower-cased.
 func randomWalk(rng *rand.Rand, n int) *Snapshot {
 	names := []string{"a", "A", "b.txt", "B.TXT", "Profiles", "profiles", "x"}
-	s := &Snapshot{Machine: "m", Volume: `C:`}
+	var walk []WalkRecord
 	depth := 0
 	for i := 0; i < n; i++ {
 		switch r := rng.Intn(20); {
@@ -520,7 +620,7 @@ func randomWalk(rng *rand.Rand, n int) *Snapshot {
 		default:
 			depth = rng.Intn(depth + 1)
 		}
-		s.Records = append(s.Records, WalkRecord{
+		walk = append(walk, WalkRecord{
 			Name:         names[rng.Intn(len(names))],
 			Depth:        depth,
 			IsDir:        rng.Intn(3) == 0,
@@ -528,7 +628,7 @@ func randomWalk(rng *rand.Rand, n int) *Snapshot {
 			LastModified: sim.Time(rng.Intn(3)),
 		})
 	}
-	return s
+	return New("m", `C:`, 0, walk)
 }
 
 // TestCompareMatchesJoinedPaths pins the one-pass Compare to the old
@@ -539,10 +639,14 @@ func TestCompareMatchesJoinedPaths(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 300; trial++ {
 		a, b := randomWalk(rng, rng.Intn(200)), randomWalk(rng, rng.Intn(200))
-		if got, want := a.paths(), joinedPaths(a); !reflect.DeepEqual(got, want) {
-			t.Fatalf("trial %d: paths %q, joined %q", trial, got, want)
+		paths := []string{}
+		for _, e := range entries(t, a) {
+			paths = append(paths, e.Path)
 		}
-		if got, want := Compare(a, b), mapCompare(a, b); !reflect.DeepEqual(got, want) {
+		if want := joinedPaths(a); !reflect.DeepEqual(paths, want) {
+			t.Fatalf("trial %d: paths %q, joined %q", trial, paths, want)
+		}
+		if got, want := compare(t, a, b), mapCompare(a, b); !reflect.DeepEqual(got, want) {
 			t.Fatalf("trial %d: Compare %+v, old Compare %+v", trial, got, want)
 		}
 	}
@@ -552,7 +656,7 @@ func TestCompareMatchesJoinedPaths(t *testing.T) {
 	n, _ := fs.Lookup(`\docs\a.txt`)
 	fs.SetSize(n, 150, 210)
 	cur := Take("m1", `C:`, fs, 300)
-	if got, want := Compare(old, cur), mapCompare(old, cur); !reflect.DeepEqual(got, want) {
+	if got, want := compare(t, old, cur), mapCompare(old, cur); !reflect.DeepEqual(got, want) {
 		t.Fatalf("Compare %+v, old Compare %+v", got, want)
 	}
 }

@@ -13,31 +13,48 @@ import (
 // one sort.Float64s and slices.Sort give (cmp.Less: NaN first), so the
 // result is the same value.
 func SelectPercentile(xs []float64, p float64) float64 {
+	return SelectPercentiles(xs, p)[0]
+}
+
+// SelectPercentiles returns SelectPercentile(xs, p) for each p of ps,
+// which must ascend: it selects the one or two order statistics each
+// interpolation reads. Each selection runs within the part of xs that
+// the one before left above its rank, which holds every greater order
+// statistic, so the second of two percentiles costs a quickselect of
+// that part instead of a full one.
+func SelectPercentiles(xs []float64, ps ...float64) []float64 {
+	out := make([]float64, len(ps))
 	n := len(xs)
-	switch {
-	case n == 0:
-		return 0
-	case p <= 0:
-		selectRank(xs, 0)
-		return xs[0]
-	case p >= 100:
-		selectRank(xs, n-1)
-		return xs[n-1]
+	if n == 0 {
+		return out
 	}
-	lo, frac := percentileRank(n, p)
-	selectRank(xs, lo)
-	if lo+1 >= n {
-		return xs[lo]
-	}
-	// The next order statistic is the smallest value selection left on
-	// the right of rank lo.
-	next := xs[lo+1]
-	for _, x := range xs[lo+2:] {
-		if cmp.Less(x, next) {
-			next = x
+	from := 0 // xs[from:] holds the order statistics from rank from up
+	for i, p := range ps {
+		lo, frac, interpolate := n-1, 0.0, false
+		switch {
+		case p <= 0:
+			lo = 0
+		case p < 100:
+			lo, frac = percentileRank(n, p)
+			interpolate = true
 		}
+		if lo >= from {
+			selectRank(xs[from:], lo-from)
+			from = lo + 1
+		}
+		out[i] = xs[lo]
+		if !interpolate || lo+1 >= n {
+			continue
+		}
+		next := xs[lo+1]
+		for _, x := range xs[lo+2:] {
+			if cmp.Less(x, next) {
+				next = x
+			}
+		}
+		out[i] = xs[lo]*(1-frac) + next*frac
 	}
-	return xs[lo]*(1-frac) + next*frac
+	return out
 }
 
 // percentileRank places percentile p (0 < p < 100) in a sorted sample of

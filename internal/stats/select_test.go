@@ -190,6 +190,38 @@ func TestSelectPercentileMatchesSort(t *testing.T) {
 	}
 }
 
+// TestSelectPercentilesMatchesSelectPercentile checks the chained
+// selection against one SelectPercentile per percentile on a fresh copy,
+// and against the sort-based percentile, bit for bit, on every input
+// shape (ties, NaN and infinities; n = 0, 1, 2 and up to 2,000): the
+// census's pair, and ascending lists that repeat a rank or reach past
+// the edges.
+func TestSelectPercentilesMatchesSelectPercentile(t *testing.T) {
+	lists := [][]float64{{50, 90}, {0, 50, 50, 100}, {-5, 0.1, 25, 75, 99, 99.9, 150}, {90}, {}}
+	for name, xs := range propertyInputs() {
+		for _, ps := range lists {
+			work := append([]float64(nil), xs...)
+			got := SelectPercentiles(work, ps...)
+			if len(got) != len(ps) {
+				t.Fatalf("%s %v: %d values", name, ps, len(got))
+			}
+			for i, p := range ps {
+				one := SelectPercentile(append([]float64(nil), xs...), p)
+				sorted := sortPercentile(xs, p)
+				if math.Float64bits(got[i]) != math.Float64bits(one) || math.Float64bits(got[i]) != math.Float64bits(sorted) {
+					t.Fatalf("%s %v: p=%v selected %v, SelectPercentile %v, sorted %v", name, ps, p, got[i], one, sorted)
+				}
+			}
+			a, b := append([]float64(nil), xs...), work
+			slices.Sort(a)
+			slices.Sort(b)
+			if !slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }) {
+				t.Fatalf("%s %v: SelectPercentiles changed the multiset of values", name, ps)
+			}
+		}
+	}
+}
+
 // TestHillMatchesSort checks the selecting Hill estimator against the
 // full-sort one bit for bit, at the census's k and around the edges.
 func TestHillMatchesSort(t *testing.T) {

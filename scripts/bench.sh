@@ -20,7 +20,7 @@ TXT=BENCH_analysis.txt
 JSON=BENCH_analysis.json
 
 go test -run NONE \
-  -bench 'BenchmarkStudyBuild|BenchmarkStudySave|BenchmarkSnapshotWalk|BenchmarkDataSetDecode|BenchmarkComputeResults|BenchmarkColumnarEncode|BenchmarkColumnarScan|BenchmarkColumnarCompute|BenchmarkQueryCold|BenchmarkQueryCacheHit|BenchmarkLoadCorpus|BenchmarkSection5Snapshots|BenchmarkRenderReport|BenchmarkCachePolicySweep' \
+  -bench 'BenchmarkStudyBuild|BenchmarkStudySave|BenchmarkSnapshotWalk|BenchmarkDataSetDecode|BenchmarkComputeResults|BenchmarkColumnarEncode|BenchmarkColumnarScan|BenchmarkColumnarCompute|BenchmarkQueryCold|BenchmarkQueryCacheHit|BenchmarkLoadCorpus|BenchmarkSection5Snapshots|BenchmarkSection5Loaded|BenchmarkRenderReport|BenchmarkCachePolicySweep' \
   -benchtime "$BENCHTIME" -count "$COUNT" . | tee "$TXT"
 
 # The obs and span hot paths are nanosecond-scale: at a small -benchtime
