@@ -425,11 +425,11 @@ func BenchmarkSection5Loaded(b *testing.B) {
 
 var section5Sink string
 
-// BenchmarkRenderReport renders every section of the report perfbench
-// times, then the cache-policy sweep at 1, 4 and 16 MB, from the ledger
-// corpus reloaded and recomputed for each iteration outside the timer:
-// the render half of an fsreport -in pass. sweep_ms and section5_ms
-// split out its two fan-outs.
+// BenchmarkRenderReport renders every section of the report, the
+// cache-policy sweep last, from the ledger corpus reloaded and
+// recomputed for each iteration outside the timer: the render half of an
+// fsreport -in pass. sweep_ms and section5_ms split out its two
+// fan-outs.
 func BenchmarkRenderReport(b *testing.B) {
 	dir, _ := snapCorpus(b)
 	var sweep, section5 time.Duration
@@ -445,25 +445,19 @@ func BenchmarkRenderReport(b *testing.B) {
 		r := report.ComputeWorkers(c.DS, runtime.GOMAXPROCS(0))
 		b.StartTimer()
 		bytes = 0
-		for _, f := range []func() string{
-			r.Table1, r.Table2, r.Table3,
-			r.Figure1, r.Figure2, r.Figure3, r.Figure4, r.Figure5,
-			r.Figure6, r.Figure7, r.Figure8, r.Figure9, r.Figure10,
-			r.Figure11, r.Figure12, r.Figure13, r.Figure14,
-			func() string {
-				t0 := time.Now()
-				defer func() { section5 += time.Since(t0) }()
-				return r.Section5(c.Snaps)
-			},
-			r.Section6Lifetimes, r.Section8, r.Section9, r.Section10,
-			r.Section7SelfSim, r.ProcessView, r.TypeView, r.FollowUps,
-			func() string {
-				t0 := time.Now()
-				defer func() { sweep += time.Since(t0) }()
-				return r.CacheSweep([]float64{1, 4, 16})
-			},
-		} {
-			bytes += len(f())
+		for _, s := range report.Sections {
+			t0 := time.Now()
+			text, err := s.Render(r, c.Snaps)
+			if err != nil {
+				b.Fatalf("%s: %v", s.Name, err)
+			}
+			switch s.Name {
+			case "section5":
+				section5 += time.Since(t0)
+			case "cachesweep":
+				sweep += time.Since(t0)
+			}
+			bytes += len(text)
 		}
 	}
 	b.ReportMetric(float64(sweep.Milliseconds())/float64(b.N), "sweep_ms")

@@ -1,13 +1,18 @@
-// Command fsfleet runs the full §2/§3 study — 45 machines traced for
-// 4 weeks — as a sharded fleet across a worker pool. It is fstrace at
-// production scale: each machine runs on its own scheduler shard, live
-// progress (events/sec, sim:real ratio, per-shard lag) prints while the
-// fleet runs, completed machines checkpoint so an interrupted run can
-// resume, and per-machine stream hashes let two runs be compared without
+// Command fsfleet runs the §2/§3 study — a fleet of Windows NT 4.0
+// machines instrumented with the trace filter driver, shipping records to
+// the collection store, with daily file system snapshots — and saves the
+// corpus (colstore segments, snapshots and the machine manifest) for
+// fsreport -in, fsreplay and fsqueryd. By default it runs the paper's
+// 45 machines for 4 weeks; -hours sets a shorter period. Each machine
+// runs on its own scheduler shard across a worker pool, live progress
+// (events/sec, sim:real ratio, per-shard lag) prints while the fleet
+// runs, completed machines checkpoint so an interrupted run can resume,
+// and per-machine stream hashes let two runs be compared without
 // shipping the corpora.
 //
 // Usage:
 //
+//	fsfleet -out traces/ -machines 45 -hours 24 -seed 1
 //	fsfleet -out traces/ -workers 8 -checkpoint-dir ckpt/
 //	fsfleet -out traces/ -workers 8 -checkpoint-dir ckpt/ -resume
 //

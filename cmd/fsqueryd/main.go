@@ -37,7 +37,7 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("fsqueryd: ")
 
-	dir := flag.String("dir", "traces", "trace corpus directory (from fstrace)")
+	dir := flag.String("dir", "traces", "trace corpus directory (from fsfleet)")
 	addr := flag.String("addr", ":8090", "listen address (port 0 picks a free one)")
 	workers := flag.Int("workers", 4, "scan/report fan-out width")
 	cacheMB := flag.Int("cache-mb", 64, "result cache bound in MiB")

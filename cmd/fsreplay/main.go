@@ -1,4 +1,4 @@
-// Command fsreplay re-drives a trace corpus saved by fstrace through a
+// Command fsreplay re-drives a trace corpus saved by fsfleet through a
 // freshly built simulated NT stack, and optionally validates that the
 // replayed trace reproduces the original's headline metrics.
 //
@@ -24,7 +24,7 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("fsreplay: ")
-	in := flag.String("in", "traces", "trace corpus directory (from fstrace)")
+	in := flag.String("in", "traces", "trace corpus directory (from fsfleet)")
 	modeName := flag.String("mode", "fast", "replay clock: fast (back-to-back) or faithful (recorded timestamps)")
 	validate := flag.Bool("validate", false, "diff replayed-vs-original metrics; exit 1 outside tolerance")
 	seed := flag.Uint64("seed", 1, "seed for the replayed machines' random streams")
@@ -43,9 +43,6 @@ func main() {
 		log.Fatal(err)
 	}
 	ds := c.DS
-	if len(ds.Machines) == 0 {
-		log.Fatal("no machine traces found in ", *in)
-	}
 
 	cfg := replay.Config{
 		Mode:        mode,

@@ -1,11 +1,13 @@
-// Command fsreport runs a study end-to-end (or loads a saved corpus) and
-// prints the complete paper-versus-measured report: every table, every
-// figure, and the section summaries, in publication order.
+// Command fsreport prints the paper-versus-measured report — every
+// table, every figure and the section summaries, in publication order —
+// or the sections named as arguments, in the order given. It runs a
+// study end-to-end, or loads a corpus saved by fsfleet with -in.
 //
 // Usage:
 //
 //	fsreport -machines 20 -hours 12 -seed 1
 //	fsreport -in traces/
+//	fsreport -in traces/ table2 figure10 section9
 package main
 
 import (
@@ -14,6 +16,7 @@ import (
 	"log"
 	"os"
 	"runtime"
+	"strings"
 
 	"repro/internal/core"
 	"repro/internal/report"
@@ -31,6 +34,10 @@ func main() {
 		seed     = flag.Uint64("seed", 1, "study seed")
 	)
 	flag.Parse()
+	sections, err := report.Select(flag.Args()...)
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	var r *report.Results
 	var snaps []*snapshot.Snapshot
@@ -54,33 +61,25 @@ func main() {
 			log.Fatal(err)
 		}
 		snaps = study.Snapshots
-		var err error
-		r, err = study.Results()
-		if err != nil {
+		if r, err = study.Results(); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Fprintf(os.Stderr, "collected %d records on %d machines\n",
 			r.TotalRecords(), len(r.DS.Machines))
 	}
 
-	// §5 is the one section that reads snapshot records, which a loaded
-	// corpus checks only when they are read: render it first, so a bad
-	// record fails the run, naming its file, before anything is printed.
-	section5, err := r.RenderSection5(snaps)
-	if err != nil {
-		log.Fatal(err)
-	}
-	sections := []func() string{
-		r.Table1, r.Table2, r.Table3,
-		r.Figure1, r.Figure2, r.Figure3, r.Figure4, r.Figure5,
-		r.Figure6, r.Figure7, r.Figure8, r.Figure9, r.Figure10,
-		r.Figure11, r.Figure12, r.Figure13, r.Figure14,
-		func() string { return section5 },
-		r.Section6Lifetimes, r.Section8, r.Section9, r.Section10,
-		r.Section7SelfSim, r.ProcessView, r.TypeView, r.FollowUps,
-		func() string { return r.CacheSweep([]float64{1, 4, 16}) },
-	}
+	// §5 reads snapshot records, which a loaded corpus checks only when
+	// they are read. Render every section first and print only a whole
+	// report, so a bad record fails the run, naming its file, with
+	// nothing printed.
+	var out strings.Builder
 	for _, s := range sections {
-		fmt.Println(s())
+		text, err := s.Render(r, snaps)
+		if err != nil {
+			log.Fatal(err)
+		}
+		out.WriteString(text)
+		out.WriteByte('\n')
 	}
+	fmt.Print(out.String())
 }

@@ -235,19 +235,22 @@ func TestColstoreCheckpointResume(t *testing.T) {
 	}
 }
 
-// renderEverything concatenates every report artefact except the cache
+// renderEverything concatenates every report section except the cache
 // sweep (a replay simulation, not a compute kernel) — the full
-// observable output the vectorized kernels must reproduce.
-func renderEverything(r *report.Results) string {
+// observable output the vectorized kernels must reproduce. §5 reads
+// snapshots, not traces, so it renders without them.
+func renderEverything(t *testing.T, r *report.Results) string {
+	t.Helper()
 	var b strings.Builder
-	for _, f := range []func() string{
-		r.Table1, r.Table2, r.Table3, r.Figure1, r.Figure2, r.Figure3,
-		r.Figure4, r.Figure5, r.Figure6, r.Figure7, r.Figure8, r.Figure9,
-		r.Figure10, r.Figure11, r.Figure12, r.Figure13, r.Figure14,
-		r.Section6Lifetimes, r.Section7SelfSim, r.Section8, r.Section9,
-		r.Section10, r.ProcessView, r.TypeView, r.FollowUps,
-	} {
-		b.WriteString(f())
+	for _, s := range report.Sections {
+		if s.Name == "cachesweep" {
+			continue
+		}
+		text, err := s.Render(r, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", s.Name, err)
+		}
+		b.WriteString(text)
 	}
 	return b.String()
 }
@@ -295,7 +298,7 @@ func TestColumnarComputeByteIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := renderEverything(report.ComputeWorkers(ds, workers))
+			got := renderEverything(t, report.ComputeWorkers(ds, workers))
 			if got == "" {
 				t.Fatalf("%s traces rendered an empty report", source.name)
 			}

@@ -109,9 +109,9 @@ type Corpus struct {
 // directory exactly once. Each machine's trace is built from its
 // segment (*.fsc) through the colstore scan engine, in sorted machine
 // order, under the true names the stem manifest (machines.json) gives;
-// a directory without one fails the load. So does a JSON snapshot
-// (*.snap.json), the format corpora held before *.snap: loading without
-// it would leave §5 silently empty.
+// a directory without one, or whose manifest lists no machine, fails the
+// load. So does a JSON snapshot (*.snap.json), the format corpora held
+// before *.snap: loading without it would leave §5 silently empty.
 //
 // When reg is non-nil every opened segment counts blocks scanned and
 // skipped and bytes decoded per column family on the colstore bundle.
@@ -143,6 +143,9 @@ func LoadCorpusTrace(dir string, reg *obs.Registry, tr *trace.Tracer) (*Corpus, 
 	segs, err := collect.LoadColumnarDir(dir, colstore.NewMetrics(reg))
 	if err != nil {
 		return nil, err
+	}
+	if len(segs) == 0 {
+		return nil, fmt.Errorf("core: %s holds no machine traces", dir)
 	}
 	var man manifest
 	switch data, err := os.ReadFile(filepath.Join(dir, "manifest.json")); {

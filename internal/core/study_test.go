@@ -216,22 +216,12 @@ func TestStudyDeterminism(t *testing.T) {
 
 func TestStudyRenderersNonEmpty(t *testing.T) {
 	r := results(t)
-	renders := map[string]string{
-		"Table1": r.Table1(), "Table2": r.Table2(), "Table3": r.Table3(),
-		"Fig1": r.Figure1(), "Fig2": r.Figure2(), "Fig3": r.Figure3(),
-		"Fig4": r.Figure4(), "Fig5": r.Figure5(), "Fig6": r.Figure6(),
-		"Fig7": r.Figure7(), "Fig8": r.Figure8(), "Fig9": r.Figure9(),
-		"Fig10": r.Figure10(), "Fig11": r.Figure11(), "Fig12": r.Figure12(),
-		"Fig13": r.Figure13(), "Fig14": r.Figure14(),
-		"S6": r.Section6Lifetimes(), "S8": r.Section8(), "S9": r.Section9(),
-		"S10": r.Section10(), "S7x": r.Section7SelfSim(),
-		"Procs": r.ProcessView(), "Types": r.TypeView(),
-		"CacheSweep": r.CacheSweep([]float64{1, 8}),
-		"FollowUps":  r.FollowUps(),
-	}
-	for name, out := range renders {
-		if len(out) < 40 {
-			t.Errorf("%s renders only %d bytes", name, len(out))
+	for _, s := range report.Sections {
+		out, err := s.Render(r, nil)
+		if err != nil {
+			t.Errorf("%s: %v", s.Name, err)
+		} else if len(out) < 40 {
+			t.Errorf("%s renders only %d bytes", s.Name, len(out))
 		}
 	}
 }

@@ -45,8 +45,6 @@ type Corpus struct {
 	SHA [sha256.Size]byte
 
 	machines []string // sorted true machine names
-	ds       *analysis.DataSet
-	snaps    int
 	parts    *core.Corpus
 }
 
@@ -59,19 +57,11 @@ func OpenCorpusTrace(dir string, reg *obs.Registry, tr *trace.Tracer) (*Corpus, 
 	if err != nil {
 		return nil, err
 	}
-	c := &Corpus{
-		Dir:   dir,
-		ds:    parts.DS,
-		snaps: len(parts.Snaps),
-		parts: parts,
-	}
+	c := &Corpus{Dir: dir, parts: parts}
 	for _, mt := range parts.DS.Machines {
 		c.machines = append(c.machines, mt.Name)
 	}
 	sort.Strings(c.machines)
-	if len(c.machines) == 0 {
-		return nil, fmt.Errorf("query: %s holds no trace streams", dir)
-	}
 
 	h := sha256.New()
 	for _, name := range c.machines {
@@ -108,7 +98,7 @@ func (c *Corpus) TotalRecords() int {
 }
 
 // DataSet exposes the decoded analysis corpus (report artifacts).
-func (c *Corpus) DataSet() *analysis.DataSet { return c.ds }
+func (c *Corpus) DataSet() *analysis.DataSet { return c.parts.DS }
 
 // Parts exposes the underlying storage layers.
 func (c *Corpus) Parts() *core.Corpus { return c.parts }

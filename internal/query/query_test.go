@@ -15,6 +15,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -291,6 +292,79 @@ func TestBadSnapshotRecordFailsSection5(t *testing.T) {
 	}
 }
 
+// TestReportSectionRegistry pins that fsreport and /v1/report name the
+// report's sections from the one registry: the names are distinct,
+// report.Select (fsreport's selection) returns the named sections in the
+// order given, the /v1/report index is the registry's names sorted,
+// every name is served as its section renders, and an unknown name is
+// refused — by Select with the list of valid names.
+func TestReportSectionRegistry(t *testing.T) {
+	names := report.Names()
+	if len(names) != len(report.Sections) || len(names) != 27 {
+		t.Fatalf("%d names for %d sections, want 27", len(names), len(report.Sections))
+	}
+	seen := map[string]bool{}
+	for _, n := range names {
+		if seen[n] {
+			t.Errorf("section %q is registered twice", n)
+		}
+		seen[n] = true
+	}
+
+	all, err := report.Select()
+	if err != nil || len(all) != len(names) {
+		t.Fatalf("Select() = %d sections (%v), want the whole report", len(all), err)
+	}
+	reversed := slices.Clone(names)
+	slices.Reverse(reversed)
+	sel, err := report.Select(reversed...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, s := range sel {
+		if s.Name != reversed[i] {
+			t.Errorf("Select slot %d = %q, want %q", i, s.Name, reversed[i])
+		}
+	}
+	_, err = report.Select("table2", "fig1")
+	if err == nil || !strings.Contains(err.Error(), `"fig1"`) ||
+		!strings.HasSuffix(err.Error(), "valid names: "+strings.Join(names, " ")) {
+		t.Errorf("Select(table2, fig1) err = %v, want fig1 refused with the valid names", err)
+	}
+
+	dir := corpusDir(t)
+	svc, _ := newTestService(t, dir, Config{})
+	h := svc.Handler()
+	code, _, body := get(t, h, "/v1/report")
+	var index reportBody
+	if err := json.Unmarshal(body, &index); code != http.StatusOK || err != nil {
+		t.Fatalf("index: status %d (%v): %s", code, err, body)
+	}
+	want := slices.Clone(names)
+	slices.Sort(want)
+	if !slices.Equal(index.Available, want) {
+		t.Errorf("index lists %v, want the sorted registry %v", index.Available, want)
+	}
+	res, err := svc.results()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range report.Sections {
+		want, err := s.Render(res, svc.corpus.Parts().Snaps)
+		if err != nil {
+			t.Fatalf("%s: %v", s.Name, err)
+		}
+		code, _, body := get(t, h, "/v1/report?artifact="+s.Name)
+		var got reportBody
+		if err := json.Unmarshal(body, &got); code != http.StatusOK || err != nil || got.Text != want {
+			t.Errorf("/v1/report?artifact=%s: status %d (%v), text differs from the section's render", s.Name, code, err)
+		}
+	}
+	if code, _, body := get(t, h, "/v1/report?artifact=fig1"); code != http.StatusBadRequest {
+		t.Errorf("artifact=fig1: status %d, want 400: %s", code, body)
+	}
+}
+
 // TestRowOnlyMachineFailsClosed pins that a machine saved only as a
 // legacy row stream, with no segment of the same stem, fails the load —
 // in core.LoadCorpusTrace and in OpenCorpusTrace — with
@@ -332,6 +406,27 @@ func TestMissingSegmentFailsClosed(t *testing.T) {
 		}
 	}
 	_, err = core.LoadCorpusTrace(dir, nil, nil)
+	check("core.LoadCorpusTrace", err)
+	_, err = OpenCorpusTrace(dir, nil, nil)
+	check("OpenCorpusTrace", err)
+}
+
+// TestEmptyCorpusFailsClosed pins that a corpus directory whose stem
+// manifest lists no machine fails the load — in core.LoadCorpusTrace and
+// in OpenCorpusTrace — with an error naming the directory, instead of
+// loading an empty corpus whose report would dereference a nil machine.
+func TestEmptyCorpusFailsClosed(t *testing.T) {
+	dir := t.TempDir()
+	man := []byte(`{"version":1,"stems":{}}`)
+	if err := os.WriteFile(filepath.Join(dir, collect.StemManifestName), man, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	check := func(what string, err error) {
+		if err == nil || !strings.Contains(err.Error(), dir) {
+			t.Errorf("%s: err = %v, want an error naming %s", what, err, dir)
+		}
+	}
+	_, err := core.LoadCorpusTrace(dir, nil, nil)
 	check("core.LoadCorpusTrace", err)
 	_, err = OpenCorpusTrace(dir, nil, nil)
 	check("OpenCorpusTrace", err)

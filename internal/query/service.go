@@ -78,7 +78,6 @@ type Service struct {
 	resOnce sync.Once // report.Results is computed at most once per process
 	res     *report.Results
 	resErr  error
-	reports map[string]func(*report.Results) (string, error) // artifacts()
 
 	requests     map[string]*obs.Counter   // per endpoint
 	latency      map[string]*obs.Histogram // per endpoint, wall microseconds
@@ -109,7 +108,6 @@ func NewService(c *Corpus, cfg Config) *Service {
 		latency:   map[string]*obs.Histogram{},
 		startedAt: time.Now(),
 	}
-	s.reports = s.artifacts()
 	reg := cfg.Obs
 	s.tracer = cfg.Tracer
 	for _, ep := range endpoints {
@@ -577,48 +575,6 @@ func (s *Service) results() (*report.Results, error) {
 	return s.res, s.resErr
 }
 
-// artifacts is the /v1/report registry: name → renderer. Section 5 is
-// the one renderer that can fail: it reads snapshot records, which the
-// corpus load checks only as far as each file's CRC and header.
-func (s *Service) artifacts() map[string]func(*report.Results) (string, error) {
-	text := map[string]func(*report.Results) string{
-		"table1":   (*report.Results).Table1,
-		"table2":   (*report.Results).Table2,
-		"table3":   (*report.Results).Table3,
-		"figure1":  (*report.Results).Figure1,
-		"figure2":  (*report.Results).Figure2,
-		"figure3":  (*report.Results).Figure3,
-		"figure4":  (*report.Results).Figure4,
-		"figure5":  (*report.Results).Figure5,
-		"figure6":  (*report.Results).Figure6,
-		"figure7":  (*report.Results).Figure7,
-		"figure8":  (*report.Results).Figure8,
-		"figure9":  (*report.Results).Figure9,
-		"figure10": (*report.Results).Figure10,
-		"figure11": (*report.Results).Figure11,
-		"figure12": (*report.Results).Figure12,
-		"figure13": (*report.Results).Figure13,
-		"figure14": (*report.Results).Figure14,
-		"section6": (*report.Results).Section6Lifetimes,
-		"section7": (*report.Results).Section7SelfSim,
-		"section8": (*report.Results).Section8,
-		"section9": (*report.Results).Section9,
-		"section10": func(r *report.Results) string {
-			return r.Section10()
-		},
-		"process":    (*report.Results).ProcessView,
-		"type":       (*report.Results).TypeView,
-		"followups":  (*report.Results).FollowUps,
-		"cachesweep": func(r *report.Results) string { return r.CacheSweep([]float64{1, 4, 16, 64}) },
-	}
-	reg := make(map[string]func(*report.Results) (string, error), len(text)+1)
-	for name, render := range text {
-		reg[name] = func(r *report.Results) (string, error) { return render(r), nil }
-	}
-	reg["section5"] = func(r *report.Results) (string, error) { return r.RenderSection5(s.corpus.Parts().Snaps) }
-	return reg
-}
-
 // reportBody is the /v1/report response.
 type reportBody struct {
 	Corpus    string   `json:"corpus_sha256"`
@@ -628,7 +584,6 @@ type reportBody struct {
 }
 
 func (s *Service) handleReport(ctx context.Context, w http.ResponseWriter, r *http.Request, sp *trace.Span) {
-	reg := s.reports
 	name := strings.ToLower(strings.TrimSpace(r.URL.Query().Get("artifact")))
 	if name == "" {
 		// The artifact index never depends on the corpus content, but
@@ -640,10 +595,7 @@ func (s *Service) handleReport(ctx context.Context, w http.ResponseWriter, r *ht
 			return
 		}
 		sp.Annotate("cache", "miss")
-		names := make([]string, 0, len(reg))
-		for n := range reg {
-			names = append(names, n)
-		}
+		names := report.Names()
 		sort.Strings(names)
 		body, _ := json.Marshal(reportBody{Corpus: s.corpus.SHAHex(), Available: names})
 		body = append(body, '\n')
@@ -651,7 +603,7 @@ func (s *Service) handleReport(ctx context.Context, w http.ResponseWriter, r *ht
 		writeJSON(w, http.StatusOK, body)
 		return
 	}
-	render, ok := reg[name]
+	sec, ok := report.Lookup(name)
 	if !ok {
 		writeError(w, http.StatusBadRequest, fmt.Sprintf("unknown artifact %q", name))
 		return
@@ -675,9 +627,10 @@ func (s *Service) handleReport(ctx context.Context, w http.ResponseWriter, r *ht
 		writeError(w, http.StatusGatewayTimeout, "report exceeded the request deadline")
 		return
 	}
-	text, err := render(res)
+	text, err := sec.Render(res, s.corpus.Parts().Snaps)
 	if err != nil {
-		// Nothing is cached, so the next request renders again.
+		// Only §5 fails, on a bad snapshot record. Nothing is cached,
+		// so the next request renders again.
 		writeError(w, http.StatusInternalServerError, err.Error())
 		return
 	}

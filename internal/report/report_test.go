@@ -54,29 +54,28 @@ func synth(t *testing.T) *Results {
 	return ComputeWorkers(synthDS(t), runtime.GOMAXPROCS(0))
 }
 
-// renderAll concatenates every report artefact — the full observable
-// output of a Results.
-func renderAll(r *Results) string {
+// renderAll concatenates every section of the report — the full
+// observable output of a Results. There are no snapshots, so §5 renders
+// its empty form.
+func renderAll(t *testing.T, r *Results) string {
+	t.Helper()
 	var b strings.Builder
-	for _, f := range []func() string{
-		r.Table1, r.Table2, r.Table3, r.Figure1, r.Figure2, r.Figure3,
-		r.Figure4, r.Figure5, r.Figure6, r.Figure7, r.Figure8, r.Figure9,
-		r.Figure10, r.Figure11, r.Figure12, r.Figure13, r.Figure14,
-		r.Section6Lifetimes, r.Section7SelfSim, r.Section8, r.Section9,
-		r.Section10, r.ProcessView, r.TypeView, r.FollowUps,
-	} {
-		b.WriteString(f())
+	for _, s := range Sections {
+		text, err := s.Render(r, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", s.Name, err)
+		}
+		b.WriteString(text)
 	}
-	b.WriteString(r.CacheSweep([]float64{1, 4}))
 	return b.String()
 }
 
 func TestComputeWorkersDeterministic(t *testing.T) {
 	// Parallel Compute must be byte-identical to serial at any worker
 	// count — the same invariant the fleet engine pins with stream hashes.
-	want := renderAll(ComputeWorkers(synthDS(t), 1))
+	want := renderAll(t, ComputeWorkers(synthDS(t), 1))
 	for _, workers := range []int{4, 8} {
-		got := renderAll(ComputeWorkers(synthDS(t), workers))
+		got := renderAll(t, ComputeWorkers(synthDS(t), workers))
 		if got != want {
 			t.Errorf("workers=%d render differs from serial", workers)
 		}
@@ -96,7 +95,7 @@ func TestBuildInstancesOncePerMachine(t *testing.T) {
 	r := ComputeWorkers(synthDS(t), runtime.GOMAXPROCS(0))
 	// Rendering every figure — several of which consume the instance
 	// table — must not trigger any rebuild.
-	_ = renderAll(r)
+	_ = renderAll(t, r)
 	if len(counts) != 2 {
 		t.Fatalf("machines built = %d, want 2", len(counts))
 	}
@@ -179,13 +178,11 @@ func TestEmptyResultsDoNotPanic(t *testing.T) {
 		analysis.NewMachineTrace("empty", machine.WalkUp, nil),
 	}}
 	r := ComputeWorkers(ds, runtime.GOMAXPROCS(0))
-	for _, f := range []func() string{
-		r.Table1, r.Table2, r.Table3, r.Figure1, r.Figure2, r.Figure3,
-		r.Figure4, r.Figure5, r.Figure6, r.Figure7, r.Figure8, r.Figure9,
-		r.Figure10, r.Figure11, r.Figure12, r.Figure13, r.Figure14,
-		r.Section6Lifetimes, r.Section8, r.Section9, r.Section10,
-	} {
-		_ = f() // must not panic on an empty corpus
+	for _, s := range Sections {
+		// Must not panic on an empty corpus.
+		if _, err := s.Render(r, nil); err != nil {
+			t.Errorf("%s: %v", s.Name, err)
+		}
 	}
 }
 

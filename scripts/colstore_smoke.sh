@@ -1,10 +1,11 @@
 #!/usr/bin/env sh
 # colstore_smoke.sh — end-to-end check of the columnar corpus pipeline.
 #
-# Traces a small fleet (saved as colstore segments, *.fsc, and snapshots,
-# *.snap), verifies every segment's logical-stream SHA-256 and every
-# snapshot record with `fscorpus verify`, checks that a corrupt snapshot
-# fails it by name, inspects layout stats and runs a pushdown scan.
+# Traces a small fleet with fsfleet (saved as colstore segments, *.fsc,
+# and snapshots, *.snap), verifies every segment's logical-stream SHA-256
+# and every snapshot record with `fscorpus verify`, checks that a corrupt
+# snapshot fails it by name, inspects layout stats, runs a pushdown scan
+# and prints report sections by name with `fsreport -in`.
 #
 # Usage: scripts/colstore_smoke.sh
 set -eu
@@ -14,14 +15,15 @@ cd "$(dirname "$0")/.."
 WORK="$(mktemp -d)"
 trap 'rm -rf "$WORK"' EXIT
 
-go build -o "$WORK/fstrace" ./cmd/fstrace
+go build -o "$WORK/fsfleet" ./cmd/fsfleet
 go build -o "$WORK/fscorpus" ./cmd/fscorpus
+go build -o "$WORK/fsreport" ./cmd/fsreport
 
-"$WORK/fstrace" -machines 4 -hours 1 -seed 9 -workers 2 -out "$WORK/traces"
+"$WORK/fsfleet" -machines 4 -hours 1 -seed 9 -workers 2 -progress 0 -out "$WORK/traces"
 
 ls "$WORK/traces"/*.fsc >/dev/null
 if ls "$WORK/traces"/*.trz >/dev/null 2>&1; then
-  echo "FAIL: fstrace saved row streams" >&2
+  echo "FAIL: fsfleet saved row streams" >&2
   exit 1
 fi
 
@@ -51,5 +53,21 @@ grep -q "snapshot $(basename "$SNAP") FAILED verification" "$WORK/bad.out"
 "$WORK/fscorpus" stats "$WORK/traces" >/dev/null
 "$WORK/fscorpus" scan -kinds read,write "$WORK/traces" | tee "$WORK/scan.out"
 grep -q 'pushdown:' "$WORK/scan.out"
+
+# fsreport prints the sections named, and only those, in the order given.
+"$WORK/fsreport" -in "$WORK/traces" table2 section5 >"$WORK/report.out"
+HEADINGS="$(grep -E '^(Table [0-9]|Figure [0-9]|Section [0-9]|Per-process|Per-file-type|Follow-up|Cache policy)' \
+  "$WORK/report.out" | cut -d. -f1 | tr '\n' ',')"
+if [ "$HEADINGS" != "Table 2,Section 5," ]; then
+  echo "FAIL: fsreport table2 section5 printed the headings $HEADINGS" >&2
+  exit 1
+fi
+
+# An unknown section name fails and lists the valid ones.
+if "$WORK/fsreport" -in "$WORK/traces" fig1 >"$WORK/fig1.out" 2>&1; then
+  echo "FAIL: fsreport accepted the unknown section fig1" >&2
+  exit 1
+fi
+grep -q 'valid names:.* figure1 ' "$WORK/fig1.out"
 
 echo "colstore smoke OK" >&2

@@ -1,7 +1,7 @@
 #!/usr/bin/env sh
 # query_smoke.sh — end-to-end check of the corpus query service.
 #
-# Builds fstrace and fsqueryd, generates a small corpus, then
+# Builds fsfleet and fsqueryd, generates a small corpus, then
 # drives the service through its contract surface: a cold scan, a cache
 # hit proven by the obs counter, 429 backpressure under the built-in
 # load generator at a starved admission pool, and a clean SIGTERM drain.
@@ -15,10 +15,10 @@ PORT="${1:-9481}"
 WORK="$(mktemp -d)"
 trap 'kill "$PID" 2>/dev/null || true; rm -rf "$WORK"' EXIT
 
-go build -o "$WORK/fstrace" ./cmd/fstrace
+go build -o "$WORK/fsfleet" ./cmd/fsfleet
 go build -o "$WORK/fsqueryd" ./cmd/fsqueryd
 
-"$WORK/fstrace" -out "$WORK/traces" -machines 4 -hours 1 -seed 9 >/dev/null
+"$WORK/fsfleet" -out "$WORK/traces" -machines 4 -hours 1 -seed 9 -progress 0 >/dev/null
 
 "$WORK/fsqueryd" -dir "$WORK/traces" -addr "127.0.0.1:$PORT" \
   -workers 2 2>"$WORK/log" &
