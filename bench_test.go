@@ -498,6 +498,54 @@ func BenchmarkStudyBuild(b *testing.B) {
 	b.ReportMetric(float64(files), "files")
 }
 
+// BenchmarkStudyRun measures Study.Run of the ledger study, built by
+// core.NewStudy outside the timer: the 45 machines simulated, their
+// streams compressed and their volumes walked at the start and the close.
+// live_MB is the live heap the study adds, read after runtime.GC() once
+// Run returns with the study still reachable, less the live heap before
+// NewStudy. walk_B_per_record is the live heap a taken walk holds per
+// record, measured on a walk of every local volume after the run kept
+// beside the study's own.
+func BenchmarkStudyRun(b *testing.B) {
+	liveHeap := func() uint64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	var liveMB, walkB float64
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		base := liveHeap()
+		s := core.NewStudy(ledgerStudy())
+		b.StartTimer()
+		if err := s.Run(); err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		live := liveHeap()
+		liveMB = float64(live-base) / (1 << 20)
+		if i == b.N-1 {
+			var walks []*snapshot.Snapshot
+			records := 0
+			for _, n := range s.Nodes {
+				for _, v := range n.M.Volumes {
+					if !v.Mount.Remote {
+						walks = append(walks, snapshot.Take(n.M.Name, v.Mount.Prefix, v.FS, 0))
+						records += walks[len(walks)-1].Len()
+					}
+				}
+			}
+			walkB = float64(liveHeap()-live) / float64(records)
+			runtime.KeepAlive(walks)
+		}
+		runtime.KeepAlive(s)
+		b.StartTimer()
+	}
+	b.ReportMetric(liveMB, "live_MB")
+	b.ReportMetric(walkB, "walk_B_per_record")
+}
+
 // BenchmarkSnapshotWalk measures the snapshot walk of the ledger study's
 // 45 local volumes. fresh is the first walk after the volumes are built
 // (the build is outside the timer), in which every directory sorts its

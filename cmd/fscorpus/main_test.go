@@ -20,7 +20,11 @@ func TestVerifySnapshotsReadsEveryRecord(t *testing.T) {
 	walk := []snapshot.WalkRecord{{IsDir: true, NumFiles: 1}, {Name: "x", Depth: 1}}
 	write := func(name string, badRecord bool) {
 		var b bytes.Buffer
-		if err := snapshot.New("m", `C:`, 0, walk).Write(&b); err != nil {
+		snap, err := snapshot.New("m", `C:`, 0, walk)
+		if err == nil {
+			err = snap.Write(&b)
+		}
+		if err != nil {
 			t.Fatal(err)
 		}
 		data := b.Bytes()

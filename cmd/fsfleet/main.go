@@ -212,11 +212,6 @@ func main() {
 	st = study.Engine.Status()
 	fmt.Fprintf(os.Stderr, "finished in %s: %s\n", time.Since(start).Round(time.Second), st)
 
-	// End-of-run telemetry snapshot beside the corpus (the checkpoint-dir
-	// copy is written by the fleet engine, even on interrupted runs).
-	if err := reg.WriteSnapshot(filepath.Join(*out, "obs.json")); err != nil {
-		fmt.Fprintf(os.Stderr, "warning: obs snapshot: %v\n", err)
-	}
 	writeTrace()
 
 	if *collAddr != "" {
@@ -246,6 +241,13 @@ func main() {
 	}
 	if err := study.Save(*out); err != nil {
 		log.Fatal(err)
+	}
+	// End-of-run telemetry snapshot beside the corpus, so only a run that
+	// saves one writes it: with -collect the corpus is the server's (the
+	// checkpoint-dir copy is written by the fleet engine, even on
+	// interrupted runs).
+	if err := reg.WriteSnapshot(filepath.Join(*out, "obs.json")); err != nil {
+		fmt.Fprintf(os.Stderr, "warning: obs snapshot: %v\n", err)
 	}
 	fmt.Fprintf(os.Stderr, "saved corpus to %s\n", *out)
 }

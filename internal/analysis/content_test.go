@@ -225,8 +225,15 @@ func TestCensusMatchesSortCensus(t *testing.T) {
 			snaps = append(snaps, snapshot.Take(cat.String(), `C:`, fs, sim.Time(30*sim.Day)))
 		}
 	}
-	small := snapshot.New(snaps[0].Machine, snaps[0].Volume, snaps[0].TakenAt, walk(t, snaps[0])[:90])
-	snaps = append(snaps, small, &snapshot.Snapshot{Machine: "empty"})
+	small, err := snapshot.New(snaps[0].Machine, snaps[0].Volume, snaps[0].TakenAt, walk(t, snaps[0])[:90])
+	if err != nil {
+		t.Fatal(err)
+	}
+	empty, err := snapshot.New("empty", "", 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snaps = append(snaps, small, empty)
 	for _, s := range snaps {
 		want := sortCensus(t, s)
 		if got := census(t, s); got != want {

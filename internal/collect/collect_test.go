@@ -80,6 +80,38 @@ func TestStoreAppendAfterFinalize(t *testing.T) {
 	}
 }
 
+// TestFinalizeDropsCompressor checks that a sealed stream keeps no DEFLATE
+// writer, whether FinalizeMachine or Finalize sealed it, that Append on
+// it still fails, and that its records read back.
+func TestFinalizeDropsCompressor(t *testing.T) {
+	s := NewStore()
+	s.Append("a", mkRecs(10, 1))
+	s.Append("b", mkRecs(10, 2))
+	if err := s.FinalizeMachine("a"); err != nil {
+		t.Fatal(err)
+	}
+	if s.streams["a"].zw != nil || s.streams["b"].zw == nil {
+		t.Fatalf("after FinalizeMachine(a): a holds a compressor %v, b %v", s.streams["a"].zw != nil, s.streams["b"].zw != nil)
+	}
+	if err := s.Append("a", mkRecs(1, 3)); err == nil {
+		t.Error("append to a finalized stream succeeded")
+	}
+	if err := s.Finalize(); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"a", "b"} {
+		if s.streams[name].zw != nil {
+			t.Errorf("%s holds a compressor after Finalize", name)
+		}
+		if err := s.Append(name, mkRecs(1, 4)); err == nil {
+			t.Errorf("append to finalized %s succeeded", name)
+		}
+		if recs, err := s.Records(name); err != nil || len(recs) != 10 {
+			t.Errorf("%s: %d records, err %v", name, len(recs), err)
+		}
+	}
+}
+
 func TestStoreRecordsBeforeFinalize(t *testing.T) {
 	s := NewStore()
 	s.Append("m", mkRecs(10, 1))

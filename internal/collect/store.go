@@ -96,7 +96,8 @@ func (s *Store) Append(machine string, recs []tracefmt.Record) error {
 	return nil
 }
 
-// close flushes and seals one stream.
+// close flushes and seals one stream, and drops its compressor (about a
+// megabyte of DEFLATE state) once the stream is sealed.
 func (st *stream) close(name string) error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -106,6 +107,7 @@ func (st *stream) close(name string) error {
 	if err := st.zw.Close(); err != nil {
 		return fmt.Errorf("collect: finalize %q: %w", name, err)
 	}
+	st.zw = nil
 	st.closed = true
 	return nil
 }

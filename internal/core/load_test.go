@@ -2,16 +2,21 @@ package core
 
 import (
 	"encoding/hex"
+	"encoding/json"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
 
+	"repro/internal/ntos/machine"
 	"repro/internal/report"
 	"repro/internal/sim"
 	"repro/internal/snapshot"
@@ -233,4 +238,102 @@ func TestLoadCorpusManifest(t *testing.T) {
 	if _, err := LoadCorpusTrace(dir, nil, nil); err == nil || !strings.Contains(err.Error(), "manifest") {
 		t.Errorf("manifest.json as a directory: err = %v, want a manifest error", err)
 	}
+	if err := os.Remove(man); err != nil {
+		t.Fatal(err)
+	}
+
+	// A manifest that leaves a loaded machine out, lists one twice or
+	// gives one a category outside the five fails the load, naming the
+	// machine; one that lists a machine without a segment loads.
+	infos := make([]MachineInfo, len(c.DS.Machines))
+	for i, mt := range c.DS.Machines {
+		infos[i] = MachineInfo{Name: mt.Name, Category: mt.Category, ProcNames: mt.ProcNames}
+	}
+	first := infos[0].Name
+	bad := MachineInfo{Name: first, Category: machine.Scientific + 1}
+	for what, list := range map[string][]MachineInfo{
+		"unlisted":     infos[1:],
+		"repeated":     append(slices.Clone(infos), infos[0]),
+		"bad category": append([]MachineInfo{bad}, infos[1:]...),
+	} {
+		if err := WriteManifest(dir, list); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadCorpusTrace(dir, nil, nil); err == nil || !strings.Contains(err.Error(), strconv.Quote(first)) {
+			t.Errorf("%s machine: err = %v, want one naming %q", what, err, first)
+		}
+	}
+	if err := WriteManifest(dir, append(slices.Clone(infos), MachineInfo{Name: "idle"})); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadCorpusTrace(dir, nil, nil); err != nil {
+		t.Errorf("manifest listing a machine without a segment: %v", err)
+	}
+}
+
+// FuzzCorpusManifest loads a saved 2-machine corpus under arbitrary
+// manifest.json bytes: the load must fail, or give every machine the
+// category and process names of its one entry in the manifest.
+func FuzzCorpusManifest(f *testing.F) {
+	s := NewStudy(Config{Seed: 3, Machines: 2, Duration: sim.Minute, Workers: 1})
+	if err := s.Run(); err != nil {
+		f.Fatal(err)
+	}
+	dir := f.TempDir()
+	if err := s.Save(dir); err != nil {
+		f.Fatal(err)
+	}
+	if c, err := LoadCorpusTrace(dir, nil, nil); err != nil || len(c.DS.Machines) != 2 {
+		f.Fatalf("the saved corpus does not load its 2 machines (err %v)", err)
+	}
+	path := filepath.Join(dir, "manifest.json")
+	saved, err := os.ReadFile(path)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(saved)
+	var man manifest
+	if err := json.Unmarshal(saved, &man); err != nil {
+		f.Fatal(err)
+	}
+	for _, list := range [][]MachineInfo{
+		man.Machines[1:],
+		append(slices.Clone(man.Machines), man.Machines[0]),
+		{{Name: man.Machines[0].Name, Category: 7}, man.Machines[1]},
+	} {
+		data, err := json.Marshal(manifest{Machines: list})
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Add([]byte(`null`))
+	f.Add([]byte(`{"machines":[{"name":"m","category":300}]}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		c, err := LoadCorpusTrace(dir, nil, nil)
+		if err != nil {
+			return
+		}
+		var man manifest
+		if err := json.Unmarshal(data, &man); err != nil {
+			t.Fatalf("the load accepted a manifest that does not parse: %v", err)
+		}
+		for _, mt := range c.DS.Machines {
+			var listed []MachineInfo
+			for _, e := range man.Machines {
+				if e.Name == mt.Name {
+					listed = append(listed, e)
+				}
+			}
+			if len(listed) != 1 {
+				t.Fatalf("%s loaded, listed %d times", mt.Name, len(listed))
+			}
+			if e := listed[0]; mt.Category != e.Category || !maps.Equal(mt.ProcNames, e.ProcNames) {
+				t.Fatalf("%s loaded as %v with %d process names, listed as %v with %d", mt.Name, mt.Category, len(mt.ProcNames), e.Category, len(e.ProcNames))
+			}
+		}
+	})
 }

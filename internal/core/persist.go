@@ -38,10 +38,10 @@ type MachineInfo struct {
 // snapshots (*.snap, the binary snapshot format) and the machine
 // manifest into dir. The study must have Run.
 //
-// Segments and snapshots are encoded and written on GOMAXPROCS workers,
-// as LoadCorpusTrace reads them; each lands in its own slot, so the
-// directory and the error returned (the first in slot order) are those
-// of a serial save.
+// Segments are encoded and written, and snapshots written as the file
+// images the walks encoded, on GOMAXPROCS workers, as LoadCorpusTrace
+// reads them; each lands in its own slot, so the directory and the error
+// returned (the first in slot order) are those of a serial save.
 func (s *Study) Save(dir string) error {
 	if !s.ran {
 		return fmt.Errorf("core: Save before Run")
@@ -76,7 +76,7 @@ func WriteManifest(dir string, machines []MachineInfo) error {
 	return os.WriteFile(filepath.Join(dir, "manifest.json"), data, 0o644)
 }
 
-// writeSnapshot encodes one snapshot into a new file at path.
+// writeSnapshot writes one snapshot's image into a new file at path.
 func writeSnapshot(path string, snap *snapshot.Snapshot) error {
 	f, err := os.Create(path)
 	if err != nil {
@@ -111,7 +111,11 @@ type Corpus struct {
 // order, under the true names the stem manifest (machines.json) gives;
 // a directory without one, or whose manifest lists no machine, fails the
 // load. So does a JSON snapshot (*.snap.json), the format corpora held
-// before *.snap: loading without it would leave §5 silently empty.
+// before *.snap: loading without it would leave §5 silently empty. A
+// manifest.json, when present, must list each loaded machine exactly
+// once with one of the five categories, or the load fails naming the
+// machine; a corpus saved before manifests loads every machine as
+// walk-up with no process names.
 //
 // When reg is non-nil every opened segment counts blocks scanned and
 // skipped and bytes decoded per column family on the colstore bundle.
@@ -148,11 +152,13 @@ func LoadCorpusTrace(dir string, reg *obs.Registry, tr *trace.Tracer) (*Corpus, 
 		return nil, fmt.Errorf("core: %s holds no machine traces", dir)
 	}
 	var man manifest
+	hasManifest := false
 	switch data, err := os.ReadFile(filepath.Join(dir, "manifest.json")); {
 	case err == nil:
 		if err := json.Unmarshal(data, &man); err != nil {
 			return nil, fmt.Errorf("core: manifest: %w", err)
 		}
+		hasManifest = true
 	case !errors.Is(err, fs.ErrNotExist):
 		// Only a corpus saved without a manifest may lack one; any other
 		// failure would load every machine without its dimensions.
@@ -161,6 +167,12 @@ func LoadCorpusTrace(dir string, reg *obs.Registry, tr *trace.Tracer) (*Corpus, 
 	cats := map[string]machine.Category{}
 	procs := map[string]map[uint32]string{}
 	for _, e := range man.Machines {
+		if _, dup := cats[e.Name]; dup {
+			return nil, fmt.Errorf("core: manifest lists machine %q twice", e.Name)
+		}
+		if e.Category > machine.Scientific {
+			return nil, fmt.Errorf("core: manifest gives machine %q unknown category %d", e.Name, e.Category)
+		}
 		cats[e.Name] = e.Category
 		procs[e.Name] = e.ProcNames
 	}
@@ -169,6 +181,14 @@ func LoadCorpusTrace(dir string, reg *obs.Registry, tr *trace.Tracer) (*Corpus, 
 		names = append(names, n)
 	}
 	sort.Strings(names)
+	// A manifest lists every machine with a segment (and may list more:
+	// Save lists machines that recorded nothing), so none loads without
+	// its dimensions.
+	for _, n := range names {
+		if _, listed := cats[n]; hasManifest && !listed {
+			return nil, fmt.Errorf("core: manifest does not list machine %q", n)
+		}
+	}
 	load := func(name string) (*analysis.MachineTrace, error) {
 		sp := tr.StartTrace("load", name, trace.HashID("load", name), nil)
 		defer sp.Finish()

@@ -47,7 +47,12 @@ func addFakeShard(t testing.TB, e *Engine, idx int, name string, rng *sim.RNG) {
 	sched.At(0, tick)
 	err := e.Add(Spec{Index: idx, Name: name, Fingerprint: "fp-" + name}, sched, Hooks{
 		Finish: func() {
-			e.Snapshot(&snapshot.Snapshot{Machine: name, TakenAt: sched.Now()})
+			snap, err := snapshot.New(name, "", sched.Now(), nil)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			e.Snapshot(snap)
 		},
 		ProcNames: func() map[uint32]string {
 			return map[uint32]string{uint32(idx): name + ".exe"}
@@ -198,7 +203,11 @@ func badRecordSnapshot(t testing.TB) []byte {
 	t.Helper()
 	var b bytes.Buffer
 	walk := []snapshot.WalkRecord{{IsDir: true, NumFiles: 1}, {Name: "x", Depth: 1}}
-	if err := snapshot.New("m00", `C:`, 0, walk).Write(&b); err != nil {
+	snap, err := snapshot.New("m00", `C:`, 0, walk)
+	if err == nil {
+		err = snap.Write(&b)
+	}
+	if err != nil {
 		t.Fatal(err)
 	}
 	bad := b.Bytes()

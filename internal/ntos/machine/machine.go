@@ -183,13 +183,14 @@ func (m *Machine) Start() {
 	}
 }
 
-// Stop halts the lazy writer and flushes trace buffers.
+// Stop halts the lazy writer, flushes trace buffers and releases them.
 func (m *Machine) Stop() {
 	m.Cache.StopLazyWriter()
 	for _, v := range m.Volumes {
 		if v.Trace != nil {
 			v.Trace.Mark(tracefmt.EvAgentStop)
 			v.Trace.Flush()
+			v.Trace.Release()
 		}
 	}
 }

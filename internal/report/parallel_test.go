@@ -119,7 +119,11 @@ func TestSection5EdgeCases(t *testing.T) {
 		for i := 0; i < files; i++ {
 			recs = append(recs, snapshot.WalkRecord{Name: fmt.Sprintf("f%d.exe", i), Depth: 1, Size: int64(100 * (i + 1))})
 		}
-		return snapshot.New(machine, vol, 0, recs)
+		s, err := snapshot.New(machine, vol, 0, recs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
 	}
 	// One walk per volume; m1 has two volumes, so two snapshots but no
 	// volume walked twice.

@@ -195,7 +195,11 @@ func TestSection5ExemplarDeterministic(t *testing.T) {
 		for i := 0; i < files; i++ {
 			recs = append(recs, snapshot.WalkRecord{Name: fmt.Sprintf("f%d.txt", i), Depth: 1, Size: 10})
 		}
-		return snapshot.New(machine, vol, sim.Time(day)*sim.Time(sim.Day), recs)
+		s, err := snapshot.New(machine, vol, sim.Time(day)*sim.Time(sim.Day), recs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
 	}
 	snaps := []*snapshot.Snapshot{
 		snap("solo", `C:`, 0, 1),

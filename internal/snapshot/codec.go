@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"math/bits"
 	"os"
 	"strings"
 
@@ -36,73 +37,99 @@ const minRecordBytes = 7
 // ErrCorrupt reports a snapshot that fails its format checks.
 var ErrCorrupt = errors.New("snapshot: corrupt")
 
-// Write serialises the snapshot in the binary format in one call to w.
-// A decoded snapshot writes the bytes it was decoded from, unchanged.
+// Write writes the snapshot's file image to w in one call: the bytes
+// Take or New encoded, or those Decode was given, unchanged.
 func (s *Snapshot) Write(w io.Writer) error {
-	if s.file != nil {
-		_, err := w.Write(s.file)
-		return err
-	}
-	if err := s.validate(); err != nil {
-		return err
-	}
-	nameBytes := 0
-	for i := range s.walk {
-		nameBytes += len(s.walk[i].Name)
-	}
-	// A record takes about 27 bytes besides its name: three times of
-	// about 7 bytes each dominate.
-	b := make([]byte, 0, 64+len(s.Machine)+len(s.Volume)+nameBytes+32*len(s.walk))
-	b = append(b, magic...)
-	b = appendString(b, s.Machine)
-	b = appendString(b, s.Volume)
-	b = binary.AppendVarint(b, int64(s.TakenAt))
-	b = binary.AppendUvarint(b, uint64(len(s.walk)))
-	b = binary.AppendUvarint(b, uint64(nameBytes))
-	for i := range s.walk {
-		r := &s.walk[i]
-		b = binary.AppendUvarint(b, uint64(r.Depth))
-		if r.IsDir {
-			b = append(b, flagDir)
-		} else {
-			b = append(b, 0)
-		}
-		b = binary.AppendVarint(b, r.Size)
-		b = binary.AppendVarint(b, int64(r.Created))
-		b = binary.AppendVarint(b, int64(r.LastModified))
-		b = binary.AppendVarint(b, int64(r.LastAccessed))
-		if r.IsDir {
-			b = binary.AppendVarint(b, int64(r.NumFiles))
-			b = binary.AppendVarint(b, int64(r.NumSubdirs))
-		}
-		b = appendString(b, r.Name)
-	}
-	b = binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b))
-	_, err := w.Write(b)
+	_, err := w.Write(s.file)
 	return err
+}
+
+// appendRecord appends r's encoding to b.
+func appendRecord(b []byte, r *WalkRecord) []byte {
+	b = binary.AppendUvarint(b, uint64(r.Depth))
+	if r.IsDir {
+		b = append(b, flagDir)
+	} else {
+		b = append(b, 0)
+	}
+	b = binary.AppendVarint(b, r.Size)
+	b = binary.AppendVarint(b, int64(r.Created))
+	b = binary.AppendVarint(b, int64(r.LastModified))
+	b = binary.AppendVarint(b, int64(r.LastAccessed))
+	if r.IsDir {
+		b = binary.AppendVarint(b, int64(r.NumFiles))
+		b = binary.AppendVarint(b, int64(r.NumSubdirs))
+	}
+	return appendString(b, r.Name)
 }
 
 func appendString(b []byte, s string) []byte {
 	return append(binary.AppendUvarint(b, uint64(len(s))), s...)
 }
 
-// validate rejects records a walk never produces: a negative depth
-// (Entries would cut its ancestor stack at a negative index) and
-// directory fan-out on a file (the binary format has no place for it).
-func (s *Snapshot) validate() error {
-	for i := range s.walk {
-		r := &s.walk[i]
-		if r.Depth < 0 {
-			return fmt.Errorf("%w: record %d has negative depth %d", ErrCorrupt, i, r.Depth)
-		}
-		if !r.IsDir && (r.NumFiles != 0 || r.NumSubdirs != 0) {
-			return fmt.Errorf("%w: file record %d has directory fan-out", ErrCorrupt, i)
-		}
+// recordSize is the length of appendRecord's encoding of r.
+func recordSize(r *WalkRecord) int {
+	n := uvarintSize(uint64(r.Depth)) + 1 + varintSize(r.Size) + varintSize(int64(r.Created)) +
+		varintSize(int64(r.LastModified)) + varintSize(int64(r.LastAccessed)) + stringSize(r.Name)
+	if r.IsDir {
+		n += varintSize(int64(r.NumFiles)) + varintSize(int64(r.NumSubdirs))
 	}
-	return nil
+	return n
 }
 
-// Decode checks one snapshot in the binary format, as Write produces
+func uvarintSize(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
+
+// varintSize is the length of a varint, zig-zag encoded as
+// binary.AppendVarint encodes it.
+func varintSize(v int64) int { return uvarintSize(uint64(v<<1) ^ uint64(v>>63)) }
+
+func stringSize(s string) int { return uvarintSize(uint64(len(s))) + len(s) }
+
+// encoder builds one image in a buffer of its exact size, from two
+// passes over the same records: the first tallies them (b is nil), begin
+// then writes the header, the second appends each record, and seal
+// appends the CRC. An encoder that stays on its caller's stack keeps the
+// per-record stores free of write barriers.
+type encoder struct {
+	count, nameBytes, recBytes int
+	b                          []byte
+	head                       int // header length, where the records start
+}
+
+func (e *encoder) add(r *WalkRecord) {
+	if e.b == nil {
+		e.count++
+		e.nameBytes += len(r.Name)
+		e.recBytes += recordSize(r)
+		return
+	}
+	e.b = appendRecord(e.b, r)
+}
+
+func (e *encoder) begin(machine, vol string, takenAt sim.Time) {
+	e.head = len(magic) + stringSize(machine) + stringSize(vol) + varintSize(int64(takenAt)) +
+		uvarintSize(uint64(e.count)) + uvarintSize(uint64(e.nameBytes))
+	b := make([]byte, 0, e.head+e.recBytes+crc32.Size)
+	b = append(b, magic...)
+	b = appendString(b, machine)
+	b = appendString(b, vol)
+	b = binary.AppendVarint(b, int64(takenAt))
+	b = binary.AppendUvarint(b, uint64(e.count))
+	e.b = binary.AppendUvarint(b, uint64(e.nameBytes))
+}
+
+// seal appends the CRC and returns the snapshot, the value Decode
+// returns for the image.
+func (e *encoder) seal(machine, vol string, takenAt sim.Time) *Snapshot {
+	b := binary.LittleEndian.AppendUint32(e.b, crc32.ChecksumIEEE(e.b))
+	return &Snapshot{
+		Machine: machine, Volume: vol, TakenAt: takenAt,
+		file: b, recs: b[e.head : len(b)-crc32.Size],
+		count: e.count, nameBytes: e.nameBytes,
+	}
+}
+
+// Decode checks one snapshot in the binary format, as Take and New encode
 // it, and reads its header: the magic, the CRC and the header's counts,
 // each bounded by the input still unread, so a corrupt file cannot ask
 // for more memory than its own size implies. The records stay encoded
@@ -146,11 +173,16 @@ func ReadFile(path string) (*Snapshot, error) {
 	return s, nil
 }
 
-// eachEncoded is Each over a decoded snapshot: the one parser of the
-// record section. It passes one reused record and slices every name from
-// one arena string of the header's name bytes, so a walk costs two
-// allocations however many records it holds.
-func (s *Snapshot) eachEncoded(fn func(*WalkRecord)) error {
+// Each calls fn with every record in walk order, parsed from the image
+// and put through every record-level check of the format. The record
+// passed is reused from one call to the next, so fn must copy what it
+// keeps past its return (a Name it keeps stays valid: every name is
+// sliced from one arena string of the header's name bytes, so a pass
+// costs two allocations however many records it holds). The first
+// failure stops the pass and is returned, naming the file the snapshot
+// was read from; fn has then seen only the records before it, so a
+// caller discards what it built.
+func (s *Snapshot) Each(fn func(*WalkRecord)) error {
 	d := decoder{buf: s.recs}
 	var arena strings.Builder
 	arena.Grow(s.nameBytes)

@@ -8,6 +8,7 @@
 package snapshot
 
 import (
+	"fmt"
 	"sort"
 	"strings"
 
@@ -59,97 +60,88 @@ func shortName(name string) string {
 	return name[:max]
 }
 
-// Snapshot is one volume's walk at a point in time. Its header (machine,
-// volume, time and record count) is always in memory; its records are
-// read through Each, from the walk Take made or from the file Decode
-// checked. So a loaded corpus holds each file's bytes, not its decoded
-// records, and parses only the walks an analysis reads.
+// Snapshot is one volume's walk at a point in time, held as its FSSNAP01
+// file image (codec.go): Take encodes each record into it as the walk
+// reaches it, and Decode keeps the checked bytes it was given. Its
+// header (machine, volume, time and record count) is also kept decoded;
+// its records are parsed by Each, so a study or a loaded corpus holds
+// every walk as file bytes and parses only the walks an analysis reads.
 type Snapshot struct {
 	Machine string
 	Volume  string
 	TakenAt sim.Time
 
-	// walk holds the records of a taken walk (Take, New); nil for a
-	// decoded snapshot.
-	walk []WalkRecord
-	// A decoded snapshot keeps its whole input (Write copies it out
-	// unchanged), the record section of it, the header's record and name
-	// byte counts, and the file it was read from, which its errors name.
+	// file is the whole image (Write copies it out unchanged) and recs
+	// its record section; count and nameBytes are the header's record
+	// and name byte counts, and source is the file a decoded snapshot
+	// was read from, which its errors name.
 	file, recs       []byte
 	count, nameBytes int
 	source           string
 }
 
-// New returns a snapshot of the given records, as Take returns one of a
-// volume's walk. Write refuses records no walk produces.
-func New(machine, vol string, takenAt sim.Time, records []WalkRecord) *Snapshot {
-	return &Snapshot{Machine: machine, Volume: vol, TakenAt: takenAt, walk: records}
+// New returns the snapshot of the given records, encoded as Take encodes
+// a walk. It refuses records no walk produces: a negative depth (Entries
+// would cut its ancestor stack at a negative index) and directory
+// fan-out on a file (the format has no place for it).
+func New(machine, vol string, takenAt sim.Time, records []WalkRecord) (*Snapshot, error) {
+	var e encoder
+	for i := range records {
+		r := &records[i]
+		switch {
+		case r.Depth < 0:
+			return nil, fmt.Errorf("%w: record %d has negative depth %d", ErrCorrupt, i, r.Depth)
+		case !r.IsDir && (r.NumFiles != 0 || r.NumSubdirs != 0):
+			return nil, fmt.Errorf("%w: file record %d has directory fan-out", ErrCorrupt, i)
+		}
+		e.add(r)
+	}
+	e.begin(machine, vol, takenAt)
+	for i := range records {
+		e.add(&records[i])
+	}
+	return e.seal(machine, vol, takenAt), nil
 }
 
 // Take walks fs producing a snapshot. The walk is deterministic: each
 // directory's children in their walk order (fsys.Node.Children), which a
-// directory sorts only when it changed since the last walk.
+// directory sorts only when it changed since the last walk. A first pass
+// counts the records and sizes their encoding, so the second encodes the
+// image into one allocation of its exact size.
 func Take(machine, vol string, fs *fsys.FS, now sim.Time) *Snapshot {
-	walk := make([]WalkRecord, 0, fs.FileCount+fs.DirCount)
-	var rec func(n *fsys.Node, depth int)
-	rec = func(n *fsys.Node, depth int) {
-		walk = append(walk, WalkRecord{
-			Name:         shortName(n.Name),
-			Depth:        depth,
-			IsDir:        n.IsDir(),
-			Size:         n.Size,
-			Created:      n.Created,
-			LastModified: n.LastModified,
-			LastAccessed: n.LastAccessed,
-		})
-		if !n.IsDir() {
-			return
-		}
-		kids := n.Children()
-		w := &walk[len(walk)-1] // valid until rec appends
-		for _, k := range kids {
-			if k.IsDir() {
-				w.NumSubdirs++
-			} else {
-				w.NumFiles++
-			}
-		}
-		for _, k := range kids {
-			rec(k, depth+1)
-		}
-	}
-	rec(fs.Root, 0)
-	return New(machine, vol, now, walk)
-}
-
-// Len returns the number of records: the header's count for a decoded
-// snapshot, which Each checks against the records it parses.
-func (s *Snapshot) Len() int {
-	if s.file != nil {
-		return s.count
-	}
-	return len(s.walk)
-}
-
-// Each calls fn with every record in walk order. The record passed is
-// reused from one call to the next, so fn must copy what it keeps past
-// its return (a Name it keeps stays valid). A taken snapshot serves its
-// walk; a decoded one parses its records from the checked bytes, running
-// every record-level check of the format. The first failure stops the
-// walk and is returned, naming the file the snapshot was read from; fn
-// has then seen only the records before it, so a caller discards what
-// it built.
-func (s *Snapshot) Each(fn func(*WalkRecord)) error {
-	if s.file != nil {
-		return s.eachEncoded(fn)
-	}
+	var e encoder
 	var r WalkRecord
-	for i := range s.walk {
-		r = s.walk[i]
-		fn(&r)
-	}
-	return nil
+	walk(fs.Root, 0, &r, &e)
+	e.begin(machine, vol, now)
+	walk(fs.Root, 0, &r, &e)
+	return e.seal(machine, vol, now)
 }
+
+// walk passes e the record of n and then of each node under it, in walk
+// order. The record r is reused from one node to the next.
+func walk(n *fsys.Node, depth int, r *WalkRecord, e *encoder) {
+	// Field by field: a composite literal would build the record aside
+	// and copy it in.
+	r.Name, r.Depth, r.IsDir = shortName(n.Name), depth, n.IsDir()
+	r.Size, r.Created, r.LastModified, r.LastAccessed = n.Size, n.Created, n.LastModified, n.LastAccessed
+	r.NumFiles, r.NumSubdirs = 0, 0
+	kids := n.Children()
+	for _, k := range kids {
+		if k.IsDir() {
+			r.NumSubdirs++
+		} else {
+			r.NumFiles++
+		}
+	}
+	e.add(r)
+	for _, k := range kids {
+		walk(k, depth+1, r, e)
+	}
+}
+
+// Len returns the number of records, the header's count, which Each
+// checks against the records it parses.
+func (s *Snapshot) Len() int { return s.count }
 
 // Entry pairs a reconstructed path with its record.
 type Entry struct {

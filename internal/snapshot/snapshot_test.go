@@ -4,8 +4,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
-	"io"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -85,6 +85,108 @@ func decodeAll(data []byte) (*Snapshot, error) {
 		return nil, err
 	}
 	return s, nil
+}
+
+// mustNew is New for records a walk could produce.
+func mustNew(t testing.TB, machine, vol string, takenAt sim.Time, recs []WalkRecord) *Snapshot {
+	t.Helper()
+	s, err := New(machine, vol, takenAt, recs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// image is the file image s writes.
+func image(t testing.TB, s *Snapshot) []byte {
+	t.Helper()
+	var b bytes.Buffer
+	if err := s.Write(&b); err != nil {
+		t.Fatal(err)
+	}
+	return b.Bytes()
+}
+
+// structTake is Take as it was before snapshots were encoded as they are
+// taken: the walk built as a slice of records, to be encoded afterwards.
+func structTake(fs *fsys.FS) []WalkRecord {
+	walk := make([]WalkRecord, 0, fs.FileCount+fs.DirCount)
+	var rec func(n *fsys.Node, depth int)
+	rec = func(n *fsys.Node, depth int) {
+		walk = append(walk, WalkRecord{
+			Name:         shortName(n.Name),
+			Depth:        depth,
+			IsDir:        n.IsDir(),
+			Size:         n.Size,
+			Created:      n.Created,
+			LastModified: n.LastModified,
+			LastAccessed: n.LastAccessed,
+		})
+		if !n.IsDir() {
+			return
+		}
+		kids := n.Children()
+		w := &walk[len(walk)-1] // valid until rec appends
+		for _, k := range kids {
+			if k.IsDir() {
+				w.NumSubdirs++
+			} else {
+				w.NumFiles++
+			}
+		}
+		for _, k := range kids {
+			rec(k, depth+1)
+		}
+	}
+	rec(fs.Root, 0)
+	return walk
+}
+
+// structEncode is the encoder Write ran over such a slice.
+func structEncode(machine, vol string, takenAt sim.Time, walk []WalkRecord) []byte {
+	nameBytes := 0
+	for i := range walk {
+		nameBytes += len(walk[i].Name)
+	}
+	b := append([]byte(nil), magic...)
+	b = appendString(b, machine)
+	b = appendString(b, vol)
+	b = binary.AppendVarint(b, int64(takenAt))
+	b = binary.AppendUvarint(b, uint64(len(walk)))
+	b = binary.AppendUvarint(b, uint64(nameBytes))
+	for i := range walk {
+		r := &walk[i]
+		b = binary.AppendUvarint(b, uint64(r.Depth))
+		if r.IsDir {
+			b = append(b, flagDir)
+		} else {
+			b = append(b, 0)
+		}
+		b = binary.AppendVarint(b, r.Size)
+		b = binary.AppendVarint(b, int64(r.Created))
+		b = binary.AppendVarint(b, int64(r.LastModified))
+		b = binary.AppendVarint(b, int64(r.LastAccessed))
+		if r.IsDir {
+			b = binary.AppendVarint(b, int64(r.NumFiles))
+			b = binary.AppendVarint(b, int64(r.NumSubdirs))
+		}
+		b = appendString(b, r.Name)
+	}
+	return binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b))
+}
+
+// checkTakeBytes checks that Take of fs encodes, byte for byte, what the
+// struct walk and its encoder give, and that the image is exactly sized.
+func checkTakeBytes(t *testing.T, fs *fsys.FS, what string) {
+	t.Helper()
+	got := Take("m", `C:`, fs, 7)
+	img := image(t, got)
+	if want := structEncode("m", `C:`, 7, structTake(fs)); !bytes.Equal(img, want) {
+		t.Fatalf("%s: Take encoded %d bytes, the struct walk %d, and they differ", what, len(img), len(want))
+	}
+	if cap(got.file) != len(got.file) {
+		t.Errorf("%s: image cap %d, len %d: not sized exactly", what, cap(got.file), len(got.file))
+	}
 }
 
 func TestTakeCountsAndBytes(t *testing.T) {
@@ -230,8 +332,8 @@ func TestWriteReadRoundTrip(t *testing.T) {
 		t.Errorf("header differs: got %s %s %d (%d records), want %s %s %d (%d)",
 			got.Machine, got.Volume, got.TakenAt, got.Len(), snap.Machine, snap.Volume, snap.TakenAt, snap.Len())
 	}
-	if recs := records(t, got); !reflect.DeepEqual(recs, snap.walk) {
-		t.Errorf("round trip differs:\n got %+v\nwant %+v", recs, snap.walk)
+	if recs, want := records(t, got), records(t, snap); !reflect.DeepEqual(recs, want) {
+		t.Errorf("round trip differs:\n got %+v\nwant %+v", recs, want)
 	}
 	// A decoded snapshot writes the bytes it was decoded from.
 	var again bytes.Buffer
@@ -242,7 +344,8 @@ func TestWriteReadRoundTrip(t *testing.T) {
 
 // TestTakeMatchesChildNamesWalk checks the one-listing walk against the
 // plain ChildNames/Child recursion on a generated volume: same records,
-// same order, and the walk allocated at its exact size.
+// same order, and the image encoded as the struct walk's encoder gives
+// it, at its exact size.
 func TestTakeMatchesChildNamesWalk(t *testing.T) {
 	fs := fsys.New(volume.FlavorNTFS, 4<<30)
 	fsgen.PopulateLocal(fs, sim.NewRNG(3), fsgen.Config{User: "alice", Category: machine.Personal, Now: sim.Time(30 * sim.Day)})
@@ -264,12 +367,28 @@ func TestTakeMatchesChildNamesWalk(t *testing.T) {
 		}
 	}
 	rec(fs.Root, 0)
-	got := Take("m", `C:`, fs, 0)
-	if !reflect.DeepEqual(got.walk, want) {
-		t.Fatalf("Take differs from the ChildNames walk (%d vs %d records)", len(got.walk), len(want))
+	got := records(t, Take("m", `C:`, fs, 0))
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("Take differs from the ChildNames walk (%d vs %d records)", len(got), len(want))
 	}
-	if cap(got.walk) != len(got.walk) {
-		t.Errorf("walk cap %d, len %d: not sized from the volume's counts", cap(got.walk), len(got.walk))
+	checkTakeBytes(t, fs, "generated volume")
+}
+
+// TestTakeAllocsFixed checks that a walk of an unchanged tree allocates
+// the same few times whatever its record count: the image is sized before
+// it is encoded, so it never grows.
+func TestTakeAllocsFixed(t *testing.T) {
+	small := buildFS(t)
+	big := fsys.New(volume.FlavorNTFS, 4<<30)
+	fsgen.PopulateLocal(big, sim.NewRNG(3), fsgen.Config{User: "alice", Category: machine.Personal, Now: sim.Time(30 * sim.Day)})
+	allocs := func(fs *fsys.FS) float64 {
+		Take("m", `C:`, fs, 0) // sorts every changed directory once
+		return testing.AllocsPerRun(5, func() { Take("m", `C:`, fs, 0) })
+	}
+	a, b := allocs(small), allocs(big)
+	if a != b || a > 6 {
+		t.Errorf("Take allocates %v times for %d records, %v for %d; want one fixed count of at most 6",
+			a, small.FileCount+small.DirCount, b, big.FileCount+big.DirCount)
 	}
 }
 
@@ -311,7 +430,7 @@ func uncachedTake(fs *fsys.FS, kids map[*fsys.Node]map[string]*fsys.Node) []Walk
 // names), removes, resizes and renames within and across directories,
 // and after every step compares Take with uncachedTake: the cached walk
 // order must give the records, and the order, of a walk that sorts every
-// directory afresh.
+// directory afresh. The image must be the struct walk's encoding.
 func TestTakeMatchesUncachedWalk(t *testing.T) {
 	names := []string{"a", "A", "b.txt", "B.TXT", "c", "Cc", "cC", "d.dll"}
 	for seed := uint64(1); seed <= 20; seed++ {
@@ -380,10 +499,11 @@ func TestTakeMatchesUncachedWalk(t *testing.T) {
 				delete(kids[from], oldKey)
 				kids[to][strings.ToLower(name)] = n
 			}
-			got := Take("m", `C:`, fs, sim.Time(op))
-			if want := uncachedTake(fs, kids); !reflect.DeepEqual(got.walk, want) {
-				t.Fatalf("seed %d op %d: Take differs from the uncached walk (%d vs %d records)", seed, op, len(got.walk), len(want))
+			got := records(t, Take("m", `C:`, fs, sim.Time(op)))
+			if want := uncachedTake(fs, kids); !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d op %d: Take differs from the uncached walk (%d vs %d records)", seed, op, len(got), len(want))
 			}
+			checkTakeBytes(t, fs, fmt.Sprintf("seed %d op %d", seed, op))
 		}
 	}
 }
@@ -397,12 +517,11 @@ func TestReadRejectsGarbage(t *testing.T) {
 // TestReadRejectsBadDepth is the regression for a negative depth, which
 // the reader used to accept and Entries then panicked on (slice bounds
 // out of range) — reachable from a served corpus through Section 5's
-// Compare. Write refuses one; the binary format cannot encode one that
+// Compare. New refuses one; the binary format cannot encode one that
 // fits an int.
 func TestReadRejectsBadDepth(t *testing.T) {
-	bad := New("m", "", 0, []WalkRecord{{IsDir: true, NumFiles: 1}, {Name: "x", Depth: -1}})
-	if err := bad.Write(io.Discard); !errors.Is(err, ErrCorrupt) {
-		t.Errorf("Write depth -1: err = %v, want ErrCorrupt", err)
+	if _, err := New("m", "", 0, []WalkRecord{{IsDir: true, NumFiles: 1}, {Name: "x", Depth: -1}}); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("New depth -1: err = %v, want ErrCorrupt", err)
 	}
 	// A binary depth of 2^63 does not fit an int.
 	b := binary.AppendUvarint(binaryHeader(1, 1), 1<<63)
@@ -412,12 +531,13 @@ func TestReadRejectsBadDepth(t *testing.T) {
 	}
 }
 
-// The binary format has no place for fan-out on a file, so Write refuses
+// The binary format has no place for fan-out on a file, so New refuses
 // a file record carrying it rather than silently dropping it.
 func TestReadRejectsFileFanOut(t *testing.T) {
-	fanout := New("m", "C:", 0, []WalkRecord{{Name: "x", NumFiles: 2}})
-	if err := fanout.Write(io.Discard); !errors.Is(err, ErrCorrupt) {
-		t.Errorf("Write file with fan-out: err = %v, want ErrCorrupt", err)
+	for _, r := range []WalkRecord{{Name: "x", NumFiles: 2}, {Name: "x", NumSubdirs: 1}} {
+		if _, err := New("m", "C:", 0, []WalkRecord{r}); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("New file with fan-out %+v: err = %v, want ErrCorrupt", r, err)
+		}
 	}
 }
 
@@ -484,7 +604,7 @@ func TestReadRejectsCorruptBinary(t *testing.T) {
 func FuzzSnapshotRead(f *testing.F) {
 	vol := fsys.New(volume.FlavorNTFS, 4<<30)
 	fsgen.PopulateLocal(vol, sim.NewRNG(3), fsgen.Config{User: "alice", Category: machine.Personal, Now: sim.Time(30 * sim.Day)})
-	for _, snap := range []*Snapshot{Take("m1", `C:`, buildFS(f), 100), {Machine: "m1", Volume: `C:`}, Take("m2", `C:`, vol, 0)} {
+	for _, snap := range []*Snapshot{Take("m1", `C:`, buildFS(f), 100), mustNew(f, "m1", `C:`, 0, nil), Take("m2", `C:`, vol, 0)} {
 		var bin bytes.Buffer
 		if err := snap.Write(&bin); err != nil {
 			f.Fatal(err)
@@ -522,7 +642,11 @@ func FuzzSnapshotRead(f *testing.F) {
 		}
 		recs := records(t, got)
 		var re bytes.Buffer
-		if err := New(got.Machine, got.Volume, got.TakenAt, recs).Write(&re); err != nil {
+		enc, err := New(got.Machine, got.Volume, got.TakenAt, recs)
+		if err == nil {
+			err = enc.Write(&re)
+		}
+		if err != nil {
 			t.Fatalf("decoded snapshot does not re-encode: %v", err)
 		}
 		again, err := decodeAll(re.Bytes())
@@ -542,10 +666,11 @@ func FuzzSnapshotRead(f *testing.F) {
 
 // joinedPaths is the path reconstruction Compare used before each path
 // was built from its parent's: every ancestor name joined afresh.
-func joinedPaths(s *Snapshot) []string {
-	out := make([]string, len(s.walk))
+func joinedPaths(t testing.TB, s *Snapshot) []string {
+	recs := records(t, s)
+	out := make([]string, len(recs))
 	stack := make([]string, 0, 16)
-	for i, r := range s.walk {
+	for i, r := range recs {
 		if r.Depth == 0 {
 			out[i] = `\`
 			stack = stack[:0]
@@ -565,11 +690,12 @@ func joinedPaths(s *Snapshot) []string {
 
 // mapCompare is Compare as written before it resolved each snapshot once:
 // map-keyed, lower-casing old paths twice.
-func mapCompare(oldSnap, newSnap *Snapshot) Diff {
+func mapCompare(t testing.TB, oldSnap, newSnap *Snapshot) Diff {
 	entries := func(s *Snapshot) []Entry {
 		var out []Entry
-		for i, p := range joinedPaths(s) {
-			out = append(out, Entry{Path: p, Rec: s.walk[i]})
+		recs := records(t, s)
+		for i, p := range joinedPaths(t, s) {
+			out = append(out, Entry{Path: p, Rec: recs[i]})
 		}
 		return out
 	}
@@ -605,7 +731,7 @@ func mapCompare(oldSnap, newSnap *Snapshot) Diff {
 // pre-order walk but also holds depth jumps, files with children, a
 // second root and names equal but for case, so paths collide when
 // lower-cased.
-func randomWalk(rng *rand.Rand, n int) *Snapshot {
+func randomWalk(t testing.TB, rng *rand.Rand, n int) *Snapshot {
 	names := []string{"a", "A", "b.txt", "B.TXT", "Profiles", "profiles", "x"}
 	var walk []WalkRecord
 	depth := 0
@@ -628,7 +754,7 @@ func randomWalk(rng *rand.Rand, n int) *Snapshot {
 			LastModified: sim.Time(rng.Intn(3)),
 		})
 	}
-	return New("m", `C:`, 0, walk)
+	return mustNew(t, "m", `C:`, 0, walk)
 }
 
 // TestCompareMatchesJoinedPaths pins the one-pass Compare to the old
@@ -638,15 +764,15 @@ func randomWalk(rng *rand.Rand, n int) *Snapshot {
 func TestCompareMatchesJoinedPaths(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 300; trial++ {
-		a, b := randomWalk(rng, rng.Intn(200)), randomWalk(rng, rng.Intn(200))
+		a, b := randomWalk(t, rng, rng.Intn(200)), randomWalk(t, rng, rng.Intn(200))
 		paths := []string{}
 		for _, e := range entries(t, a) {
 			paths = append(paths, e.Path)
 		}
-		if want := joinedPaths(a); !reflect.DeepEqual(paths, want) {
+		if want := joinedPaths(t, a); !reflect.DeepEqual(paths, want) {
 			t.Fatalf("trial %d: paths %q, joined %q", trial, paths, want)
 		}
-		if got, want := compare(t, a, b), mapCompare(a, b); !reflect.DeepEqual(got, want) {
+		if got, want := compare(t, a, b), mapCompare(t, a, b); !reflect.DeepEqual(got, want) {
 			t.Fatalf("trial %d: Compare %+v, old Compare %+v", trial, got, want)
 		}
 	}
@@ -656,7 +782,7 @@ func TestCompareMatchesJoinedPaths(t *testing.T) {
 	n, _ := fs.Lookup(`\docs\a.txt`)
 	fs.SetSize(n, 150, 210)
 	cur := Take("m1", `C:`, fs, 300)
-	if got, want := compare(t, old, cur), mapCompare(old, cur); !reflect.DeepEqual(got, want) {
+	if got, want := compare(t, old, cur), mapCompare(t, old, cur); !reflect.DeepEqual(got, want) {
 		t.Fatalf("Compare %+v, old Compare %+v", got, want)
 	}
 }

@@ -361,3 +361,9 @@ func (d *Driver) rotate(force bool) {
 
 // Flush force-ships any buffered records (end of study).
 func (d *Driver) Flush() { d.rotate(true) }
+
+// Release drops the driver's buffers once Flush has shipped what they
+// held, so a stopped machine keeps none of its three 3,000-record
+// buffers. A record stored later allocates a buffer again, as the first
+// record does.
+func (d *Driver) Release() { d.buffers = [NumBuffers][]tracefmt.Record{} }

@@ -1,5 +1,5 @@
 #!/usr/bin/env sh
-# bench.sh — run the study build, snapshot walk and save,
+# bench.sh — run the study build, run, snapshot walk and save,
 # analysis-engine, report-render and query benchmarks and emit the
 # tracked perf baseline:
 #
@@ -20,7 +20,7 @@ TXT=BENCH_analysis.txt
 JSON=BENCH_analysis.json
 
 go test -run NONE \
-  -bench 'BenchmarkStudyBuild|BenchmarkStudySave|BenchmarkSnapshotWalk|BenchmarkDataSetDecode|BenchmarkComputeResults|BenchmarkColumnarEncode|BenchmarkColumnarScan|BenchmarkColumnarCompute|BenchmarkQueryCold|BenchmarkQueryCacheHit|BenchmarkLoadCorpus|BenchmarkSection5Snapshots|BenchmarkSection5Loaded|BenchmarkRenderReport|BenchmarkCachePolicySweep' \
+  -bench 'BenchmarkStudyBuild|BenchmarkStudyRun|BenchmarkStudySave|BenchmarkSnapshotWalk|BenchmarkDataSetDecode|BenchmarkComputeResults|BenchmarkColumnarEncode|BenchmarkColumnarScan|BenchmarkColumnarCompute|BenchmarkQueryCold|BenchmarkQueryCacheHit|BenchmarkLoadCorpus|BenchmarkSection5Snapshots|BenchmarkSection5Loaded|BenchmarkRenderReport|BenchmarkCachePolicySweep' \
   -benchtime "$BENCHTIME" -count "$COUNT" . | tee "$TXT"
 
 # The obs and span hot paths are nanosecond-scale: at a small -benchtime

@@ -5,7 +5,8 @@
 # and snapshots, *.snap), verifies every segment's logical-stream SHA-256
 # and every snapshot record with `fscorpus verify`, checks that a corrupt
 # snapshot fails it by name, inspects layout stats, runs a pushdown scan
-# and prints report sections by name with `fsreport -in`.
+# and prints report sections by name with `fsreport -in`. Last, ships a
+# small fleet to `fsfleet -serve` and checks the client saved nothing.
 #
 # Usage: scripts/colstore_smoke.sh
 set -eu
@@ -69,5 +70,27 @@ if "$WORK/fsreport" -in "$WORK/traces" fig1 >"$WORK/fig1.out" 2>&1; then
   exit 1
 fi
 grep -q 'valid names:.* figure1 ' "$WORK/fig1.out"
+
+# A shipping client (-collect) saves nothing locally: the corpus, and its
+# obs.json, are the collection server's. Run the client from an empty
+# directory, so a stray default -out (traces/) would show there.
+"$WORK/fsfleet" -serve 127.0.0.1:0 -out "$WORK/srv" 2>"$WORK/srv.log" &
+SRV=$!
+ADDR=""
+for _ in $(seq 1 50); do
+  ADDR="$(sed -n 's/^collection server listening on //p' "$WORK/srv.log")"
+  [ -n "$ADDR" ] && break
+  sleep 0.1
+done
+[ -n "$ADDR" ] || { echo "FAIL: collection server did not start" >&2; cat "$WORK/srv.log" >&2; kill "$SRV"; exit 1; }
+mkdir "$WORK/client"
+(cd "$WORK/client" && "$WORK/fsfleet" -collect "$ADDR" -machines 2 -hours 0.25 -seed 9 -workers 2 -progress 0)
+kill -TERM "$SRV"
+wait "$SRV"
+if [ -n "$(ls -A "$WORK/client")" ]; then
+  echo "FAIL: fsfleet -collect wrote into its working directory: $(ls -A "$WORK/client")" >&2
+  exit 1
+fi
+ls "$WORK/srv"/*.fsc "$WORK/srv/obs.json" >/dev/null
 
 echo "colstore smoke OK" >&2
