@@ -22,6 +22,10 @@ import (
 	"repro/internal/cachesim"
 	"repro/internal/core"
 	"repro/internal/dist"
+	"repro/internal/fsgen"
+	"repro/internal/ntos/fsys"
+	"repro/internal/ntos/machine"
+	"repro/internal/ntos/volume"
 	"repro/internal/obs"
 	"repro/internal/obs/trace"
 	"repro/internal/replay"
@@ -481,31 +485,82 @@ func BenchmarkLoadCorpus(b *testing.B) {
 	b.ReportMetric(float64(len(c.Snaps)), "snapshots")
 }
 
-// BenchmarkStudyBuild measures core.NewStudy on the ledger study: the 45
-// machines' apparatus, most of it generating their local volumes and
-// shares (fsgen).
+// ledgerVolumes generates the ledger study's 45 local volumes and its
+// shares with fsgen, drawing from each machine's RNG stream in the order
+// the machine's build does (its own stream, the flavor, the local
+// content, the share content), so they are the volumes the study's
+// machines are built with. The category mix and user names are the
+// study's.
+func ledgerVolumes() (local, shares []*fsys.FS) {
+	cfg := ledgerStudy()
+	mix := []struct {
+		cat   machine.Category
+		count int
+		code  string
+	}{
+		{machine.WalkUp, 12, "wu"},
+		{machine.Pool, 10, "po"},
+		{machine.Personal, 13, "pe"},
+		{machine.Administrative, 6, "ad"},
+		{machine.Scientific, 4, "sc"},
+	}
+	rngs := sim.NewRNG(cfg.Seed).Split(cfg.Machines)
+	for _, m := range mix {
+		for k := 1; k <= m.count; k++ {
+			rng := rngs[len(local)]
+			rng.Fork(1) // the machine's own stream
+			geo := volume.IDE1998
+			if m.cat == machine.Scientific {
+				geo = volume.SCSI1998
+			}
+			flavor := volume.FlavorNTFS
+			if rng.Bool(0.2) {
+				flavor = volume.FlavorFAT
+			}
+			user := fmt.Sprintf("u%s%02d", m.code, k)
+			fs := fsys.New(flavor, geo.CapacityBytes)
+			fsgen.PopulateLocal(fs, rng.Fork(2), fsgen.Config{User: user, Category: m.cat})
+			share := fsys.New(volume.FlavorCIFS, volume.Redirector100Mb.CapacityBytes)
+			fsgen.PopulateShare(share, rng.Fork(3), fsgen.ShareConfig{User: user, Scale: -1})
+			local = append(local, fs)
+			shares = append(shares, share)
+		}
+	}
+	return local, shares
+}
+
+// BenchmarkStudyBuild measures generating the ledger study's 45 local
+// volumes and shares with fsgen (ledgerVolumes), one machine after
+// another: the bulk of building the study's machines, which each shard
+// does as it starts, timed apart from the simulation.
 func BenchmarkStudyBuild(b *testing.B) {
 	b.ReportAllocs()
 	var files int
 	for i := 0; i < b.N; i++ {
-		s := core.NewStudy(ledgerStudy())
+		local, shares := ledgerVolumes()
 		if i == 0 {
-			for _, n := range s.Nodes {
-				files += n.M.SystemVolume().FS.FileCount + n.ShareFS.FS.FileCount
+			for j := range local {
+				files += local[j].FileCount + shares[j].FileCount
 			}
 		}
 	}
 	b.ReportMetric(float64(files), "files")
 }
 
-// BenchmarkStudyRun measures Study.Run of the ledger study, built by
-// core.NewStudy outside the timer: the 45 machines simulated, their
+// studyRunLiveMB bounds BenchmarkStudyRun's live_MB: 10% above the
+// 79.2–80.6 MB the ledger study reads when each machine is built as its
+// shard starts and dropped as it ends, nearly all of it the walks. A
+// study that keeps its finished machines reachable (319.7 MB) fails the
+// benchmark.
+const studyRunLiveMB = 88.7
+
+// BenchmarkStudyRun measures Study.Run of the ledger study, planned by
+// core.NewStudy outside the timer: the 45 machines built, simulated, their
 // streams compressed and their volumes walked at the start and the close.
 // live_MB is the live heap the study adds, read after runtime.GC() once
 // Run returns with the study still reachable, less the live heap before
-// NewStudy. walk_B_per_record is the live heap a taken walk holds per
-// record, measured on a walk of every local volume after the run kept
-// beside the study's own.
+// NewStudy; it must stay within studyRunLiveMB. walk_B_per_record is the
+// image bytes the study's own walks hold per record.
 func BenchmarkStudyRun(b *testing.B) {
 	liveHeap := func() uint64 {
 		var ms runtime.MemStats
@@ -523,38 +578,44 @@ func BenchmarkStudyRun(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.StopTimer()
-		live := liveHeap()
-		liveMB = float64(live-base) / (1 << 20)
-		if i == b.N-1 {
-			var walks []*snapshot.Snapshot
-			records := 0
-			for _, n := range s.Nodes {
-				for _, v := range n.M.Volumes {
-					if !v.Mount.Remote {
-						walks = append(walks, snapshot.Take(n.M.Name, v.Mount.Prefix, v.FS, 0))
-						records += walks[len(walks)-1].Len()
-					}
-				}
+		liveMB = float64(liveHeap()-base) / (1 << 20)
+		var image countingWriter
+		records := 0
+		for _, snap := range s.Snapshots {
+			if err := snap.Write(&image); err != nil {
+				b.Fatal(err)
 			}
-			walkB = float64(liveHeap()-live) / float64(records)
-			runtime.KeepAlive(walks)
+			records += snap.Len()
 		}
+		walkB = float64(image) / float64(records)
 		runtime.KeepAlive(s)
 		b.StartTimer()
 	}
 	b.ReportMetric(liveMB, "live_MB")
 	b.ReportMetric(walkB, "walk_B_per_record")
+	if liveMB > studyRunLiveMB {
+		b.Fatalf("live_MB = %.1f after Run, above the %.1f bound: a finished machine is still reachable", liveMB, studyRunLiveMB)
+	}
+}
+
+// countingWriter counts the bytes written to it.
+type countingWriter int64
+
+func (c *countingWriter) Write(p []byte) (int, error) {
+	*c += countingWriter(len(p))
+	return len(p), nil
 }
 
 // BenchmarkSnapshotWalk measures the snapshot walk of the ledger study's
-// 45 local volumes. fresh is the first walk after the volumes are built
-// (the build is outside the timer), in which every directory sorts its
-// children; unchanged is a later walk with nothing changed since the
-// last, which reads every directory's cached order and sorts nothing.
+// 45 local volumes, generated by ledgerVolumes outside the timer. fresh
+// is the first walk after the volumes are built, in which every
+// directory sorts its children; unchanged is a later walk with nothing
+// changed since the last, which reads every directory's cached order and
+// sorts nothing.
 func BenchmarkSnapshotWalk(b *testing.B) {
-	walk := func(s *core.Study) (records int) {
-		for _, n := range s.Nodes {
-			records += snapshot.Take(n.M.Name, `C:`, n.M.SystemVolume().FS, 0).Len()
+	walk := func(local []*fsys.FS) (records int) {
+		for i, fs := range local {
+			records += snapshot.Take(strconv.Itoa(i), `C:`, fs, 0).Len()
 		}
 		return records
 	}
@@ -563,20 +624,20 @@ func BenchmarkSnapshotWalk(b *testing.B) {
 		var records int
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
-			s := core.NewStudy(ledgerStudy())
+			local, _ := ledgerVolumes()
 			b.StartTimer()
-			records = walk(s)
+			records = walk(local)
 		}
 		b.ReportMetric(float64(records), "records")
 	})
 	b.Run("unchanged", func(b *testing.B) {
-		s := core.NewStudy(ledgerStudy())
-		walk(s)
+		local, _ := ledgerVolumes()
+		walk(local)
 		b.ReportAllocs()
 		b.ResetTimer()
 		var records int
 		for i := 0; i < b.N; i++ {
-			records = walk(s)
+			records = walk(local)
 		}
 		b.ReportMetric(float64(records), "records")
 	})
@@ -608,13 +669,15 @@ func BenchmarkStudySave(b *testing.B) {
 // records per simulated day and buffer fill behaviour.
 func BenchmarkSection3Apparatus(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		s := core.NewStudy(core.Config{Seed: 6, Machines: 1, Duration: sim.Hour})
+		var node *core.Node
+		s := core.NewStudy(core.Config{Seed: 6, Machines: 1, Duration: sim.Hour,
+			Prepare: func(n *core.Node) { node = n }})
 		if err := s.Run(); err != nil {
 			b.Fatal(err)
 		}
 		if i == 0 {
 			b.ReportMetric(float64(s.TotalEvents()*24), "events_per_day(paper:80K-1.4M)")
-			b.ReportMetric(float64(s.Nodes[0].M.Volumes[0].Trace.Stats.Overflows), "overflows(paper:0)")
+			b.ReportMetric(float64(node.M.Volumes[0].Trace.Stats.Overflows), "overflows(paper:0)")
 		}
 	}
 }

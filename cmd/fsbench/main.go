@@ -70,11 +70,13 @@ func main() {
 			log.Fatal(err)
 		}
 		study := core.NewStudy(core.Config{Seed: *seed, Machines: 1,
-			Duration: sim.FromSeconds(*hours * 3600)})
-		node := study.Nodes[0]
-		node.Driver.Apps = nil
-		p := workload.NewProc(node.M, "synthbench", `C:`, sim.NewRNG(*seed+1))
-		node.Driver.AddApp(synth.NewReplayer(p, node.Layout, pro, sim.NewRNG(*seed+2)))
+			Duration: sim.FromSeconds(*hours * 3600),
+			// Swap the stock workload for the profile replayer alone.
+			Prepare: func(node *core.Node) {
+				node.Driver.Apps = nil
+				p := workload.NewProc(node.M, "synthbench", `C:`, sim.NewRNG(*seed+1))
+				node.Driver.AddApp(synth.NewReplayer(p, node.Layout, pro, sim.NewRNG(*seed+2)))
+			}})
 		if err := study.Run(); err != nil {
 			log.Fatal(err)
 		}

@@ -14,12 +14,14 @@ import (
 )
 
 func main() {
+	var webcache string
 	study := core.NewStudy(core.Config{
 		Seed:            11,
 		Machines:        1,
 		Duration:        18 * sim.Hour, // spans the 4 a.m. snapshot
 		WithNetwork:     true,
 		SnapshotAtStart: true,
+		Prepare:         func(n *core.Node) { webcache = n.Layout.WebCache },
 	})
 	if err := study.Run(); err != nil {
 		log.Fatal(err)
@@ -49,11 +51,8 @@ func main() {
 		len(d.Added), len(d.Changed), len(d.Removed))
 	fmt.Printf("  fraction of changes under \\winnt\\profiles: %.0f%% (paper: 94%%)\n",
 		100*d.FractionUnder(`\winnt\profiles`))
-	profile := study.Nodes[0].Layout.Profile
-	webcache := study.Nodes[0].Layout.WebCache
 	fmt.Printf("  fraction under the WWW cache (%s): %.0f%% (paper: up to 90%%)\n",
 		webcache, 100*d.FractionUnder(webcache))
-	_ = profile
 
 	// New-file lifetimes (§6.3, Figures 6/7).
 	r, err := study.Results()

@@ -81,12 +81,13 @@ func TestStoreAppendAfterFinalize(t *testing.T) {
 }
 
 // TestFinalizeDropsCompressor checks that a sealed stream keeps no DEFLATE
-// writer, whether FinalizeMachine or Finalize sealed it, that Append on
-// it still fails, and that its records read back.
+// writer and holds its bytes at their exact length, whether
+// FinalizeMachine or Finalize sealed it, that Append on it still fails,
+// and that its records read back.
 func TestFinalizeDropsCompressor(t *testing.T) {
 	s := NewStore()
 	s.Append("a", mkRecs(10, 1))
-	s.Append("b", mkRecs(10, 2))
+	s.Append("b", mkRecs(1000, 2))
 	if err := s.FinalizeMachine("a"); err != nil {
 		t.Fatal(err)
 	}
@@ -99,14 +100,18 @@ func TestFinalizeDropsCompressor(t *testing.T) {
 	if err := s.Finalize(); err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{"a", "b"} {
-		if s.streams[name].zw != nil {
+	for name, want := range map[string]int{"a": 10, "b": 1000} {
+		st := s.streams[name]
+		if st.zw != nil {
 			t.Errorf("%s holds a compressor after Finalize", name)
+		}
+		if st.buf.Cap() != st.buf.Len() {
+			t.Errorf("%s holds %d bytes in %d of capacity after Finalize", name, st.buf.Len(), st.buf.Cap())
 		}
 		if err := s.Append(name, mkRecs(1, 4)); err == nil {
 			t.Errorf("append to finalized %s succeeded", name)
 		}
-		if recs, err := s.Records(name); err != nil || len(recs) != 10 {
+		if recs, err := s.Records(name); err != nil || len(recs) != want {
 			t.Errorf("%s: %d records, err %v", name, len(recs), err)
 		}
 	}

@@ -96,8 +96,9 @@ func (s *Store) Append(machine string, recs []tracefmt.Record) error {
 	return nil
 }
 
-// close flushes and seals one stream, and drops its compressor (about a
-// megabyte of DEFLATE state) once the stream is sealed.
+// close flushes and seals one stream, drops its compressor (about a
+// megabyte of DEFLATE state) and keeps the sealed bytes at their exact
+// length.
 func (st *stream) close(name string) error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -108,8 +109,18 @@ func (st *stream) close(name string) error {
 		return fmt.Errorf("collect: finalize %q: %w", name, err)
 	}
 	st.zw = nil
+	st.buf = exactBuffer(st.buf.Bytes())
 	st.closed = true
 	return nil
+}
+
+// exactBuffer returns a buffer holding a copy of data at its exact
+// length, as a sealed stream keeps its bytes: the buffer that grew them
+// holds up to twice as many.
+func exactBuffer(data []byte) bytes.Buffer {
+	sealed := make([]byte, len(data))
+	copy(sealed, data)
+	return *bytes.NewBuffer(sealed)
 }
 
 // Finalize flushes all compression streams; Append after Finalize fails.
@@ -290,9 +301,7 @@ func (s *Store) ImportStream(machine string, data []byte, count int) error {
 	if _, ok := s.streams[machine]; ok {
 		return fmt.Errorf("collect: import: stream %q already exists", machine)
 	}
-	st := &stream{closed: true, count: count}
-	st.buf.Write(data)
-	s.streams[machine] = st
+	s.streams[machine] = &stream{buf: exactBuffer(data), closed: true, count: count}
 	return nil
 }
 

@@ -115,6 +115,7 @@ func TestCollectFaultsStudyOverflowAccounted(t *testing.T) {
 	}
 
 	down := &downDialer{}
+	var built builtNodes
 	faulted := NewStudy(Config{
 		Seed:            77,
 		Machines:        3,
@@ -130,6 +131,7 @@ func TestCollectFaultsStudyOverflowAccounted(t *testing.T) {
 			DrainTimeout: 20 * time.Millisecond,
 			Dial:         down.dial,
 		},
+		Prepare: built.prepare,
 	})
 	if err := faulted.Run(); err != nil {
 		t.Fatal(err)
@@ -146,7 +148,10 @@ func TestCollectFaultsStudyOverflowAccounted(t *testing.T) {
 		t.Errorf("lost = %d, want exactly %d (every generated record)", got, want)
 	}
 	// Per machine: generated == shipped + lost, with names aligned.
-	for _, n := range faulted.Nodes {
+	if len(built.nodes) != 3 {
+		t.Fatalf("study built %d machines, want 3", len(built.nodes))
+	}
+	for _, n := range built.nodes {
 		st := n.Net.Stats()
 		gen := uint64(baseline.Store.RecordCount(n.M.Name))
 		if st.Shipped+st.Lost != gen {

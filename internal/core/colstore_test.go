@@ -194,18 +194,17 @@ func TestColstoreCheckpointResume(t *testing.T) {
 
 	cfg.Resume = true
 	twoDir := t.TempDir()
+	var built builtNodes
+	cfg.Prepare = built.prepare
 	two := NewStudy(cfg)
-	restored := 0
-	for _, n := range two.Nodes {
-		if n.Restored {
-			restored++
-		}
-	}
-	if restored != cfg.Machines {
+	if restored := two.Engine.Status().Restored; restored != cfg.Machines {
 		t.Fatalf("resume restored %d of %d machines", restored, cfg.Machines)
 	}
 	if err := two.Run(); err != nil {
 		t.Fatal(err)
+	}
+	if len(built.nodes) != 0 {
+		t.Errorf("a fully restored study built %d machines", len(built.nodes))
 	}
 	if err := two.Save(twoDir); err != nil {
 		t.Fatal(err)

@@ -87,21 +87,29 @@ func TestStudyCheckpointResume(t *testing.T) {
 	}
 
 	cfg.Resume = true
+	var built builtNodes
+	cfg.Prepare = built.prepare
 	s := NewStudy(cfg)
-	restored := 0
-	for _, n := range s.Nodes {
-		if n.Restored {
-			restored++
-			if n.M != nil {
-				t.Error("restored node has live apparatus")
-			}
-		}
+	st := s.Engine.Status()
+	if st.Restored != 2 {
+		t.Fatalf("restored %d machines, want 2", st.Restored)
 	}
-	if restored != 2 {
-		t.Fatalf("restored %d machines, want 2", restored)
+	restored := map[string]bool{}
+	for _, sh := range st.Shards {
+		if sh.State == "restored" {
+			restored[sh.Name] = true
+		}
 	}
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
+	}
+	if len(built.nodes) != 2 {
+		t.Errorf("resumed run built %d machines, want the 2 without a checkpoint", len(built.nodes))
+	}
+	for _, n := range built.nodes {
+		if restored[n.M.Name] {
+			t.Errorf("restored machine %s was built", n.M.Name)
+		}
 	}
 	for name, want := range base {
 		sum, err := s.Store.StreamSum(name)

@@ -25,9 +25,11 @@ func obsConfig(r *obs.Registry) Config {
 // runObsStudy runs one study and renders a report digest covering every
 // derived family (summary tables plus the cache section), the surface an
 // instrumentation bug would perturb.
-func runObsStudy(t *testing.T, r *obs.Registry) (*Study, string) {
+func runObsStudy(t *testing.T, r *obs.Registry, prepare func(*Node)) (*Study, string) {
 	t.Helper()
-	s := NewStudy(obsConfig(r))
+	cfg := obsConfig(r)
+	cfg.Prepare = prepare
+	s := NewStudy(cfg)
 	if err := s.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -44,9 +46,10 @@ func runObsStudy(t *testing.T, r *obs.Registry) (*Study, string) {
 // stream) and a byte-identical rendered report whether the registry is
 // nil or live.
 func TestObsDeterminism(t *testing.T) {
-	bare, bareReport := runObsStudy(t, nil)
+	bare, bareReport := runObsStudy(t, nil, nil)
 	reg := obs.NewRegistry()
-	inst, instReport := runObsStudy(t, reg)
+	var built builtNodes
+	inst, instReport := runObsStudy(t, reg, built.prepare)
 
 	bm, im := bare.Store.Machines(), inst.Store.Machines()
 	if len(bm) != len(im) {
@@ -103,11 +106,12 @@ func TestObsDeterminism(t *testing.T) {
 	// truth: the fleet-wide read counter must equal the cache managers'
 	// summed Stats.
 	var wantReads, wantHits uint64
-	for _, n := range inst.Nodes {
-		if n != nil && n.M != nil {
-			wantReads += n.M.Cache.Stats.ReadRequests
-			wantHits += n.M.Cache.Stats.ReadsFromCache
-		}
+	if len(built.nodes) != inst.Cfg.Machines {
+		t.Fatalf("study built %d machines, want %d", len(built.nodes), inst.Cfg.Machines)
+	}
+	for _, n := range built.nodes {
+		wantReads += n.M.Cache.Stats.ReadRequests
+		wantHits += n.M.Cache.Stats.ReadsFromCache
 	}
 	if got := reg.Counter("cachemgr_read_requests_total", "").Value(); got != wantReads {
 		t.Errorf("cachemgr_read_requests_total = %d, Manager.Stats sum = %d", got, wantReads)

@@ -91,12 +91,20 @@ type Config struct {
 	// corpus is byte-identical with Obs set or nil.
 	Obs *obs.Registry
 	// Trace, when set, records span trees for the fleet shards (virtual
-	// timelines), the per-machine decode passes and the compute kernels
-	// (wall timelines). Like Obs, it is purely observational: tracing on
-	// or off leaves reports and stream SHAs byte-identical, and trace
-	// IDs derive from shard/machine identity, so two traced runs of the
-	// same seed record the same IDs.
+	// timelines), the per-machine builds, decode passes and compute
+	// kernels (wall timelines). Like Obs, it is purely observational:
+	// tracing on or off leaves reports and stream SHAs byte-identical,
+	// and trace IDs derive from shard/machine identity, so two traced
+	// runs of the same seed record the same IDs.
 	Trace *trace.Tracer
+
+	// Prepare, when set, is called with each machine the study runs,
+	// on its shard's goroutine, right after the machine is built and
+	// before its agent, opening snapshot and workload start: the place
+	// to swap its workload or to inspect it. Calls for different
+	// machines may run concurrently. A machine restored from a
+	// checkpoint is never built, so Prepare never sees it.
+	Prepare func(*Node)
 }
 
 // categoryMix is the §2 fleet composition, proportions of 45.
@@ -111,9 +119,9 @@ var categoryMix = []struct {
 	{machine.Scientific, 4},
 }
 
-// Node is one machine with its apparatus. A machine restored from a
-// checkpoint has no live apparatus: M (and the other pointers) are nil
-// and only its collected streams/snapshots exist.
+// Node is one machine with its apparatus. It is built when the machine's
+// shard starts and dropped when the shard ends; only its trace stream,
+// walks, process names and network delivery accounting outlive it.
 type Node struct {
 	M       *machine.Machine
 	Sched   *sim.Scheduler
@@ -125,8 +133,6 @@ type Node struct {
 	// Net is the machine's network sink when the study ships to a live
 	// collection server (Config.CollectAddr); nil otherwise.
 	Net *agent.NetSink
-	// Restored marks a node loaded from a fleet checkpoint.
-	Restored bool
 }
 
 // spec is one planned machine of the fleet.
@@ -137,8 +143,7 @@ type spec struct {
 
 // Study is one complete simulated trace collection.
 type Study struct {
-	Cfg   Config
-	Nodes []*Node
+	Cfg Config
 
 	// Engine is the sharded fleet-execution engine driving the run; its
 	// Status method is the live progress surface.
@@ -149,9 +154,11 @@ type Study struct {
 	// order after Run).
 	Snapshots []*snapshot.Snapshot
 
-	specs    []spec
-	restored []*fleet.Restored
-	ran      bool
+	specs []spec
+	ran   bool
+	// netStats is each machine's final delivery accounting in
+	// CollectAddr mode, written by its shard once its sink has closed.
+	netStats []agent.NetStats
 
 	// mObs is the shared per-layer instrumentation bundle (nil when
 	// Cfg.Obs is nil); decodeHist/computeHist time the analysis workers;
@@ -226,12 +233,14 @@ func (cfg Config) fingerprint(sp spec) string {
 		cfg.FastIOBlocked, cfg.CacheBytes, sp.name, sp.cat)
 }
 
-// NewStudy builds the fleet. Call Run, then DataSet or Results.
+// NewStudy plans the fleet. Call Run, then DataSet or Results.
 //
-// Construction is deterministic and parallel: per-machine RNG streams are
-// split from the seed in index order first, then machines are built
-// concurrently (they share no mutable state until their agents reach the
-// thread-safe collection store).
+// Planning builds nothing: per-machine RNG streams are split from the
+// seed in index order, machines with a valid checkpoint are restored
+// (when Resume is set) and every other machine is registered as a fleet
+// shard. Each machine is built when its shard starts and dropped when it
+// ends, so a study holds the apparatus of its running shards, not of its
+// fleet.
 func NewStudy(cfg Config) *Study {
 	if cfg.Machines <= 0 {
 		cfg.Machines = 45
@@ -265,27 +274,15 @@ func NewStudy(cfg Config) *Study {
 
 	s.specs = fleetSpecs(cfg.Machines)
 	rngs := sim.NewRNG(cfg.Seed).Split(len(s.specs))
-	s.Nodes = make([]*Node, len(s.specs))
-	s.restored = make([]*fleet.Restored, len(s.specs))
-
-	// Resume pass: machines with a valid checkpoint need no apparatus.
-	var build []int
+	s.netStats = make([]agent.NetStats, len(s.specs))
 	for i := range s.specs {
 		if cfg.Resume && cfg.CheckpointDir != "" {
-			if res, ok := s.Engine.Restore(s.fleetSpec(i)); ok {
-				s.restored[i] = res
-				s.Nodes[i] = &Node{Restored: true}
+			if _, ok := s.Engine.Restore(s.fleetSpec(i)); ok {
 				continue
 			}
 		}
-		build = append(build, i)
+		s.addShard(i, rngs[i])
 	}
-
-	// Build pass, parallel across the worker budget.
-	par.For(cfg.Workers, len(build), func(j int) {
-		i := build[j]
-		s.buildNode(i, rngs[i])
-	})
 	return s
 }
 
@@ -297,11 +294,50 @@ func (s *Study) fleetSpec(i int) fleet.Spec {
 	}
 }
 
-// buildNode assembles machine i's full apparatus on its own scheduler
-// shard and registers it with the fleet engine.
-func (s *Study) buildNode(idx int, rng *sim.RNG) {
-	sp := s.specs[idx]
+// addShard registers machine idx with the fleet engine. Its Start hook
+// builds the machine from rng on the shard's worker; the engine drops
+// the hooks, and with them the machine, when the shard ends.
+func (s *Study) addShard(idx int, rng *sim.RNG) {
 	sched := sim.NewScheduler()
+	var node *Node
+	// Names are unique by construction, so Add cannot fail here.
+	_ = s.Engine.Add(s.fleetSpec(idx), sched, fleet.Hooks{
+		Start: func() {
+			node = s.buildNode(idx, sched, rng)
+			if s.Cfg.Prepare != nil {
+				s.Cfg.Prepare(node)
+			}
+			node.Agent.Start()
+			if s.Cfg.SnapshotAtStart {
+				node.Agent.TakeSnapshots()
+			}
+			node.Driver.Start()
+		},
+		Finish: func() {
+			node.Driver.Stop()
+			node.Agent.TakeSnapshots() // closing snapshot
+			node.Agent.Stop()
+			node.M.Stop()
+		},
+		Close: func() error {
+			if node.Net == nil {
+				return nil
+			}
+			err := node.Net.Close()
+			s.netStats[idx] = node.Net.Stats()
+			return err
+		},
+		ProcNames: func() map[uint32]string { return node.M.ProcNames },
+	})
+}
+
+// buildNode assembles machine idx's full apparatus on its shard's
+// scheduler. With Config.Trace set, the build records a wall-clock span
+// in the "build" family, annotated with the files and directories its
+// volumes were generated with.
+func (s *Study) buildNode(idx int, sched *sim.Scheduler, rng *sim.RNG) *Node {
+	sp := s.specs[idx]
+	span := s.Cfg.Trace.StartTrace("build", sp.name, trace.HashID("build", sp.name), nil)
 	node := &Node{Sched: sched}
 	m := machine.New(sched, rng.Fork(1), machine.Config{
 		Name:       sp.name,
@@ -363,31 +399,16 @@ func (s *Study) buildNode(idx int, rng *sim.RNG) {
 		p := workload.NewProc(m, "shareuser", `\\fs\`+user, rng.Fork(5))
 		node.Driver.AddApp(workload.NewShareUser(p, node.Share))
 	}
-	s.Nodes[idx] = node
 
-	// Names are unique by construction, so Add cannot fail here.
-	_ = s.Engine.Add(s.fleetSpec(idx), sched, fleet.Hooks{
-		Start: func() {
-			node.Agent.Start()
-			if s.Cfg.SnapshotAtStart {
-				node.Agent.TakeSnapshots()
-			}
-			node.Driver.Start()
-		},
-		Finish: func() {
-			node.Driver.Stop()
-			node.Agent.TakeSnapshots() // closing snapshot
-			node.Agent.Stop()
-			node.M.Stop()
-		},
-		Close: func() error {
-			if node.Net == nil {
-				return nil
-			}
-			return node.Net.Close()
-		},
-		ProcNames: func() map[uint32]string { return node.M.ProcNames },
-	})
+	var files, dirs int
+	for _, v := range m.Volumes {
+		files += v.FS.FileCount
+		dirs += v.FS.DirCount
+	}
+	span.AnnotateInt("files", int64(files))
+	span.AnnotateInt("dirs", int64(dirs))
+	span.Finish()
+	return node
 }
 
 // netNodeSink routes one machine's trace buffers to the live collection
@@ -406,14 +427,12 @@ func (ns *netNodeSink) TraceBuffer(mch string, recs []tracefmt.Record) {
 func (ns *netNodeSink) Snapshot(snap *snapshot.Snapshot) { ns.engine.Snapshot(snap) }
 
 // NetStats aggregates delivery accounting across the fleet's network
-// sinks (CollectAddr mode): every record is either confirmed stored by
-// the server or counted lost — never silently dropped.
+// sinks (CollectAddr mode) after Run: every record is either confirmed
+// stored by the server or counted lost — never silently dropped.
 func (s *Study) NetStats() agent.NetStats {
 	var total agent.NetStats
-	for _, n := range s.Nodes {
-		if n != nil && n.Net != nil {
-			total.Add(n.Net.Stats())
-		}
+	for _, st := range s.netStats {
+		total.Add(st)
 	}
 	return total
 }
@@ -441,15 +460,9 @@ func (s *Study) RunContext(ctx context.Context) error {
 	return nil
 }
 
-// procNames returns machine i's pid→image dimension, live or restored.
+// procNames returns machine i's pid→image dimension, run or restored.
 func (s *Study) procNames(i int) map[uint32]string {
-	if n := s.Nodes[i]; n != nil && n.M != nil {
-		return n.M.ProcNames
-	}
-	if r := s.restored[i]; r != nil {
-		return r.ProcNames
-	}
-	return nil
+	return s.Engine.ProcNames(s.specs[i].name)
 }
 
 // DataSet decodes the collected store into the analysis corpus on

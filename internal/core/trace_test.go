@@ -2,6 +2,7 @@ package core
 
 import (
 	"sort"
+	"strconv"
 	"testing"
 
 	"repro/internal/obs/trace"
@@ -72,13 +73,26 @@ func TestTraceDeterminism(t *testing.T) {
 			len(bareReport), len(tracedReport))
 	}
 
-	// The traced run must have recorded the three instrumented layers:
-	// one shard trace per machine on the virtual timeline, and one
-	// decode and one compute trace per machine on the wall timeline.
+	// The traced run must have recorded the instrumented layers: one
+	// shard trace per machine on the virtual timeline, and one build,
+	// one decode and one compute trace per machine on the wall timeline.
 	ids := traceIDs(tr)
-	for _, fam := range []string{"shard", "decode", "compute"} {
+	for _, fam := range []string{"shard", "build", "decode", "compute"} {
 		if len(ids[fam]) != len(tm) {
 			t.Errorf("family %q: %d traces, want %d", fam, len(ids[fam]), len(tm))
+		}
+	}
+
+	// Each build is annotated with the files and directories its
+	// volumes were generated with.
+	for _, snap := range tr.Recent(0) {
+		if snap.Family != "build" {
+			continue
+		}
+		for _, key := range []string{"files", "dirs"} {
+			if n, err := strconv.Atoi(snap.Spans[0].Attr(key)); err != nil || n <= 0 {
+				t.Errorf("build %s: %s = %q", snap.Name, key, snap.Spans[0].Attr(key))
+			}
 		}
 	}
 

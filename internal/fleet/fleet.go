@@ -46,8 +46,12 @@ type Spec struct {
 
 // Hooks are the lifecycle callbacks of one shard's machine apparatus.
 // They run on the shard's worker goroutine against its private scheduler.
+// Once the shard is done or has failed, the engine drops its hooks and
+// its scheduler (whose queue still holds the machine's pending events),
+// so a finished machine is kept only by what its hooks handed over.
 type Hooks struct {
-	// Start begins tracing and workload (agent start, optional opening
+	// Start begins the shard's run: it may build the machine first, then
+	// begins tracing and workload (agent start, optional opening
 	// snapshot, workload driver start).
 	Start func()
 	// Finish stops the workload, takes the closing snapshot and halts the
@@ -134,6 +138,14 @@ type shard struct {
 	// span is the shard's root trace span, kept so the engine can add
 	// post-run annotations (wall time, straggler) to the sealed trace.
 	span *trace.Span
+}
+
+// release drops the shard's apparatus once it is done or has failed:
+// the hooks, whose closures hold the machine, and the scheduler, whose
+// queued events (the lazy writer's next tick among them) reach it too.
+func (sh *shard) release() {
+	sh.hooks = Hooks{}
+	sh.sched = nil
 }
 
 // Restored is what a checkpoint gives back for a completed shard.
@@ -414,10 +426,17 @@ func (e *Engine) runShard(ctx context.Context, sh *shard) error {
 	// The shard trace lives on the shard's own virtual timeline (clock
 	// reads only — Scheduler.Now never advances anything) and its ID is
 	// derived from the shard identity, so two runs of the same study
-	// produce the same trace IDs and the same virtual span layout.
+	// produce the same trace IDs and the same virtual span layout. The
+	// sealed trace keeps its clock, so the clock reads the scheduler
+	// through the shard, and the virtual end once it is released.
 	root := e.cfg.Tracer.StartTrace("shard", sh.spec.Name,
 		trace.HashID("shard", sh.spec.Name, sh.spec.Fingerprint),
-		func() int64 { return int64(sh.sched.Now()) * 100 })
+		func() int64 {
+			if sched := sh.sched; sched != nil {
+				return int64(sched.Now()) * 100
+			}
+			return sh.simNow.Value() * 100
+		})
 	sh.span = root
 	run := root.Child("run")
 	if sh.hooks.Start != nil {
@@ -447,6 +466,9 @@ func (e *Engine) runShard(ctx context.Context, sh *shard) error {
 	sh.simNow.Set(int64(deadline))
 	sh.events.Set(int64(sh.sched.Ran()))
 	finish.Finish()
+	// From here the shard ends done or failed; either way its apparatus
+	// goes when runShard returns.
+	defer sh.release()
 
 	seal := func(outcome string) {
 		root.AnnotateInt("records", sh.records.Value())

@@ -109,14 +109,20 @@ func TestFitAndReplayEndToEnd(t *testing.T) {
 	}
 
 	// Replay on a fresh single machine.
-	replay := core.NewStudy(core.Config{Seed: 32, Machines: 1, Duration: sim.Hour})
-	node := replay.Nodes[0]
-	// Swap the stock workload for the replayer only.
-	node.Driver.Apps = nil
-	p := workload.NewProc(node.M, "synthbench", `C:`, sim.NewRNG(99))
-	node.Driver.AddApp(NewReplayer(p, node.Layout, pro, sim.NewRNG(100)))
+	prepared := 0
+	replay := core.NewStudy(core.Config{Seed: 32, Machines: 1, Duration: sim.Hour,
+		// Swap the stock workload for the replayer only.
+		Prepare: func(node *core.Node) {
+			prepared++
+			node.Driver.Apps = nil
+			p := workload.NewProc(node.M, "synthbench", `C:`, sim.NewRNG(99))
+			node.Driver.AddApp(NewReplayer(p, node.Layout, pro, sim.NewRNG(100)))
+		}})
 	if err := replay.Run(); err != nil {
 		t.Fatal(err)
+	}
+	if prepared != 1 {
+		t.Fatalf("Prepare called %d times for one machine", prepared)
 	}
 	rds, err := replay.DataSet()
 	if err != nil {
