@@ -429,15 +429,36 @@ func BenchmarkSection5Loaded(b *testing.B) {
 
 var section5Sink string
 
+// renderReportMB bounds BenchmarkRenderReport's render_MB: 10% above
+// the 55.8 MB a render of the ledger corpus allocates, at any GOMAXPROCS,
+// when the series several sections share are built once at compute time
+// (114.8 MB when each section rebuilt them). A render that rebuilds one
+// again, such as Figure 13 merging the request classes, fails the
+// benchmark.
+const renderReportMB = 61.4
+
+// computeRenderMB bounds BenchmarkRenderReport's compute_MB + render_MB,
+// the heap one ComputeWorkers and one render allocate together: 10%
+// above the 87.3 MB (31.5 + 55.8) they read at any GOMAXPROCS with the
+// shared series built at compute time (129.8 MB, 15.0 + 114.8, while
+// each section rebuilt them). Work moved from the render into the
+// compute cannot hide growth there.
+const computeRenderMB = 96.1
+
 // BenchmarkRenderReport renders every section of the report, the
 // cache-policy sweep last, from the ledger corpus reloaded and
 // recomputed for each iteration outside the timer: the render half of an
 // fsreport -in pass. sweep_ms and section5_ms split out its two
-// fan-outs.
+// fan-outs. render_MB is the heap a render allocates, the
+// runtime.MemStats.TotalAlloc delta around the timed renders, and
+// compute_MB the delta around the untimed ComputeWorkers; render_MB must
+// stay within renderReportMB and their sum within computeRenderMB.
 func BenchmarkRenderReport(b *testing.B) {
 	dir, _ := snapCorpus(b)
 	var sweep, section5 time.Duration
 	var bytes int
+	var computed, rendered uint64
+	var start, before, after runtime.MemStats
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -446,7 +467,10 @@ func BenchmarkRenderReport(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
+		runtime.ReadMemStats(&start)
 		r := report.ComputeWorkers(c.DS, runtime.GOMAXPROCS(0))
+		runtime.ReadMemStats(&before)
+		computed += before.TotalAlloc - start.TotalAlloc
 		b.StartTimer()
 		bytes = 0
 		for _, s := range report.Sections {
@@ -463,10 +487,24 @@ func BenchmarkRenderReport(b *testing.B) {
 			}
 			bytes += len(text)
 		}
+		b.StopTimer()
+		runtime.ReadMemStats(&after)
+		rendered += after.TotalAlloc - before.TotalAlloc
+		b.StartTimer()
 	}
+	computeMB := float64(computed) / 1e6 / float64(b.N)
+	renderMB := float64(rendered) / 1e6 / float64(b.N)
 	b.ReportMetric(float64(sweep.Milliseconds())/float64(b.N), "sweep_ms")
 	b.ReportMetric(float64(section5.Milliseconds())/float64(b.N), "section5_ms")
 	b.ReportMetric(float64(bytes), "report_bytes")
+	b.ReportMetric(computeMB, "compute_MB")
+	b.ReportMetric(renderMB, "render_MB")
+	if renderMB > renderReportMB {
+		b.Fatalf("render_MB = %.1f, above the %.1f bound: a render rebuilds what compute built once", renderMB, renderReportMB)
+	}
+	if computeMB+renderMB > computeRenderMB {
+		b.Fatalf("compute_MB + render_MB = %.1f + %.1f, above the %.1f bound", computeMB, renderMB, computeRenderMB)
+	}
 }
 
 // BenchmarkLoadCorpus reloads the saved 45-machine columnar corpus with

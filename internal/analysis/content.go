@@ -1,7 +1,8 @@
 package analysis
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"strings"
 
 	"repro/internal/snapshot"
@@ -41,9 +42,10 @@ type ContentCensus struct {
 // Census computes the §5 summary of one snapshot in one pass over its
 // records, without sorting the sample: the size percentiles are selected
 // in place from the sizes slice it owns, sized from the record count (P90
-// within the part P50's selection left), and stats.Hill sorts only the
-// values above its threshold. Every field is the value stats.Summarize
-// would give. A record error fails the census.
+// within the part P50's selection left), and the Hill estimate selects
+// its threshold within the part P90's selection left, sorting only the
+// values above it. Every field is the value stats.Summarize and
+// stats.Hill would give. A record error fails the census.
 func Census(s *snapshot.Snapshot) (ContentCensus, error) {
 	c := ContentCensus{Machine: s.Machine}
 	sizes := make([]float64, 0, s.Len())
@@ -76,11 +78,12 @@ func Census(s *snapshot.Snapshot) (ContentCensus, error) {
 	if err != nil {
 		return ContentCensus{}, err
 	}
+	k := 0 // no tail estimate for a small sample
 	if len(sizes) > 100 {
-		c.SizeTailAlpha = stats.Hill(sizes, len(sizes)/50+2)
+		k = len(sizes)/50 + 2
 	}
-	p := stats.SelectPercentiles(sizes, 50, 90)
-	c.SizeP50, c.SizeP90 = p[0], p[1]
+	p, alpha := stats.SelectPercentilesHill(sizes, k, 50, 90)
+	c.SizeP50, c.SizeP90, c.SizeTailAlpha = p[0], p[1], alpha
 	if c.Dirs > 0 {
 		c.MeanDirFiles = dirFiles / float64(c.Dirs)
 		c.MeanDirSubs = dirSubs / float64(c.Dirs)
@@ -100,77 +103,75 @@ type TypeSlice struct {
 
 // TypeCensus decomposes a snapshot by file-type category, sorted by
 // descending bytes — the view in which "executables, dynamic loadable
-// libraries and fonts dominate the file size distribution". A record
-// error fails it.
-func TypeCensus(s *snapshot.Snapshot) ([]TypeSlice, error) {
+// libraries and fonts dominate the file size distribution" — and returns
+// the byte share of executables, libraries, drivers and fonts among its
+// largest 1% of files (files/100+1 of them), the §5 size-tail domination
+// check. One pass over the walk keeps each file's size and name and
+// classifies each distinct extension once; the files are then sorted by
+// descending size with slices.SortFunc, the pdqsort sort.Slice runs, so
+// equal sizes at the cut fall as they always have, and only the top 1%
+// have their extensions lower-cased. A record error fails it.
+func TypeCensus(s *snapshot.Snapshot) (types []TypeSlice, tailImageShare float64, err error) {
+	type file struct {
+		size int64
+		name string
+	}
+	files := make([]file, 0, s.Len())
 	agg := map[TypeCategory]*TypeSlice{}
-	err := s.Each(func(r *snapshot.WalkRecord) {
+	byExt := map[string]*TypeSlice{} // as named, before case folding
+	err = s.Each(func(r *snapshot.WalkRecord) {
 		if r.IsDir {
 			return
 		}
-		cat := ClassifyExt(r.Ext())
-		t := agg[cat]
+		ext := nameExt(r.Name)
+		t := byExt[ext]
 		if t == nil {
-			t = &TypeSlice{Category: cat}
-			agg[cat] = t
+			cat := ClassifyExt(ext)
+			if t = agg[cat]; t == nil {
+				t = &TypeSlice{Category: cat}
+				agg[cat] = t
+			}
+			byExt[ext] = t
 		}
 		t.Files++
 		t.Bytes += r.Size
+		files = append(files, file{r.Size, r.Name})
 	})
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	out := make([]TypeSlice, 0, len(agg))
+	types = make([]TypeSlice, 0, len(agg))
 	for _, t := range agg {
-		out = append(out, *t)
+		types = append(types, *t)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Bytes != out[j].Bytes {
-			return out[i].Bytes > out[j].Bytes
+	slices.SortFunc(types, func(a, b TypeSlice) int {
+		if a.Bytes != b.Bytes {
+			return cmp.Compare(b.Bytes, a.Bytes)
 		}
-		return out[i].Category.Minor < out[j].Category.Minor
+		return strings.Compare(a.Category.Minor, b.Category.Minor)
 	})
-	return out, nil
+
+	slices.SortFunc(files, func(a, b file) int { return cmp.Compare(b.size, a.size) })
+	var imgBytes, total int64
+	for _, f := range files[:min(len(files)/100+1, len(files))] {
+		total += f.size
+		switch strings.ToLower(nameExt(f.name)) {
+		case "exe", "dll", "ttf", "fon", "sys":
+			imgBytes += f.size
+		}
+	}
+	if total > 0 {
+		tailImageShare = float64(imgBytes) / float64(total)
+	}
+	return types, tailImageShare, nil
 }
 
-// ImageShareOfTail returns the byte share of executables/libraries/fonts
-// among the largest `topN` files — the §5 size-tail domination check. It
-// collects the files in one pass in walk order and sorts them with
-// sort.Slice, so equal sizes at the cut fall as they always have. A
-// record error fails it.
-func ImageShareOfTail(s *snapshot.Snapshot, topN int) (float64, error) {
-	type f struct {
-		size int64
-		ext  string
+// nameExt is WalkRecord.Ext without the lower-casing.
+func nameExt(name string) string {
+	if i := strings.LastIndexByte(name, '.'); i >= 0 && i < len(name)-1 {
+		return name[i+1:]
 	}
-	var files []f
-	err := s.Each(func(r *snapshot.WalkRecord) {
-		if !r.IsDir {
-			files = append(files, f{r.Size, r.Ext()})
-		}
-	})
-	if err != nil {
-		return 0, err
-	}
-	sort.Slice(files, func(i, j int) bool { return files[i].size > files[j].size })
-	if topN > len(files) {
-		topN = len(files)
-	}
-	if topN == 0 {
-		return 0, nil
-	}
-	var imgBytes, total int64
-	for _, x := range files[:topN] {
-		total += x.size
-		switch x.ext {
-		case "exe", "dll", "ttf", "fon", "sys":
-			imgBytes += x.size
-		}
-	}
-	if total == 0 {
-		return 0, nil
-	}
-	return float64(imgBytes) / float64(total), nil
+	return ""
 }
 
 // ChangeAttribution summarises a day-over-day diff the §5 way.

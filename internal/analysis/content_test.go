@@ -3,7 +3,10 @@ package analysis
 import (
 	"bytes"
 	"math"
+	"math/rand"
+	"reflect"
 	"slices"
+	"sort"
 	"testing"
 
 	"repro/internal/fsgen"
@@ -59,7 +62,7 @@ func TestCensusBasics(t *testing.T) {
 
 func TestTypeCensusOrdering(t *testing.T) {
 	s := genSnapshot(t)
-	slices, err := TypeCensus(s)
+	slices, _, err := TypeCensus(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,12 +84,121 @@ func TestTypeCensusOrdering(t *testing.T) {
 
 func TestImageShareOfTail(t *testing.T) {
 	s := genSnapshot(t)
-	share, err := ImageShareOfTail(s, census(t, s).Files/100+1)
+	_, share, err := TypeCensus(s)
 	if err != nil || share < 0.5 {
 		t.Errorf("image share of top-1%% sizes = %.2f (err %v), want dominant (>0.5)", share, err)
 	}
-	if got, err := ImageShareOfTail(&snapshot.Snapshot{}, 10); got != 0 || err != nil {
-		t.Errorf("empty snapshot share = %v (err %v)", got, err)
+	if types, got, err := TypeCensus(&snapshot.Snapshot{}); len(types) != 0 || got != 0 || err != nil {
+		t.Errorf("empty snapshot: %d types, share %v (err %v)", len(types), got, err)
+	}
+}
+
+// twoPassTypeCensus and twoPassImageShare are the two walks §5 read the
+// largest snapshot with before TypeCensus did both in one: the type
+// decomposition, and the top-N image share from every file's lower-cased
+// extension sorted with sort.Slice.
+func twoPassTypeCensus(t *testing.T, s *snapshot.Snapshot) []TypeSlice {
+	agg := map[TypeCategory]*TypeSlice{}
+	err := s.Each(func(r *snapshot.WalkRecord) {
+		if r.IsDir {
+			return
+		}
+		cat := ClassifyExt(r.Ext())
+		ts := agg[cat]
+		if ts == nil {
+			ts = &TypeSlice{Category: cat}
+			agg[cat] = ts
+		}
+		ts.Files++
+		ts.Bytes += r.Size
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make([]TypeSlice, 0, len(agg))
+	for _, ts := range agg {
+		out = append(out, *ts)
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Bytes != out[j].Bytes {
+			return out[i].Bytes > out[j].Bytes
+		}
+		return out[i].Category.Minor < out[j].Category.Minor
+	})
+	return out
+}
+
+func twoPassImageShare(t *testing.T, s *snapshot.Snapshot, topN int) float64 {
+	type f struct {
+		size int64
+		ext  string
+	}
+	var files []f
+	err := s.Each(func(r *snapshot.WalkRecord) {
+		if !r.IsDir {
+			files = append(files, f{r.Size, r.Ext()})
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sort.Slice(files, func(i, j int) bool { return files[i].size > files[j].size })
+	topN = min(topN, len(files))
+	var imgBytes, total int64
+	for _, x := range files[:topN] {
+		total += x.size
+		switch x.ext {
+		case "exe", "dll", "ttf", "fon", "sys":
+			imgBytes += x.size
+		}
+	}
+	if total == 0 {
+		return 0
+	}
+	return float64(imgBytes) / float64(total)
+}
+
+// TestTypeCensusMatchesTwoPasses pins the one-pass TypeCensus to the two
+// walks it replaced, on a generated volume and on walks where many files
+// share the size at the top-1% cut with extensions, in either case, that
+// do and do not count as images: which of them fall inside the cut
+// decides the share, so it holds only if the sort permutes them as
+// sort.Slice did.
+func TestTypeCensusMatchesTwoPasses(t *testing.T) {
+	snaps := []*snapshot.Snapshot{genSnapshot(t)}
+	exts := []string{"exe", "txt", "DLL", "doc", "Sys", "gif", "ttf", "", "fon"}
+	rng := rand.New(rand.NewSource(5))
+	for _, n := range []int{1, 12, 13, 150, 999, 4000} {
+		recs := []snapshot.WalkRecord{{Name: `\`, IsDir: true, NumFiles: n}}
+		for i := 0; i < n; i++ {
+			size := int64(rng.Intn(4)) << 20 // four sizes: ties everywhere, the cut among them
+			name := "f" + itoa(i)
+			if ext := exts[rng.Intn(len(exts))]; ext != "" {
+				name += "." + ext
+			}
+			recs = append(recs, snapshot.WalkRecord{Depth: 1, Name: name, Size: size})
+		}
+		s, err := snapshot.New("m", `C:`, 0, recs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		snaps = append(snaps, s)
+	}
+	for i, s := range snaps {
+		types, share, err := TypeCensus(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files := 0
+		for _, ts := range types {
+			files += ts.Files
+		}
+		if want := twoPassTypeCensus(t, s); !reflect.DeepEqual(types, want) {
+			t.Errorf("walk %d: types %+v, two passes %+v", i, types, want)
+		}
+		if want := twoPassImageShare(t, s, files/100+1); math.Float64bits(share) != math.Float64bits(want) {
+			t.Errorf("walk %d: image share %v, two passes %v", i, share, want)
+		}
 	}
 }
 
@@ -251,4 +363,22 @@ func TestCensusMatchesSortCensus(t *testing.T) {
 			t.Errorf("%s decoded (%d records): Census %+v, sort-based %+v", s.Machine, s.Len(), got, want)
 		}
 	}
+}
+
+// BenchmarkCensus runs the §5 census over a generated personal volume's
+// walk: ns_per_record is the parse and the census together.
+func BenchmarkCensus(b *testing.B) {
+	fs := fsys.New(volume.FlavorNTFS, 8<<30)
+	fsgen.PopulateLocal(fs, sim.NewRNG(21), fsgen.Config{
+		User: "alice", Category: machine.Personal, Now: sim.Time(60 * sim.Day),
+	})
+	s := snapshot.Take("m1", `C:`, fs, sim.Time(60*sim.Day))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Census(s); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*s.Len()), "ns_per_record")
 }

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"math/bits"
 	"runtime"
 
 	"repro/internal/par"
@@ -74,34 +75,56 @@ func (ix *MachineIndex) OfKind(k tracefmt.EventKind) []int32 {
 // Select merges the positions of several kinds into one ascending list —
 // the record subset a scan over those kinds visits, in the exact order
 // the full-stream scan would visit them. With a single populated kind
-// the shared per-kind list is returned; callers must not mutate it.
+// (passed once or more) the shared per-kind list is returned; callers
+// must not mutate it. Otherwise each listed position sets its bit in a
+// bitmap over the rows the lists span, which is read back in ascending
+// order: O(total + span/64), where merging the lists row by row was
+// O(total × kinds). Positions are distinct across kinds, so each row
+// appears once, even for a kind passed twice.
 func (ix *MachineIndex) Select(kinds ...tracefmt.EventKind) []int32 {
-	lists := make([][]int32, 0, len(kinds))
-	total := 0
+	var seen [tracefmt.NumEventKinds]bool
+	var first []int32
+	lists, total := 0, 0
+	lo, hi := int32(0), int32(0) // the rows the lists span
 	for _, k := range kinds {
-		if l := ix.OfKind(k); len(l) > 0 {
-			lists = append(lists, l)
-			total += len(l)
+		l := ix.OfKind(k)
+		if len(l) == 0 || seen[k] {
+			continue
 		}
+		seen[k] = true
+		if lists == 0 || l[0] < lo {
+			lo = l[0]
+		}
+		if lists == 0 || l[len(l)-1] > hi {
+			hi = l[len(l)-1]
+		}
+		if lists == 0 {
+			first = l
+		}
+		lists++
+		total += len(l)
 	}
-	switch len(lists) {
+	switch lists {
 	case 0:
 		return nil
 	case 1:
-		return lists[0]
+		return first
 	}
-	out := make([]int32, 0, total)
-	pos := make([]int, len(lists))
-	for len(out) < total {
-		best := -1
-		var bv int32
-		for li, l := range lists {
-			if pos[li] < len(l) && (best < 0 || l[pos[li]] < bv) {
-				best, bv = li, l[pos[li]]
+	base := lo &^ 63
+	words := make([]uint64, (hi-base)/64+1)
+	for k, on := range seen {
+		if on {
+			for _, i := range ix.kinds[k] {
+				i -= base
+				words[i>>6] |= 1 << (i & 63)
 			}
 		}
-		out = append(out, bv)
-		pos[best]++
+	}
+	out := make([]int32, 0, total)
+	for w, word := range words {
+		for ; word != 0; word &= word - 1 {
+			out = append(out, base+int32(w<<6|bits.TrailingZeros64(word)))
+		}
 	}
 	return out
 }

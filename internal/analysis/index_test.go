@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"math/rand"
 	"reflect"
 	"sync"
 	"testing"
@@ -33,6 +34,11 @@ func mixedTrace(t *testing.T) (*MachineTrace, []tracefmt.Record) {
 	return b.trace(t), raw
 }
 
+// TestIndexSelectMatchesFullScan pins Select to the full-stream scan:
+// hand-picked kind sets over a small mixed trace, then random subsets of
+// 2 to all 54 kinds over a trace of thousands of records whose kinds
+// are skewed, so lists are sparse and span many bitmap words, with a kind
+// passed twice and kinds the machine never logged.
 func TestIndexSelectMatchesFullScan(t *testing.T) {
 	mt, _ := mixedTrace(t)
 	sets := [][]tracefmt.EventKind{
@@ -41,8 +47,42 @@ func TestIndexSelectMatchesFullScan(t *testing.T) {
 			tracefmt.EvSetDisposition, tracefmt.EvCleanup, tracefmt.EvClose},
 		{tracefmt.EvQueryDirectory},
 		{tracefmt.EvPagingRead, tracefmt.EvPagingWrite, tracefmt.EvReadAhead, tracefmt.EvLazyWrite},
-		{tracefmt.EvMountVolume}, // absent kind
+		{tracefmt.EvMountVolume},                                // absent kind
+		{tracefmt.EvRead, tracefmt.EvRead, tracefmt.EvFastRead}, // a kind twice
+		{tracefmt.EvQueryDirectory, tracefmt.EvQueryDirectory},  // one kind twice
 	}
+	checkSelect(t, mt, sets)
+
+	// Kinds 0..39 only, drawn with weight falling as the kind rises:
+	// 40..53 are never logged, and the high kinds are sparse.
+	rng := rand.New(rand.NewSource(11))
+	b := &recBuilder{}
+	for i := 0; i < 5000; i++ {
+		k := tracefmt.EventKind(rng.Intn(rng.Intn(40) + 1))
+		if k == tracefmt.EvNameMap {
+			continue
+		}
+		b.at(sim.Microsecond).add(tracefmt.Record{Kind: k, FileID: 1})
+	}
+	big := b.trace(t)
+	sets = sets[:0]
+	for i := 0; i < 300; i++ {
+		n := 2 + rng.Intn(tracefmt.NumEventKinds-1)
+		var kinds []tracefmt.EventKind
+		for _, k := range rng.Perm(tracefmt.NumEventKinds)[:n] {
+			kinds = append(kinds, tracefmt.EventKind(k))
+		}
+		if i%3 == 0 {
+			kinds = append(kinds, kinds[rng.Intn(len(kinds))])
+		}
+		sets = append(sets, kinds)
+	}
+	checkSelect(t, big, sets)
+}
+
+// checkSelect compares Select with a scan of every row for each set.
+func checkSelect(t *testing.T, mt *MachineTrace, sets [][]tracefmt.EventKind) {
+	t.Helper()
 	rows := mustRows(t, mt)
 	for _, kinds := range sets {
 		want := []int32{}
@@ -59,7 +99,7 @@ func TestIndexSelectMatchesFullScan(t *testing.T) {
 			continue
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Errorf("Select(%v) = %v, want %v", kinds, got, want)
+			t.Errorf("Select(%v) = %d rows, want %d", kinds, len(got), len(want))
 		}
 	}
 }

@@ -645,10 +645,6 @@ type ActivityRow struct {
 	PeakSystemKBs      float64
 }
 
-// UserActivity computes the Table 2 panels over the fleet. Throughput per
-// user counts application-level data transfers plus VM paging for
-// executables (following §3.3's accounting), excluding cache-manager
-// duplicates. The activity threshold models the §6.1 background level.
 // activityKinds are the only kinds that contribute bytes to the Table 2
 // throughput bins: data transfers and VM paging reads; every other kind
 // fell through to `continue` in the pre-index scan.
@@ -659,43 +655,74 @@ var activityKinds = []tracefmt.EventKind{
 	tracefmt.EvPagingRead,
 }
 
+// UserActivity computes the Table 2 panels over the fleet. Throughput per
+// user counts application-level data transfers plus VM paging for
+// executables (following §3.3's accounting), excluding cache-manager
+// duplicates. The activity threshold models the §6.1 background level.
+// It is SweepActivity over each machine's ActivityBins, in corpus order.
 func UserActivity(ds *DataSet, interval sim.Duration, thresholdBytes float64) ActivityRow {
-	row := ActivityRow{IntervalSeconds: interval.Seconds()}
-	// Per machine: bytes per interval index.
-	perMachine := make([]map[int64]float64, len(ds.Machines))
-	var maxIdx int64
+	perMachine := make([][]float64, len(ds.Machines))
 	for mi, mt := range ds.Machines {
-		t := mt.tab
-		bins := map[int64]float64{}
-		for _, i := range mt.Index().Select(activityKinds...) {
-			k := t.Kinds[i]
-			if k.IsPaging() && t.FileIDs[i] >= tracefmt.PagingObjectIDBase {
-				continue // cache-manager paging (IsCachePaging)
-			}
-			var bytes float64
-			switch {
-			case isDataTransfer(k, t.Annots[i], t.Statuses[i]):
-				bytes = float64(t.Returns[i])
-			case k == tracefmt.EvPagingRead:
-				bytes = float64(t.Lengths[i])
-			default:
-				continue
-			}
-			idx := int64(t.Starts[i]) / int64(interval)
-			bins[idx] += bytes
-			if idx > maxIdx {
-				maxIdx = idx
-			}
-		}
-		perMachine[mi] = bins
+		perMachine[mi] = ActivityBins(mt, interval)[0]
 	}
-	// Sweep intervals.
+	return SweepActivity(perMachine, interval, thresholdBytes)
+}
+
+// ActivityBins returns, for each interval width, the bytes one machine
+// transferred in each interval: bins[w][i] covers
+// [i·intervals[w], (i+1)·intervals[w]) and the last bin is the last one
+// with traffic. One pass over the machine's activity records fills every
+// width, adding each bin's bytes in record order.
+func ActivityBins(mt *MachineTrace, intervals ...sim.Duration) [][]float64 {
+	t := mt.tab
+	bins := make([][]float64, len(intervals))
+	for _, i := range mt.Index().Select(activityKinds...) {
+		k := t.Kinds[i]
+		if k.IsPaging() && t.FileIDs[i] >= tracefmt.PagingObjectIDBase {
+			continue // cache-manager paging (IsCachePaging)
+		}
+		var bytes float64
+		switch {
+		case isDataTransfer(k, t.Annots[i], t.Statuses[i]):
+			bytes = float64(t.Returns[i])
+		case k == tracefmt.EvPagingRead:
+			bytes = float64(t.Lengths[i])
+		default:
+			continue
+		}
+		for w, iv := range intervals {
+			idx := int64(t.Starts[i]) / int64(iv)
+			if idx < 0 {
+				continue // before the sweep's first interval
+			}
+			for int64(len(bins[w])) <= idx {
+				bins[w] = append(bins[w], 0)
+			}
+			bins[w][idx] += bytes
+		}
+	}
+	return bins
+}
+
+// SweepActivity sweeps every interval from the first to the last any
+// machine's bins reach, summing the machines' bytes in the order given:
+// a machine whose bytes in an interval exceed thresholdBytes is an
+// active user in it.
+func SweepActivity(perMachine [][]float64, interval sim.Duration, thresholdBytes float64) ActivityRow {
+	row := ActivityRow{IntervalSeconds: interval.Seconds()}
+	intervals := 1
+	for _, bins := range perMachine {
+		intervals = max(intervals, len(bins))
+	}
 	var activeCounts, throughputs []float64
-	for idx := int64(0); idx <= maxIdx; idx++ {
+	for idx := 0; idx < intervals; idx++ {
 		active := 0
 		var sysBytes float64
 		for _, bins := range perMachine {
-			b := bins[idx]
+			var b float64
+			if idx < len(bins) {
+				b = bins[idx]
+			}
 			sysBytes += b
 			if b > thresholdBytes {
 				active++

@@ -277,7 +277,7 @@ func NewStudy(cfg Config) *Study {
 	s.netStats = make([]agent.NetStats, len(s.specs))
 	for i := range s.specs {
 		if cfg.Resume && cfg.CheckpointDir != "" {
-			if _, ok := s.Engine.Restore(s.fleetSpec(i)); ok {
+			if s.Engine.Restore(s.fleetSpec(i)) {
 				continue
 			}
 		}

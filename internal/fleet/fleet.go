@@ -148,13 +148,6 @@ func (sh *shard) release() {
 	sh.sched = nil
 }
 
-// Restored is what a checkpoint gives back for a completed shard.
-type Restored struct {
-	Records   int
-	ProcNames map[uint32]string
-	Snapshots []*snapshot.Snapshot
-}
-
 // Engine executes a fleet of shards over a worker pool.
 type Engine struct {
 	cfg   Config
@@ -255,27 +248,25 @@ func (e *Engine) register(sh *shard) error {
 // shard is registered as already done; a missing, corrupt or
 // fingerprint-mismatched checkpoint returns false and the caller builds
 // and runs the shard normally — so a checkpoint killed mid-write simply
-// re-runs its machine.
-func (e *Engine) Restore(spec Spec) (*Restored, bool) {
+// re-runs its machine. A restored shard's process names, walks and
+// record count are served by ProcNames, Snapshots and Status.
+func (e *Engine) Restore(spec Spec) bool {
 	if e.cfg.CheckpointDir == "" || e.cfg.Remote {
-		return nil, false
+		return false
 	}
 	ck, err := loadCheckpoint(checkpointPath(e.cfg.CheckpointDir, spec.Name), spec.Fingerprint)
 	if err != nil {
-		return nil, false
+		return false
 	}
 	if err := e.store.ImportStream(spec.Name, ck.Stream, ck.Records); err != nil {
-		return nil, false
+		return false
 	}
 	sh := &shard{spec: spec, snaps: ck.Snapshots, procNames: ck.ProcNames}
 	e.newShardGauges(sh)
 	sh.state.Store(stateRestored)
 	sh.records.Set(int64(ck.Records))
 	sh.simNow.Set(int64(e.cfg.Duration))
-	if err := e.register(sh); err != nil {
-		return nil, false
-	}
-	return &Restored{Records: ck.Records, ProcNames: ck.ProcNames, Snapshots: ck.Snapshots}, true
+	return e.register(sh) == nil
 }
 
 // TraceBuffer implements agent.Sink: records merge into the shared store

@@ -104,17 +104,20 @@ func TestCheckpointRestore(t *testing.T) {
 	dir := t.TempDir()
 	base := runFleet(t, 4, 2, dir)
 
-	// A fresh engine restores every shard without running anything.
+	// A fresh engine restores every shard without running anything, and
+	// serves each one's records, process names and walks.
 	store := collect.NewStore()
 	e := New(Config{Duration: sim.Hour, Workers: 2, CheckpointDir: dir}, store)
 	for i := 0; i < 4; i++ {
 		name := fmt.Sprintf("m%02d", i)
-		res, ok := e.Restore(Spec{Index: i, Name: name, Fingerprint: "fp-" + name})
-		if !ok {
+		if !e.Restore(Spec{Index: i, Name: name, Fingerprint: "fp-" + name}) {
 			t.Fatalf("Restore(%s) failed", name)
 		}
-		if res.Records == 0 || res.ProcNames[uint32(i)] != name+".exe" || len(res.Snapshots) != 1 {
-			t.Errorf("Restore(%s) = %+v", name, res)
+		sh := e.Status().Shards[i]
+		walks := e.Snapshots()
+		if sh.Name != name || sh.Records == 0 || e.ProcNames(name)[uint32(i)] != name+".exe" ||
+			len(walks) != i+1 || walks[i].Machine != name {
+			t.Errorf("Restore(%s): status %+v, process names %v, %d walks", name, sh, e.ProcNames(name), len(walks))
 		}
 	}
 	if err := e.Run(context.Background()); err != nil {
@@ -139,7 +142,7 @@ func TestRestoreRejectsFingerprintMismatch(t *testing.T) {
 	dir := t.TempDir()
 	runFleet(t, 1, 1, dir)
 	e := New(Config{Duration: sim.Hour, CheckpointDir: dir}, collect.NewStore())
-	if _, ok := e.Restore(Spec{Index: 0, Name: "m00", Fingerprint: "other-config"}); ok {
+	if e.Restore(Spec{Index: 0, Name: "m00", Fingerprint: "other-config"}) {
 		t.Error("restore accepted a checkpoint from a different configuration")
 	}
 }
@@ -169,7 +172,7 @@ func TestRestoreRejectsCorruptCheckpoint(t *testing.T) {
 		}
 		store := collect.NewStore()
 		e := New(Config{Duration: sim.Hour, CheckpointDir: dir}, store)
-		if _, ok := e.Restore(Spec{Index: 0, Name: "m00", Fingerprint: "fp-m00"}); ok {
+		if e.Restore(Spec{Index: 0, Name: "m00", Fingerprint: "fp-m00"}) {
 			t.Errorf("%s: restore accepted the checkpoint", name)
 		}
 		if _, err := store.StreamSum("m00"); !errors.Is(err, collect.ErrNoRecords) {
@@ -377,7 +380,7 @@ func TestRemoteModeSkipsCheckpoints(t *testing.T) {
 	if len(entries) != 0 {
 		t.Errorf("remote run wrote %d checkpoint files", len(entries))
 	}
-	if _, ok := e.Restore(Spec{Index: 0, Name: "m00", Fingerprint: "fp-m00"}); ok {
+	if e.Restore(Spec{Index: 0, Name: "m00", Fingerprint: "fp-m00"}) {
 		t.Error("Restore succeeded in remote mode")
 	}
 	if st := e.Status(); st.Done != 2 {
@@ -472,4 +475,41 @@ func TestRunShardPanicReachesCaller(t *testing.T) {
 	}()
 	e.Run(context.Background())
 	t.Error("Run returned after a shard panicked")
+}
+
+// TestStatusRateOverRunWallTime pins the fleet rates to the run's wall
+// span, not the sum of the shards' wall times: four shards that ran side
+// by side for one second report their events over one second, and two
+// that ran one after the other over the two seconds they took.
+func TestStatusRateOverRunWallTime(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		starts []int64 // seconds; each shard runs one second
+		wall   float64
+	}{
+		{"side by side", []int64{5, 5, 5, 5}, 1},
+		{"one after the other", []int64{5, 6}, 2},
+	} {
+		e := New(Config{Duration: sim.Hour}, collect.NewStore())
+		for i, start := range tc.starts {
+			sh := &shard{spec: Spec{Index: i, Name: fmt.Sprintf("m%02d", i)}}
+			e.newShardGauges(sh)
+			if err := e.register(sh); err != nil {
+				t.Fatal(err)
+			}
+			sh.state.Store(stateDone)
+			sh.started.Set(start * 1e9)
+			sh.ended.Set((start + 1) * 1e9)
+			sh.events.Set(1000)
+			sh.simNow.Set(int64(sim.Hour))
+		}
+		st := e.Status()
+		n := float64(len(tc.starts))
+		if want := 1000 * n / tc.wall; st.EventsPerSec != want {
+			t.Errorf("%s: EventsPerSec = %v, want %v", tc.name, st.EventsPerSec, want)
+		}
+		if want := sim.Hour.Seconds() * n / tc.wall; st.SimRatio != want {
+			t.Errorf("%s: SimRatio = %v, want %v", tc.name, st.SimRatio, want)
+		}
+	}
 }

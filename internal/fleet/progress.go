@@ -32,10 +32,12 @@ type Status struct {
 
 	Records int64
 	Events  uint64
-	// EventsPerSec is aggregate scheduler throughput over the wall time of
-	// shards that have run so far.
+	// EventsPerSec is aggregate scheduler throughput over the run's wall
+	// time so far: from the first shard's start to the last one's end,
+	// or to now while shards run.
 	EventsPerSec float64
-	// SimRatio is virtual seconds advanced per wall second, aggregated.
+	// SimRatio is virtual seconds advanced per wall second of the same
+	// span, aggregated over shards.
 	SimRatio float64
 	// MaxLag is the largest remaining virtual time over unfinished shards.
 	MaxLag sim.Duration
@@ -50,7 +52,7 @@ type Status struct {
 func (e *Engine) Status() Status {
 	now := time.Now().UnixNano()
 	st := Status{Duration: e.cfg.Duration}
-	var wallNanos int64
+	var first, last int64 // the run's wall span, unix nanos
 	var simAdvanced sim.Duration
 	for _, sh := range e.ordered() {
 		s := ShardStatus{
@@ -66,6 +68,10 @@ func (e *Engine) Status() Status {
 				end = now
 			}
 			s.Wall = time.Duration(end - start)
+			if first == 0 || start < first {
+				first = start
+			}
+			last = max(last, end)
 		}
 		if remain := e.cfg.Duration - sim.Duration(s.SimNow); remain > 0 {
 			s.Lag = remain
@@ -88,14 +94,13 @@ func (e *Engine) Status() Status {
 		}
 		if s.State != "restored" {
 			st.Events += s.Events
-			wallNanos += int64(s.Wall)
 			simAdvanced += sim.Duration(s.SimNow)
 		}
 		st.Records += s.Records
 		st.Shards = append(st.Shards, s)
 	}
-	if wallNanos > 0 {
-		wallSec := float64(wallNanos) / float64(time.Second)
+	if last > first {
+		wallSec := float64(last-first) / float64(time.Second)
 		st.EventsPerSec = float64(st.Events) / wallSec
 		st.SimRatio = simAdvanced.Seconds() / wallSec
 	}

@@ -85,14 +85,7 @@ func (r *Results) RenderSection5(snaps []*snapshot.Snapshot) (string, error) {
 	par.For(runtime.GOMAXPROCS(0), 2+len(firsts), func(i int) {
 		switch i {
 		case 0:
-			if types, errs[0] = analysis.TypeCensus(biggest); errs[0] != nil {
-				return
-			}
-			files := 0
-			for _, t := range types {
-				files += t.Files
-			}
-			imageShare, errs[0] = analysis.ImageShareOfTail(biggest, files/100+1)
+			types, imageShare, errs[0] = analysis.TypeCensus(biggest)
 		case 1:
 			if exemplar != "" {
 				vs := byVol[exemplar]
@@ -130,8 +123,7 @@ func (r *Results) RenderSection5(snaps []*snapshot.Snapshot) (string, error) {
 // 4): Hurst estimates of the open-arrival count series against a Poisson
 // control.
 func (r *Results) Section7SelfSim() string {
-	mt := r.OpenGapSampleMachine()
-	gaps := analysis.AllOpenGaps(mt)
+	gaps := r.sampleGaps
 	var b strings.Builder
 	b.WriteString("Section 7 (extension). Self-similarity of open arrivals\n")
 	if len(gaps) < 1000 {
@@ -215,8 +207,7 @@ func (r *Results) CacheSweep(sizesMB []float64) string {
 func (r *Results) FollowUps() string {
 	var b strings.Builder
 	b.WriteString("Follow-up traces (§2): paging bursts, compressed reads, directory throughput\n")
-	mt := r.OpenGapSampleMachine()
-	pb := analysis.PagingBursts(mt)
+	pb := analysis.PagingBursts(r.sample)
 	fmt.Fprintf(&b, "  paging I/O: %d requests; dispersion %.1f @1s, %.1f @10s; peak %v/s; lazy %.0f%%, read-ahead %.0f%%\n",
 		pb.Requests, pb.Dispersion1s, pb.Dispersion10s, pb.MaxPerSecond,
 		100*pb.LazyShare, 100*pb.ReadAheadShare)

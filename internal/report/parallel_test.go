@@ -2,6 +2,7 @@ package report_test
 
 import (
 	"fmt"
+	"math/rand"
 	"runtime"
 	"sort"
 	"strings"
@@ -141,6 +142,57 @@ func TestSection5EdgeCases(t *testing.T) {
 		}
 		if !strings.Contains(got, "exe/dll/font share of the top-1% sizes: 100%") {
 			t.Errorf("GOMAXPROCS=%d: image share line wrong:\n%s", procs, got)
+		}
+	}
+}
+
+// TestRenderOrderIndependent renders every section of a small saved
+// study in print order, in reverse and in a shuffled order, from one
+// Results: the series several sections share are built once at compute
+// time, so a renderer that modified one would change a later section's
+// text, and every section must read the same in each order.
+func TestRenderOrderIndependent(t *testing.T) {
+	s := core.NewStudy(core.Config{
+		Seed: 29, Machines: 4, Duration: 5 * sim.Minute,
+		WithNetwork: true, SnapshotAtStart: true, Workers: 2,
+	})
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := s.Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	c, err := core.LoadCorpusTrace(dir, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := report.ComputeWorkers(c.DS, 2)
+	n := len(report.Sections)
+	render := func(order []int) []string {
+		texts := make([]string, n)
+		for _, i := range order {
+			text, err := report.Sections[i].Render(res, c.Snaps)
+			if err != nil {
+				t.Fatalf("%s: %v", report.Sections[i].Name, err)
+			}
+			texts[i] = text
+		}
+		return texts
+	}
+	printOrder, reverse := make([]int, n), make([]int, n)
+	for i := range printOrder {
+		printOrder[i], reverse[i] = i, n-1-i
+	}
+	want := render(printOrder)
+	for name, order := range map[string][]int{
+		"reverse":  reverse,
+		"shuffled": rand.New(rand.NewSource(3)).Perm(n),
+	} {
+		for i, text := range render(order) {
+			if text != want[i] {
+				t.Errorf("%s order: section %s differs from print order:\n%s\nvs\n%s", name, report.Sections[i].Name, text, want[i])
+			}
 		}
 	}
 }

@@ -37,7 +37,35 @@ type Results struct {
 
 	// FastIO shares per machine.
 	ReadShares, WriteShares []float64
+
+	// The series more than one renderer reads, built once by
+	// ComputeWorkersTrace; a renderer must not modify them.
+	//
+	// requests feeds Figures 13 and 14 and §10; activity holds Table 2's
+	// rows, one per activity width (Table 1 reads the first).
+	requests analysis.RequestClassSeries
+	activity [len(activityWidths)]analysis.ActivityRow
+	// dataHold and allHold are the hold-time CDFs of data sessions
+	// (Table 1, Figures 5 and 12) and of all sessions (Figure 12, §8).
+	dataHold, allHold *stats.CDF
+	// readRuns and writeRuns feed Figures 1 and 2; sizesByClass Table 1
+	// and Figures 3 and 4; the open gaps, machine by machine in name
+	// order, Figure 11 and §8.
+	readRuns, writeRuns       []float64
+	sizesByClass              map[analysis.AccessClass][]analysis.SizeSample
+	openDataGaps, openCtlGaps []float64
+	// sample is OpenGapSampleMachine and sampleGaps its AllOpenGaps:
+	// Table 1, Figures 8–10, §7 and the follow-ups.
+	sample     *analysis.MachineTrace
+	sampleGaps []float64
 }
+
+// activityWidths are Table 2's interval widths, Table 1's first;
+// activityThreshold is its background-activity cutoff in bytes per
+// interval.
+var activityWidths = [...]sim.Duration{10 * sim.Minute, 10 * sim.Second}
+
+const activityThreshold = 4096
 
 // machineMeasures is everything ComputeWorkersTrace derives from a single
 // machine — the unit of the worker fan-out.
@@ -48,6 +76,8 @@ type machineMeasures struct {
 	cm     analysis.CacheMeasures
 	ru     analysis.ReuseStats
 	rs, ws float64
+	rc     analysis.RequestClassSeries
+	bins   [][]float64 // bytes per interval, one series per activity width
 }
 
 // ComputeWorkers builds Results from a data set, fanning machines across
@@ -90,10 +120,15 @@ func NewKernelTimers(r *obs.Registry) *KernelTimers {
 // perMachine receives one measure duration (microseconds) per machine,
 // kt one per machine per kernel, and each machine's measure pass
 // becomes one wall-clock trace on tr (family "compute") with a child
-// span per kernel, mirroring the KernelTimers split. Trace IDs derive
-// from the machine name, so runs over the same corpus produce the same
-// IDs. Nil histograms, timers and tracer are no-ops, and neither timing
-// nor tracing alters the computed results.
+// span per kernel: the KernelTimers split, plus "requests" (the request
+// classes) and "activity" (the user-activity bins), which have no timer.
+// Trace IDs derive from the machine name, so runs over the same corpus
+// produce the same IDs. Nil histograms, timers and tracer are no-ops,
+// and neither timing nor tracing alters the computed results.
+//
+// Besides the merged measures it builds, once, each series that more
+// than one renderer reads: the per-machine halves on the pool, the rest
+// from All after the merge.
 func ComputeWorkersTrace(ds *analysis.DataSet, workers int, perMachine *obs.Histogram, kt *KernelTimers, tr *trace.Tracer) *Results {
 	slots := make([]machineMeasures, len(ds.Machines))
 	measure := func(i int) {
@@ -120,6 +155,8 @@ func ComputeWorkersTrace(ds *analysis.DataSet, workers int, perMachine *obs.Hist
 		kernel("cache", hCm, func() { m.cm = analysis.Cache(mt, m.ins) })
 		kernel("reuse", hRu, func() { m.ru = analysis.Reuse(m.ins) })
 		kernel("fastio", hF, func() { m.rs, m.ws = analysis.FastIOShares(mt) })
+		kernel("requests", nil, func() { m.rc = analysis.RequestClasses(mt) })
+		kernel("activity", nil, func() { m.bins = analysis.ActivityBins(mt, activityWidths[:]...) })
 		root.AnnotateInt("instances", int64(len(m.ins)))
 		root.Finish()
 		perMachine.ObserveWall(time.Since(start))
@@ -174,7 +211,55 @@ func ComputeWorkersTrace(ds *analysis.DataSet, workers int, perMachine *obs.Hist
 		r.ReadShares = append(r.ReadShares, rs)
 		r.WriteShares = append(r.WriteShares, ws)
 	}
+	r.shareSeries(slots, workers)
 	return r
+}
+
+// shareSeries builds the series several renderers read, each as the
+// first of them built it before: the request classes and activity bins
+// merged in slot order, then the rest from the merged measures, as
+// independent slots on the workers.
+func (r *Results) shareSeries(slots []machineMeasures, workers int) {
+	s := &r.requests
+	for i := range slots {
+		m := &slots[i].rc
+		s.FastReadLatUS = append(s.FastReadLatUS, m.FastReadLatUS...)
+		s.FastWriteLatUS = append(s.FastWriteLatUS, m.FastWriteLatUS...)
+		s.IrpReadLatUS = append(s.IrpReadLatUS, m.IrpReadLatUS...)
+		s.IrpWriteLatUS = append(s.IrpWriteLatUS, m.IrpWriteLatUS...)
+		s.FastReadSize = append(s.FastReadSize, m.FastReadSize...)
+		s.FastWriteSize = append(s.FastWriteSize, m.FastWriteSize...)
+		s.IrpReadSize = append(s.IrpReadSize, m.IrpReadSize...)
+		s.IrpWriteSize = append(s.IrpWriteSize, m.IrpWriteSize...)
+	}
+	perMachine := make([][]float64, len(slots))
+	for w, iv := range activityWidths {
+		for i := range slots {
+			perMachine[i] = slots[i].bins[w]
+		}
+		r.activity[w] = analysis.SweepActivity(perMachine, iv, activityThreshold)
+	}
+
+	par.For(workers, 4, func(i int) {
+		switch i {
+		case 0:
+			r.dataHold = r.HoldCDF(analysis.DataSessions)
+		case 1:
+			r.allHold = r.HoldCDF(nil)
+		case 2:
+			r.readRuns, r.writeRuns = analysis.RunLengths(r.All)
+			r.sizesByClass = analysis.FileSizeByClass(r.All)
+		case 3:
+			for _, name := range r.machineNames() {
+				d, c := analysis.OpenInterarrivals(r.PerMachine[name])
+				r.openDataGaps = append(r.openDataGaps, d...)
+				r.openCtlGaps = append(r.openCtlGaps, c...)
+			}
+			if r.sample = r.OpenGapSampleMachine(); r.sample != nil {
+				r.sampleGaps = analysis.AllOpenGaps(r.sample)
+			}
+		}
+	})
 }
 
 // mean of a float slice (0 for empty).

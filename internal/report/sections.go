@@ -15,13 +15,7 @@ func (r *Results) Section8() string {
 	b.WriteString("Section 8. Operational characteristics\n")
 
 	// 8.1 open/close.
-	var dataGaps, ctlGaps []float64
-	for _, name := range r.machineNames() {
-		d, c := analysis.OpenInterarrivals(r.PerMachine[name])
-		dataGaps = append(dataGaps, d...)
-		ctlGaps = append(ctlGaps, c...)
-	}
-	allGaps := append(append([]float64{}, dataGaps...), ctlGaps...)
+	allGaps := append(append([]float64{}, r.openDataGaps...), r.openCtlGaps...)
 	gc := stats.NewCDF(allGaps)
 	fmt.Fprintf(&b, "  open inter-arrivals: %.0f%% within 1 ms, %.0f%% within 30 ms (paper: 40%%, 90%%)\n",
 		gc.At(1)*100, gc.At(30)*100)
@@ -47,7 +41,7 @@ func (r *Results) Section8() string {
 			100*float64(r.Reuse.ReadWriteReopened)/float64(r.Reuse.ReadWritePaths))
 	}
 
-	hc := r.HoldCDF(nil)
+	hc := r.allHold
 	fmt.Fprintf(&b, "  sessions closed within 1 ms: %.0f%% (paper: 40%%); within 1 s: %.0f%% (paper: 90%%)\n",
 		hc.At(1)*100, hc.At(1000)*100)
 
@@ -114,7 +108,7 @@ func (r *Results) Section10() string {
 	b.WriteString("Section 10. FastIO\n")
 	fmt.Fprintf(&b, "  FastIO share of read requests: %.0f%% (paper: 59%%)\n", 100*mean(r.ReadShares))
 	fmt.Fprintf(&b, "  FastIO share of write requests: %.0f%% (paper: 96%%)\n", 100*mean(r.WriteShares))
-	s := r.requestClasses()
+	s := &r.requests
 	fr := stats.Summarize(s.FastReadLatUS)
 	ir := stats.Summarize(s.IrpReadLatUS)
 	fmt.Fprintf(&b, "  median latency: FastIO read %.1f µs vs IRP read %.1f µs\n", fr.P50, ir.P50)
@@ -171,14 +165,13 @@ func (r *Results) Section6Lifetimes() string {
 func (r *Results) Table1() string {
 	var b strings.Builder
 	b.WriteString("Table 1. Summary of observations (measured on the simulated fleet)\n\n")
-	row10m := analysis.UserActivity(r.DS, 10*sim.Minute, 4096)
+	row10m := r.activity[0]
 	fmt.Fprintf(&b, "- per-user throughput (10-min intervals): %.1f KB/s (paper: 24 KB/s vs Sprite 8)\n",
 		row10m.AvgThroughputKBs)
-	dataHold := r.HoldCDF(analysis.DataSessions)
+	dataHold := r.dataHold
 	fmt.Fprintf(&b, "- data-access sessions open < 10 ms: %.0f%% (paper: 75%%)\n", dataHold.At(10)*100)
-	sizes := analysis.FileSizeByClass(r.All)
 	var all []float64
-	for _, ss := range sizes {
+	for _, ss := range r.sizesByClass {
 		for _, s := range ss {
 			all = append(all, s.Size)
 		}
@@ -194,8 +187,7 @@ func (r *Results) Table1() string {
 		100*r.Cache.SinglePrefetchFraction())
 	fmt.Fprintf(&b, "- FastIO: %.0f%% of reads, %.0f%% of writes (paper: 59%%, 96%%)\n",
 		100*mean(r.ReadShares), 100*mean(r.WriteShares))
-	mt := r.OpenGapSampleMachine()
-	gaps := analysis.AllOpenGaps(mt)
+	gaps := r.sampleGaps
 	ms := make([]float64, len(gaps))
 	for i, g := range gaps {
 		ms[i] = g * 1000

@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"repro/internal/analysis"
-	"repro/internal/sim"
 	"repro/internal/stats"
 )
 
@@ -15,8 +14,8 @@ import (
 func (r *Results) Table2() string {
 	var b strings.Builder
 	b.WriteString("Table 2. User activity (throughput in KB/s; stdev in parentheses)\n")
-	for _, iv := range []sim.Duration{10 * sim.Minute, 10 * sim.Second} {
-		row := analysis.UserActivity(r.DS, iv, 4096)
+	for w, iv := range activityWidths {
+		row := r.activity[w]
 		fmt.Fprintf(&b, "\n%v intervals:\n", iv)
 		fmt.Fprintf(&b, "  Max number of active users            %d\n", row.MaxActiveUsers)
 		fmt.Fprintf(&b, "  Average number of active users        %.1f (%.1f)\n",
@@ -85,7 +84,7 @@ func (r *Results) Table3() string {
 
 // Figure1 renders the run-length CDF weighted by run count.
 func (r *Results) Figure1() string {
-	readRuns, writeRuns := analysis.RunLengths(r.All)
+	readRuns, writeRuns := r.readRuns, r.writeRuns
 	var b strings.Builder
 	b.WriteString("Figure 1. Sequential run length CDF, weighted by number of runs\n")
 	reads := stats.NewCDF(readRuns)
@@ -97,7 +96,7 @@ func (r *Results) Figure1() string {
 
 // Figure2 renders the run-length CDF weighted by bytes transferred.
 func (r *Results) Figure2() string {
-	readRuns, writeRuns := analysis.RunLengths(r.All)
+	readRuns, writeRuns := r.readRuns, r.writeRuns
 	var b strings.Builder
 	b.WriteString("Figure 2. Sequential run length CDF, weighted by bytes transferred\n")
 	b.WriteString(cdfTable("read runs", "bytes", stats.NewWeightedCDF(readRuns, readRuns), 16))
@@ -107,7 +106,7 @@ func (r *Results) Figure2() string {
 
 // figure34 shares the Figure 3/4 rendering.
 func (r *Results) figure34(byBytes bool, title string) string {
-	byClass := analysis.FileSizeByClass(r.All)
+	byClass := r.sizesByClass
 	var b strings.Builder
 	b.WriteString(title)
 	for _, c := range []analysis.AccessClass{
@@ -143,7 +142,7 @@ func (r *Results) Figure4() string {
 func (r *Results) Figure5() string {
 	var b strings.Builder
 	b.WriteString("Figure 5. File open time CDF (data sessions, ms)\n")
-	data := r.HoldCDF(analysis.DataSessions)
+	data := r.dataHold
 	b.WriteString(cdfTable("all files", "ms", data, 16))
 	b.WriteString(cdfTable("local file system", "ms",
 		r.HoldCDF(analysis.And(analysis.DataSessions, analysis.LocalSessions)), 16))
@@ -193,8 +192,7 @@ func (r *Results) Figure7() string {
 // Figure8 renders arrival counts at three time scales against a Poisson
 // synthesis with matched rate.
 func (r *Results) Figure8() string {
-	mt := r.OpenGapSampleMachine()
-	gaps := analysis.AllOpenGaps(mt)
+	mt, gaps := r.sample, r.sampleGaps
 	synth := stats.PoissonSynth(gaps, len(gaps), 99)
 	var b strings.Builder
 	fmt.Fprintf(&b, "Figure 8. Open-arrival counts at three scales (machine %s, %d arrivals)\n",
@@ -212,8 +210,7 @@ func (r *Results) Figure8() string {
 
 // Figure9 renders QQ deviations against Normal and Pareto references.
 func (r *Results) Figure9() string {
-	mt := r.OpenGapSampleMachine()
-	gaps := analysis.AllOpenGaps(mt)
+	mt, gaps := r.sample, r.sampleGaps
 	devN := stats.QQDeviation(stats.QQNormal(gaps, 200))
 	devP := stats.QQDeviation(stats.QQPareto(gaps, 200))
 	var b strings.Builder
@@ -227,8 +224,7 @@ func (r *Results) Figure9() string {
 
 // Figure10 renders the LLCD tail and the fitted α.
 func (r *Results) Figure10() string {
-	mt := r.OpenGapSampleMachine()
-	gaps := analysis.AllOpenGaps(mt)
+	mt, gaps := r.sample, r.sampleGaps
 	// Milliseconds, as in the paper's plot.
 	ms := make([]float64, len(gaps))
 	for i, g := range gaps {
@@ -250,16 +246,10 @@ func (r *Results) Figure10() string {
 
 // Figure11 renders open inter-arrival CDFs by open purpose.
 func (r *Results) Figure11() string {
-	var dataAll, ctlAll []float64
-	for _, name := range r.machineNames() {
-		d, c := analysis.OpenInterarrivals(r.PerMachine[name])
-		dataAll = append(dataAll, d...)
-		ctlAll = append(ctlAll, c...)
-	}
 	var b strings.Builder
 	b.WriteString("Figure 11. Inter-arrival of open requests (ms)\n")
-	b.WriteString(cdfTable("open for I/O", "ms", stats.NewCDF(dataAll), 16))
-	b.WriteString(cdfTable("open for control", "ms", stats.NewCDF(ctlAll), 16))
+	b.WriteString(cdfTable("open for I/O", "ms", stats.NewCDF(r.openDataGaps), 16))
+	b.WriteString(cdfTable("open for control", "ms", stats.NewCDF(r.openCtlGaps), 16))
 	return b.String()
 }
 
@@ -267,35 +257,18 @@ func (r *Results) Figure11() string {
 func (r *Results) Figure12() string {
 	var b strings.Builder
 	b.WriteString("Figure 12. File session lifetime CDF (ms)\n")
-	all := r.HoldCDF(nil)
+	all := r.allHold
 	b.WriteString(cdfTable("all usage types", "ms", all, 16))
 	b.WriteString(cdfTable("control operations", "ms", r.HoldCDF(analysis.ControlSessions), 16))
-	b.WriteString(cdfTable("data operations", "ms", r.HoldCDF(analysis.DataSessions), 16))
+	b.WriteString(cdfTable("data operations", "ms", r.dataHold, 16))
 	fmt.Fprintf(&b, "  closed within 1 ms: %.0f%%; within 1 s: %.0f%%\n",
 		all.At(1)*100, all.At(1000)*100)
 	return b.String()
 }
 
-// figure1314 merges per-machine request-class series.
-func (r *Results) requestClasses() analysis.RequestClassSeries {
-	var s analysis.RequestClassSeries
-	for _, mt := range r.DS.Machines {
-		m := analysis.RequestClasses(mt)
-		s.FastReadLatUS = append(s.FastReadLatUS, m.FastReadLatUS...)
-		s.FastWriteLatUS = append(s.FastWriteLatUS, m.FastWriteLatUS...)
-		s.IrpReadLatUS = append(s.IrpReadLatUS, m.IrpReadLatUS...)
-		s.IrpWriteLatUS = append(s.IrpWriteLatUS, m.IrpWriteLatUS...)
-		s.FastReadSize = append(s.FastReadSize, m.FastReadSize...)
-		s.FastWriteSize = append(s.FastWriteSize, m.FastWriteSize...)
-		s.IrpReadSize = append(s.IrpReadSize, m.IrpReadSize...)
-		s.IrpWriteSize = append(s.IrpWriteSize, m.IrpWriteSize...)
-	}
-	return s
-}
-
 // Figure13 renders request-latency CDFs for the four request types.
 func (r *Results) Figure13() string {
-	s := r.requestClasses()
+	s := &r.requests
 	var b strings.Builder
 	b.WriteString("Figure 13. Request completion latency CDF (µs)\n")
 	fastReads, irpReads := stats.NewCDF(s.FastReadLatUS), stats.NewCDF(s.IrpReadLatUS)
@@ -310,7 +283,7 @@ func (r *Results) Figure13() string {
 
 // Figure14 renders request-size CDFs for the four request types.
 func (r *Results) Figure14() string {
-	s := r.requestClasses()
+	s := &r.requests
 	var b strings.Builder
 	b.WriteString("Figure 14. Requested data size CDF (bytes)\n")
 	b.WriteString(quantileLine("FastIO Read", stats.NewCDF(s.FastReadSize), "B"))

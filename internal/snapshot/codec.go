@@ -237,7 +237,9 @@ func (s *Snapshot) Each(fn func(*WalkRecord)) error {
 }
 
 // decoder reads the binary format's fields; the first failure sticks,
-// empties the input and zeroes every later read.
+// empties the input and zeroes every later read. Its varints of up to
+// eight bytes are read a word at a time where eight bytes remain, and
+// with binary.Uvarint elsewhere; both give the same values and lengths.
 type decoder struct {
 	buf []byte
 	err error
@@ -250,24 +252,50 @@ func (d *decoder) fail(what string) {
 	d.buf = nil
 }
 
+// continuation is the high bit of every byte of a word: set in each
+// byte of a varint but its last.
+const continuation = 0x8080808080808080
+
+// wordUvarint reads a uvarint of at most eight bytes from one
+// little-endian word of b, as binary.Uvarint would. It returns n = 0
+// where that does not apply: fewer than eight bytes remain, or the
+// varint is longer.
+func wordUvarint(b []byte) (v uint64, n int) {
+	if len(b) >= 8 {
+		v = binary.LittleEndian.Uint64(b)
+		if stops := ^v & continuation; stops != 0 {
+			// The lowest clear high bit ends the varint, so the varint is
+			// the word's low n bits, n = 8 × its length. Close the gaps
+			// between their 7-bit groups in three steps (pairs, quads,
+			// the whole word), which also drop the high bits.
+			n = bits.TrailingZeros64(stops) + 1
+			v &= 1<<n - 1
+			v = v&0x007f007f007f007f | v&0x7f007f007f007f00>>1
+			v = v&0x00003fff00003fff | v&0x3fff00003fff0000>>2
+			v = v&0x000000000fffffff | v&0x0fffffff00000000>>4
+			n >>= 3
+		}
+	}
+	return v, n
+}
+
 func (d *decoder) uvarint(what string) uint64 {
-	v, n := binary.Uvarint(d.buf)
-	if n <= 0 {
-		d.fail(what)
-		return 0
+	v, n := wordUvarint(d.buf)
+	if n == 0 {
+		// Nine- and ten-byte varints, and the section's last seven bytes.
+		if v, n = binary.Uvarint(d.buf); n <= 0 {
+			d.fail(what)
+			return 0
+		}
 	}
 	d.buf = d.buf[n:]
 	return v
 }
 
+// varint reads a zig-zag varint as binary.Varint decodes it.
 func (d *decoder) varint(what string) int64 {
-	v, n := binary.Varint(d.buf)
-	if n <= 0 {
-		d.fail(what)
-		return 0
-	}
-	d.buf = d.buf[n:]
-	return v
+	u := d.uvarint(what)
+	return int64(u>>1) ^ -int64(u&1)
 }
 
 func (d *decoder) int(what string) int {

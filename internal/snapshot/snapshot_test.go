@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -785,4 +786,220 @@ func TestCompareMatchesJoinedPaths(t *testing.T) {
 	if got, want := compare(t, old, cur), mapCompare(t, old, cur); !reflect.DeepEqual(got, want) {
 		t.Fatalf("Compare %+v, old Compare %+v", got, want)
 	}
+}
+
+// refDecoder is the field reader as it was before varints were read a
+// word at a time: every varint through binary.Uvarint or binary.Varint.
+// FuzzSnapshotEach holds decoder, and so Decode and Each, to it.
+type refDecoder struct {
+	buf []byte
+	err error
+}
+
+func (d *refDecoder) fail(what string) {
+	if d.err == nil {
+		d.err = fmt.Errorf("%w: bad %s", ErrCorrupt, what)
+	}
+	d.buf = nil
+}
+
+func (d *refDecoder) uvarint(what string) uint64 {
+	v, n := binary.Uvarint(d.buf)
+	if n <= 0 {
+		d.fail(what)
+		return 0
+	}
+	d.buf = d.buf[n:]
+	return v
+}
+
+func (d *refDecoder) varint(what string) int64 {
+	v, n := binary.Varint(d.buf)
+	if n <= 0 {
+		d.fail(what)
+		return 0
+	}
+	d.buf = d.buf[n:]
+	return v
+}
+
+func (d *refDecoder) int(what string) int {
+	v := d.varint(what)
+	if v != int64(int(v)) {
+		d.fail(what)
+		return 0
+	}
+	return int(v)
+}
+
+func (d *refDecoder) byte(what string) byte {
+	if len(d.buf) == 0 {
+		d.fail(what)
+		return 0
+	}
+	b := d.buf[0]
+	d.buf = d.buf[1:]
+	return b
+}
+
+func (d *refDecoder) count(unit int, what string) int {
+	v := d.uvarint(what)
+	if v > uint64(len(d.buf)/unit) {
+		d.fail(what)
+		return 0
+	}
+	return int(v)
+}
+
+func (d *refDecoder) bytes(what string) []byte {
+	n := d.count(1, what)
+	b := d.buf[:n:n]
+	d.buf = d.buf[n:]
+	return b
+}
+
+// refDecode is Decode over refDecoder.
+func refDecode(data []byte) (*Snapshot, error) {
+	if len(data) < len(magic)+4 || string(data[:len(magic)]) != magic {
+		return nil, fmt.Errorf("%w: not an %s snapshot", ErrCorrupt, magic)
+	}
+	body := data[:len(data)-4]
+	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(data[len(body):]) {
+		return nil, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
+	}
+	d := refDecoder{buf: body[len(magic):]}
+	s := &Snapshot{
+		Machine: string(d.bytes("machine")),
+		Volume:  string(d.bytes("volume")),
+		TakenAt: sim.Time(d.varint("taken_at")),
+	}
+	s.count = d.count(minRecordBytes, "record count")
+	s.nameBytes = d.count(1, "name bytes")
+	if d.err != nil {
+		return nil, d.err
+	}
+	s.file, s.recs = data, d.buf
+	return s, nil
+}
+
+// refEach is Each over refDecoder, collecting the records it passes.
+func refEach(s *Snapshot) ([]WalkRecord, error) {
+	d := refDecoder{buf: s.recs}
+	var out []WalkRecord
+	names := 0
+	for i := 0; i < s.count; i++ {
+		var r WalkRecord
+		if depth := d.uvarint("depth"); depth <= math.MaxInt {
+			r.Depth = int(depth)
+		} else {
+			d.fail("depth")
+		}
+		switch flags := d.byte("flags"); flags {
+		case 0:
+		case flagDir:
+			r.IsDir = true
+		default:
+			d.fail("flags")
+		}
+		r.Size = d.varint("size")
+		r.Created = sim.Time(d.varint("created"))
+		r.LastModified = sim.Time(d.varint("modified"))
+		r.LastAccessed = sim.Time(d.varint("accessed"))
+		if r.IsDir {
+			r.NumFiles = d.int("files")
+			r.NumSubdirs = d.int("subdirectories")
+		}
+		name := d.bytes("name")
+		if names+len(name) > s.nameBytes {
+			d.fail("name length")
+		}
+		if d.err != nil {
+			break
+		}
+		names += len(name)
+		r.Name = string(name)
+		out = append(out, r)
+	}
+	err := d.err
+	switch {
+	case err != nil:
+	case names != s.nameBytes:
+		err = fmt.Errorf("%w: names hold %d bytes, header says %d", ErrCorrupt, names, s.nameBytes)
+	case len(d.buf) != 0:
+		err = fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(d.buf))
+	}
+	if err != nil && s.source != "" {
+		err = fmt.Errorf("%s: %w", s.source, err)
+	}
+	return out, err
+}
+
+// FuzzSnapshotEach is a differential target: on any input, Decode must
+// give refDecode's header or its error text, and on what it accepts Each
+// must pass refEach's records and fail with its error text. The fuzzer's
+// input is resealed with a fresh CRC, so a mutation of the body reaches
+// the record parser. Seeds: a real walk, and one-record walks whose last
+// time field is a varint of each length from 1 to 10 bytes, ending two
+// to eight bytes before the end of the record section.
+func FuzzSnapshotEach(f *testing.F) {
+	add := func(s *Snapshot) {
+		var bin bytes.Buffer
+		if err := s.Write(&bin); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(bin.Bytes())
+	}
+	add(Take("m1", `C:`, buildFS(f), 100))
+	for n := 1; n <= 10; n++ {
+		zz := uint64(1) << (7 * (n - 1)) // the smallest zig-zag value of n bytes
+		v := sim.Time(zz>>1) ^ -sim.Time(zz&1)
+		for _, name := range []string{"", "a.b", "abcdef"} {
+			add(mustNew(f, "m", `C:`, 0, []WalkRecord{{Name: name, LastAccessed: v}}))
+		}
+	}
+	f.Fuzz(func(t *testing.T, in []byte) {
+		if len(in) >= crc32.Size {
+			body := in[: len(in)-crc32.Size : len(in)-crc32.Size]
+			in = withCRC(body)
+		}
+		got, err := Decode(in)
+		want, wantErr := refDecode(in)
+		if fmt.Sprint(err) != fmt.Sprint(wantErr) {
+			t.Fatalf("Decode err %v, reference %v", err, wantErr)
+		}
+		if err != nil {
+			return
+		}
+		if got.Machine != want.Machine || got.Volume != want.Volume || got.TakenAt != want.TakenAt ||
+			got.count != want.count || got.nameBytes != want.nameBytes || len(got.recs) != len(want.recs) {
+			t.Fatalf("Decode header %q %q %d %d %d, reference %q %q %d %d %d", got.Machine, got.Volume, got.TakenAt,
+				got.count, got.nameBytes, want.Machine, want.Volume, want.TakenAt, want.count, want.nameBytes)
+		}
+		var recs []WalkRecord
+		err = got.Each(func(r *WalkRecord) { recs = append(recs, *r) })
+		wantRecs, wantErr := refEach(got)
+		if fmt.Sprint(err) != fmt.Sprint(wantErr) {
+			t.Fatalf("Each err %v, reference %v", err, wantErr)
+		}
+		if !reflect.DeepEqual(recs, wantRecs) {
+			t.Fatalf("Each passed %d records, reference %d:\n got %+v\nwant %+v", len(recs), len(wantRecs), recs, wantRecs)
+		}
+	})
+}
+
+// BenchmarkSnapshotEach parses every record of a generated personal
+// volume's walk: ns_per_record is the record parser's cost.
+func BenchmarkSnapshotEach(b *testing.B) {
+	vol := fsys.New(volume.FlavorNTFS, 4<<30)
+	fsgen.PopulateLocal(vol, sim.NewRNG(3), fsgen.Config{User: "alice", Category: machine.Personal, Now: sim.Time(30 * sim.Day)})
+	s := Take("m", `C:`, vol, sim.Time(30*sim.Day))
+	var n int
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := s.Each(func(r *WalkRecord) { n += r.Depth }); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*s.Len()), "ns_per_record")
 }

@@ -17,15 +17,19 @@ import (
 //
 // It returns 0 when the sample is too small or degenerate.
 func Hill(xs []float64, k int) float64 {
+	return hillInPlace(slices.Clone(xs), k)
+}
+
+// hillInPlace is Hill reordering xs in place instead of a copy.
+func hillInPlace(xs []float64, k int) float64 {
 	if k < 2 || len(xs) <= k {
 		return 0
 	}
-	// Only the k+1 largest values matter: select them on a copy and sort
-	// just those. top[k] ≥ … ≥ top[0], the (k+1)-th largest, which is
-	// the threshold; the sum runs from the largest down.
-	top := append([]float64(nil), xs...)
-	selectRank(top, len(top)-1-k)
-	top = top[len(top)-1-k:]
+	// Only the k+1 largest values matter: select them and sort just
+	// those. top[k] ≥ … ≥ top[0], the (k+1)-th largest, which is the
+	// threshold; the sum runs from the largest down.
+	selectRank(xs, len(xs)-1-k)
+	top := xs[len(xs)-1-k:]
 	slices.Sort(top)
 	threshold := top[0]
 	if threshold <= 0 {

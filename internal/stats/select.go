@@ -23,12 +23,33 @@ func SelectPercentile(xs []float64, p float64) float64 {
 // statistic, so the second of two percentiles costs a quickselect of
 // that part instead of a full one.
 func SelectPercentiles(xs []float64, ps ...float64) []float64 {
-	out := make([]float64, len(ps))
+	out, _ := selectPercentiles(xs, ps)
+	return out
+}
+
+// SelectPercentilesHill returns SelectPercentiles(xs, ps...) and
+// Hill(xs, k) from one reordering of xs in place, without Hill's copy:
+// Hill's selection runs within the part of xs that the last percentile's
+// selection left above its rank when that part holds the k+1 largest
+// values, and within all of xs otherwise. Hill reads the same values and
+// sums them in the same order either way, so α is Hill's to the bit.
+func SelectPercentilesHill(xs []float64, k int, ps ...float64) ([]float64, float64) {
+	out, from := selectPercentiles(xs, ps)
+	if len(xs)-from <= k {
+		from = 0
+	}
+	return out, hillInPlace(xs[from:], k)
+}
+
+// selectPercentiles is SelectPercentiles that also returns from: xs[from:]
+// holds every order statistic above the last percentile's lower rank.
+func selectPercentiles(xs []float64, ps []float64) (out []float64, from int) {
+	out = make([]float64, len(ps))
 	n := len(xs)
 	if n == 0 {
-		return out
+		return out, 0
 	}
-	from := 0 // xs[from:] holds the order statistics from rank from up
+	// xs[from:] holds the order statistics from rank from up.
 	for i, p := range ps {
 		lo, frac, interpolate := n-1, 0.0, false
 		switch {
@@ -54,7 +75,7 @@ func SelectPercentiles(xs []float64, ps ...float64) []float64 {
 		}
 		out[i] = xs[lo]*(1-frac) + next*frac
 	}
-	return out
+	return out, from
 }
 
 // percentileRank places percentile p (0 < p < 100) in a sorted sample of

@@ -348,3 +348,26 @@ func TestSelectRankMedianOfThreeKiller(t *testing.T) {
 		t.Errorf("selection on the killer input took %v, more than ten full sorts (%v each)", sel, full)
 	}
 }
+
+// TestSelectPercentilesHillMatches pins SelectPercentilesHill to
+// SelectPercentiles and Hill run apart, bit for bit, on every property
+// input at tail sizes that fit within the part above P90 and ones that
+// do not.
+func TestSelectPercentilesHillMatches(t *testing.T) {
+	for name, xs := range propertyInputs() {
+		for _, k := range []int{0, 2, len(xs)/50 + 2, len(xs) / 5, len(xs) - 1} {
+			work := append([]float64(nil), xs...)
+			got, alpha := SelectPercentilesHill(work, k, 50, 90)
+			want := SelectPercentiles(append([]float64(nil), xs...), 50, 90)
+			wantAlpha := Hill(xs, k)
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("%s k=%d: percentile %d = %v, want %v", name, k, i, got[i], want[i])
+				}
+			}
+			if math.Float64bits(alpha) != math.Float64bits(wantAlpha) {
+				t.Fatalf("%s k=%d: α = %v, Hill %v", name, k, alpha, wantAlpha)
+			}
+		}
+	}
+}
